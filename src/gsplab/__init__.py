@@ -13,15 +13,9 @@ from gsplab.auction import (
     DeepGspMechanism,
     FixedScoreMechanism,
     GspMechanism,
-    RankedEntry,
     UgspMechanism,
-    allocate,
-    fixed_rank_score,
-    gsp_rank_score,
-    price_by_multiplier,
     price_exact_binary_search,
     run_auction,
-    ugsp_rank_score,
 )
 from gsplab.simulator import MetricsRecord, World, WorldConfig, scalarize
 from gsplab.trainer import TrainConfig, train
@@ -34,18 +28,12 @@ __all__ = [
     "FixedScoreMechanism",
     "GspMechanism",
     "MetricsRecord",
-    "RankedEntry",
     "TrainConfig",
     "UgspMechanism",
     "World",
     "WorldConfig",
-    "allocate",
-    "fixed_rank_score",
-    "gsp_rank_score",
-    "price_by_multiplier",
     "price_exact_binary_search",
     "run_auction",
     "scalarize",
     "train",
-    "ugsp_rank_score",
 ]

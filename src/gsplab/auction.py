@@ -2,7 +2,9 @@
 
 Candidate ranking, top-K allocation, and payment computation for GSP,
 uGSP, fixed nonlinear scores, and the learned bid-multiplier mechanism.
-Every rank score is expressed in affine-in-bid form
+There is one engine, on (R, N) arrays of rounds x candidates: a
+mechanism's ``score_batch``, then ``allocate_batch`` and ``price_batch``.
+``run_auction`` is its single-auction (R = 1) wrapper.  Every rank score is expressed in affine-in-bid form
 
     r = bid * multiplier + offset
 
@@ -12,15 +14,14 @@ recovers the approximate inverse payment p = r_next / pi.  uGSP carries
 its bid-independent utility terms in the offset, which makes the
 division-based price equal to the exact critical bid.
 
-An exact critical-bid oracle (bisection on any monotone score function)
-is provided for payment-error audits.
+An exact critical-bid oracle (bisection on any monotone score function,
+all winners at once) is provided for payment-error audits.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,10 +41,6 @@ DEFAULT_EPS_DIV = 1e-9
 
 class DegenerateMultiplierError(ValueError):
     """Multiplier too close to zero to divide a price by."""
-
-
-class NoCriticalBidError(ValueError):
-    """The bracketing bid cannot reach the target score."""
 
 
 def _check_finite(name, value):
@@ -124,20 +121,9 @@ class AuctionRequest:
 
 
 @dataclass(frozen=True)
-class RankedEntry:
-    """Affine-in-bid rank score: score = bid * multiplier + offset."""
-
-    ad_id: str
-    score: float
-    multiplier: float
-    offset: float = 0.0
-
-
-@dataclass(frozen=True)
 class AuctionOutcome:
     winners: list  # ordered (ad_id, slot_index 1..K, price_per_click)
-    losers: list  # ad_ids
-    ranking: list  # full sorted list of RankedEntry
+    losers: list  # ad_ids, best-ranked first
 
     def price_of(self, ad_id):
         for wid, _slot, price in self.winners:
@@ -147,52 +133,7 @@ class AuctionOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Rank score functions
-
-
-def gsp_rank_score(bid, pctr, sigma):
-    """Squashed eCPM score bid * pctr**sigma."""
-    _check_finite("bid", bid)
-    _check_finite("pctr", pctr)
-    _check_finite("sigma", sigma)
-    if bid < 0:
-        raise ValueError("bid must be nonnegative")
-    if not 0.0 <= pctr <= 1.0:
-        raise ValueError("pctr must lie in [0,1]")
-    if not 0.5 <= sigma <= 2.0:
-        warnings.warn(
-            f"squashing exponent {sigma} outside the usual [0.5, 2.0] range",
-            stacklevel=2,
-        )
-    if pctr == 0.0:
-        return 0.0 if sigma != 0.0 else bid
-    return bid * pctr**sigma
-
-
-def ugsp_rank_score(bid, pctr, pcvr, lambdas):
-    """Utility-based score l1*bid*pctr + l2*pctr + l3*pcvr."""
-    l1, l2, l3 = lambdas
-    for name, v in (("bid", bid), ("pctr", pctr), ("pcvr", pcvr),
-                    ("l1", l1), ("l2", l2), ("l3", l3)):
-        _check_finite(name, v)
-    if min(l1, l2, l3) < 0:
-        raise ValueError("uGSP lambdas must be nonnegative")
-    # grouped as multiplier * bid + offset so the affine decomposition in
-    # UgspMechanism.entry reproduces this value bit for bit
-    return (l1 * pctr) * bid + (l2 * pctr + l3 * pcvr)
-
-
-def fixed_rank_score(bid, pctr):
-    """Hand-set nonlinear score (bid/10)^0.4 * pctr^0.7 (golden example)."""
-    _check_finite("bid", bid)
-    _check_finite("pctr", pctr)
-    if bid < 0 or not 0.0 <= pctr <= 1.0:
-        raise ValueError("bid >= 0 and pctr in [0,1] required")
-    return (bid / 10.0) ** 0.4 * pctr**0.7
-
-
-# ---------------------------------------------------------------------------
-# Mechanisms
+# Mechanisms: score_batch(bids, feats) -> (scores, multipliers, offsets)
 
 
 @dataclass(frozen=True)
@@ -200,13 +141,6 @@ class GspMechanism:
     """Classic GSP with squashing exponent sigma: r = b * pctr^sigma."""
 
     sigma: float = 1.0
-
-    def entry(self, cand):
-        pi = cand.pctr**self.sigma if cand.pctr > 0 else 0.0
-        return RankedEntry(cand.ad_id, cand.bid * pi, pi, 0.0)
-
-    def score_fn(self, cand):
-        return lambda z: gsp_rank_score(z, cand.pctr, self.sigma)
 
     def score_batch(self, bids, feats):
         pi = feats[..., F_PCTR] ** self.sigma
@@ -223,15 +157,6 @@ class UgspMechanism:
         if len(self.lambdas) != 3 or min(self.lambdas) < 0:
             raise ValueError("lambdas must be three nonnegative reals")
 
-    def entry(self, cand):
-        l1, l2, l3 = self.lambdas
-        pi = l1 * cand.pctr
-        offset = l2 * cand.pctr + l3 * cand.pcvr
-        return RankedEntry(cand.ad_id, cand.bid * pi + offset, pi, offset)
-
-    def score_fn(self, cand):
-        return lambda z: ugsp_rank_score(z, cand.pctr, cand.pcvr, self.lambdas)
-
     def score_batch(self, bids, feats):
         l1, l2, l3 = self.lambdas
         pi = l1 * feats[..., F_PCTR]
@@ -239,20 +164,18 @@ class UgspMechanism:
         return bids * pi + offset, pi, offset
 
 
+# Python's float pow (C libm), elementwise: numpy's SIMD pow can differ in
+# the last bit between CPUs, and the golden example prints every digit
+_libm_pow = np.frompyfunc(pow, 2, 1)
+
+
 @dataclass(frozen=True)
 class FixedScoreMechanism:
-    """The hand-set nonlinear score used by the worked-example test."""
-
-    def entry(self, cand):
-        score = fixed_rank_score(cand.bid, cand.pctr)
-        pi = score / cand.bid if cand.bid > 0 else 0.0
-        return RankedEntry(cand.ad_id, score, pi, 0.0)
-
-    def score_fn(self, cand):
-        return lambda z: fixed_rank_score(z, cand.pctr)
+    """The hand-set nonlinear score (b/10)^0.4 * pctr^0.7 (golden example)."""
 
     def score_batch(self, bids, feats):
-        score = (bids / 10.0) ** 0.4 * feats[..., F_PCTR] ** 0.7
+        score = np.asarray(_libm_pow(bids / 10.0, 0.4)
+                           * _libm_pow(feats[..., F_PCTR], 0.7), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             pi = np.where(bids > 0, score / np.maximum(bids, 1e-300), 0.0)
         return score, pi, np.zeros_like(score)
@@ -264,13 +187,6 @@ class DeepGspMechanism:
 
     actor: object  # gsplab.nets.BidMultiplierNet
 
-    def entry(self, cand):
-        pi = float(self.actor.multiplier(cand.bid, cand.features))
-        return RankedEntry(cand.ad_id, cand.bid * pi, pi, 0.0)
-
-    def score_fn(self, cand):
-        return lambda z: z * float(self.actor.multiplier(z, cand.features))
-
     def score_batch(self, bids, feats):
         pi = self.actor.multiplier_batch(bids.reshape(-1), feats.reshape(-1, feats.shape[-1]))
         pi = pi.reshape(bids.shape)
@@ -278,109 +194,7 @@ class DeepGspMechanism:
 
 
 # ---------------------------------------------------------------------------
-# Allocation and pricing
-
-
-def _sort_key(entry, bid):
-    # score desc, then bid desc, then ad_id asc: deterministic tie-breaking
-    return (-entry.score, -bid, entry.ad_id)
-
-
-def allocate(request, scores):
-    """Sort by rank score and assign the top-K entries to slots 1..K.
-
-    Payments are left unfilled (None).  Ties break by higher bid, then
-    lexicographic ad_id, so identical inputs always produce identical
-    outcomes.
-    """
-    if len(scores) != len(request.candidates):
-        raise ValueError(
-            f"{len(scores)} scores for {len(request.candidates)} candidates"
-        )
-    bids = {c.ad_id: c.bid for c in request.candidates}
-    ranking = sorted(scores, key=lambda e: _sort_key(e, bids[e.ad_id]))
-    k = request.slots
-    winners = [(e.ad_id, slot + 1, None) for slot, e in enumerate(ranking[:k])]
-    losers = [e.ad_id for e in ranking[k:]]
-    return AuctionOutcome(winners=winners, losers=losers, ranking=ranking)
-
-
-def price_by_multiplier(ranking, i, reserve_price=0.0, eps_div=DEFAULT_EPS_DIV):
-    """Division-based payment for the winner at rank position i (0-based).
-
-    p_i = (r_{i+1} - offset_i) / pi_i, clamped at 0; the last-ranked
-    candidate overall pays the reserve.
-    """
-    entry = ranking[i]
-    if i + 1 >= len(ranking):
-        return float(reserve_price)
-    if entry.multiplier <= eps_div:
-        raise DegenerateMultiplierError(
-            f"multiplier {entry.multiplier} for {entry.ad_id} below {eps_div}"
-        )
-    next_score = ranking[i + 1].score
-    return max(0.0, (next_score - entry.offset) / entry.multiplier)
-
-
-def price_exact_binary_search(rank_fn, target, bid_hi, tol_bid=None):
-    """Smallest bid z in [0, bid_hi] with rank_fn(z) >= target, by bisection.
-
-    rank_fn must be monotone non-decreasing in the bid; a bracketing
-    failure (rank_fn(bid_hi) < target) raises NoCriticalBidError.
-    """
-    _check_finite("target", target)
-    _check_finite("bid_hi", bid_hi)
-    if bid_hi < 0:
-        raise ValueError("bid_hi must be nonnegative")
-    if tol_bid is None:
-        tol_bid = 1e-6 * max(bid_hi, 1e-12)
-    if rank_fn(0.0) >= target:
-        return 0.0
-    if rank_fn(bid_hi) < target:
-        raise NoCriticalBidError(
-            f"rank_fn({bid_hi}) < target {target}: winner could not have won"
-        )
-    lo, hi = 0.0, float(bid_hi)
-    while hi - lo > tol_bid:
-        mid = 0.5 * (lo + hi)
-        if rank_fn(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def run_auction(request, mechanism, pricing="multiplier", reserve_price=0.0,
-                eps_div=DEFAULT_EPS_DIV):
-    """Score, allocate, and price one auction. Deterministic given inputs."""
-    if pricing not in ("multiplier", "exact"):
-        raise ValueError(f"unknown pricing rule {pricing!r}")
-    entries = [mechanism.entry(c) for c in request.candidates]
-    outcome = allocate(request, entries)
-    cand_by_id = {c.ad_id: c for c in request.candidates}
-    by_id = {e.ad_id: i for i, e in enumerate(outcome.ranking)}
-    winners = []
-    for ad_id, slot, _ in outcome.winners:
-        i = by_id[ad_id]
-        if pricing == "multiplier":
-            price = price_by_multiplier(outcome.ranking, i, reserve_price, eps_div)
-        else:
-            if i + 1 >= len(outcome.ranking):
-                price = float(reserve_price)
-            else:
-                cand = cand_by_id[ad_id]
-                price = price_exact_binary_search(
-                    mechanism.score_fn(cand),
-                    outcome.ranking[i + 1].score,
-                    max(cand.bid, 1e-12),
-                )
-        winners.append((ad_id, slot, price))
-    return AuctionOutcome(winners=winners, losers=outcome.losers,
-                          ranking=outcome.ranking)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized batch path (used by the simulator, trainer, and audits)
+# The auction engine: (R, N) arrays of rounds x candidates
 
 
 def allocate_batch(scores, bids):
@@ -397,7 +211,9 @@ def price_batch(order, scores, multipliers, offsets, slots, reserve_price=0.0,
                 eps_div=DEFAULT_EPS_DIV):
     """Division-based prices for the top-``slots`` entries of each row.
 
-    Returns an (R, slots) array aligned with order[:, :slots].
+    p_j = max(0, (r_{j+1} - offset_j) / pi_j); a winner ranked last overall
+    pays the reserve.  Returns an (R, slots) array aligned with
+    order[:, :slots].
     """
     rows = np.arange(order.shape[0])[:, None]
     ranked_scores = np.take_along_axis(scores, order, axis=1)
@@ -415,3 +231,50 @@ def price_batch(order, scores, multipliers, offsets, slots, reserve_price=0.0,
         else:
             prices[:, j] = reserve_price
     return prices
+
+
+def run_auction(request, mechanism, reserve_price=0.0):
+    """Score, allocate, and price one auction on the batch path (R = 1).
+
+    Candidates are stacked in ad_id order, so the engine's lower-index
+    tie-break (after score, then bid) is a tie-break by ad_id.
+    """
+    cands = sorted(request.candidates, key=lambda c: c.ad_id)
+    bids = np.array([[c.bid for c in cands]])
+    feats = np.stack([c.features for c in cands])[None]
+    scores, pi, off = mechanism.score_batch(bids, feats)
+    order = allocate_batch(scores, bids)
+    prices = price_batch(order, scores, pi, off, request.slots, reserve_price)
+    ids = [cands[i].ad_id for i in order[0]]
+    winners = [(ids[j], j + 1, float(prices[0, j]))
+               for j in range(request.slots)]
+    return AuctionOutcome(winners=winners, losers=ids[request.slots:])
+
+
+def price_exact_binary_search(rank_fn, target, bid_hi, tol_bid=None):
+    """Smallest bids z in [0, bid_hi] with rank_fn(z) >= target, by bisection.
+
+    All winners are bisected together: ``target``, ``bid_hi`` and
+    ``tol_bid`` are arrays (or scalars) of one shape, and each step makes
+    one vectorised ``rank_fn(z)`` call on an array of that shape.  rank_fn
+    must be monotone non-decreasing in the bid.  A winner whose bracket
+    fails (rank_fn(bid_hi) < target) comes back as NaN.
+    """
+    target = np.asarray(target, dtype=float)
+    hi = np.array(np.broadcast_to(bid_hi, target.shape), dtype=float)
+    if not (np.all(np.isfinite(target)) and np.all(np.isfinite(hi))):
+        raise ValueError("target and bid_hi must be finite")
+    if np.any(hi < 0):
+        raise ValueError("bid_hi must be nonnegative")
+    tol = 1e-6 * np.maximum(hi, 1e-12) if tol_bid is None else tol_bid
+    lo = np.zeros_like(hi)
+    at_zero = rank_fn(lo) >= target
+    unreachable = ~at_zero & (rank_fn(hi) < target)
+    live = ~at_zero & ~unreachable & (hi - lo > tol)
+    while np.any(live):
+        mid = 0.5 * (lo + hi)
+        up = rank_fn(mid) >= target
+        hi = np.where(live & up, mid, hi)
+        lo = np.where(live & ~up, mid, lo)
+        live &= hi - lo > tol
+    return np.where(at_zero, 0.0, np.where(unreachable, np.nan, hi))

@@ -15,12 +15,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from gsplab.auction import (
-    DeepGspMechanism,
-    NoCriticalBidError,
-    allocate_batch,
-    price_exact_binary_search,
-)
+from gsplab.auction import allocate_batch, price_exact_binary_search
 
 
 @dataclass
@@ -120,70 +115,39 @@ class PaymentErrorResult:
 def payment_error_rate(world, mechanism, config=AuditConfig(), tol=1e-6):
     """PER = approximate price / exact bisection price across winners.
 
-    Winners whose exact oracle has no solution (bracketing failure) are
-    excluded and counted.
+    Winners with a degenerate multiplier, or whose exact oracle has no
+    solution (bracketing failure, NaN), are excluded and counted.
     """
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x9E4)))
     rounds = world.sample_rounds(config.per_rounds, rng)
     scores, pi, off = mechanism.score_batch(rounds.bids, rounds.feats)
     order = allocate_batch(scores, rounds.bids)
-    ratios, excluded = [], 0
-    for r in range(rounds.n_rounds):
-        ranked = order[r]
-        for j in range(world.slots):
-            i = ranked[j]
-            if j + 1 >= len(ranked):
-                continue  # no next score; both rules pay the reserve
-            target = scores[r, ranked[j + 1]]
-            if pi[r, i] <= 1e-9:
-                excluded += 1
-                continue
-            approx = max(0.0, (target - off[r, i]) / pi[r, i])
-            bid = rounds.bids[r, i]
-            fn = _scalar_score_fn(mechanism, rounds.feats[r, i])
-            try:
-                exact = price_exact_binary_search(fn, target, max(bid, 1e-9),
-                                                  tol_bid=tol * max(bid, 1e-9))
-            except NoCriticalBidError:
-                excluded += 1
-                continue
-            if exact <= tol:
-                # critical bid at zero: both payments are (near) zero
-                if approx <= tol:
-                    ratios.append(1.0)
-                else:
-                    excluded += 1
-                continue
-            ratios.append(approx / exact)
-    if not ratios:
+    # winners without a next score pay the reserve under both rules
+    k = min(world.slots, world.n_advertisers - 1)
+    rows = np.arange(rounds.n_rounds)[:, None]
+    win = order[:, :k]
+    target = scores[rows, order[:, 1:k + 1]]
+    ok = pi[rows, win] > 1e-9
+    target, pi_w, off_w = target[ok], pi[rows, win][ok], off[rows, win][ok]
+    feats = rounds.feats[rows, win][ok]
+    approx = np.maximum(0.0, (target - off_w) / pi_w)
+    bid_hi = np.maximum(rounds.bids[rows, win][ok], 1e-9)
+    exact = price_exact_binary_search(
+        lambda z: mechanism.score_batch(z, feats)[0], target, bid_hi,
+        tol_bid=tol * bid_hi)
+    # a critical bid at zero counts as exact when both payments are ~zero
+    keep = np.isfinite(exact) & ((exact > tol) | (approx <= tol))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(exact <= tol, 1.0, approx / exact)[keep]
+    if not ratios.size:
         raise ValueError("no auditable winners")
-    arr = np.asarray(ratios)
     return PaymentErrorResult(
-        mean=float(arr.mean()),
-        p05=float(np.percentile(arr, 5)),
-        p95=float(np.percentile(arr, 95)),
-        n_winners=arr.size,
-        n_excluded=excluded,
+        mean=float(ratios.mean()),
+        p05=float(np.percentile(ratios, 5)),
+        p95=float(np.percentile(ratios, 95)),
+        n_winners=ratios.size,
+        n_excluded=int(win.size - ratios.size),
     )
-
-
-def _scalar_score_fn(mechanism, feats):
-    if isinstance(mechanism, DeepGspMechanism):
-        actor = mechanism.actor
-        return lambda z: z * float(actor.multiplier_batch([z], [feats])[0])
-
-    class _Cand:
-        pass
-
-    from gsplab.auction import F_PCTR, F_PCVR
-
-    cand = _Cand()
-    cand.bid = 0.0
-    cand.features = feats
-    cand.pctr = float(feats[F_PCTR])
-    cand.pcvr = float(feats[F_PCVR])
-    cand.ad_id = "audit"
-    return mechanism.score_fn(cand)
 
 
 @dataclass
@@ -218,10 +182,10 @@ def i_sic(mechanism, world, config=AuditConfig(), rng=None, first_price=False):
     n = world.n_advertisers
     util = {}
     win_v = None
+    scores, _pi, _off = mechanism.score_batch(rounds.bids, rounds.feats)
     for label, mult in (("up", 1.0 + a), ("base", 1.0), ("down", 1.0 - a)):
         u = np.zeros((rounds.n_rounds, n))
         won = np.zeros((rounds.n_rounds, n), dtype=bool)
-        scores, pi, off = mechanism.score_batch(rounds.bids, rounds.feats)
         for i in range(n):
             bids_i = mult * values[:, i]
             s_i, pi_i, off_i = mechanism.score_batch(

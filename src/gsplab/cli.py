@@ -42,7 +42,7 @@ from gsplab.nets import BidMultiplierNet
 from gsplab.simulator import (
     World,
     WorldConfig,
-    load_world_config,
+    config_from_section,
     save_world_config,
     scalarize,
 )
@@ -62,57 +62,34 @@ class ValidationError(ValueError):
 # Config plumbing
 
 
-def _parse_train_section(sect, seed_override=None):
-    kwargs = {}
-    for f in dataclasses.fields(TrainConfig):
-        if f.name not in sect:
-            continue
-        raw = sect[f.name]
-        if f.name in ("weights", "hidden"):
-            kwargs[f.name] = tuple(float(x) for x in raw.split(","))
-        elif f.type in ("int", int):
-            kwargs[f.name] = int(raw)
-        elif f.type in ("float", float):
-            kwargs[f.name] = float(raw)
-        elif f.type in ("bool", bool):
-            kwargs[f.name] = sect.getboolean(f.name)
-        else:
-            kwargs[f.name] = raw
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    if "hidden" in kwargs:
-        kwargs["hidden"] = tuple(int(x) for x in kwargs["hidden"])
-    try:
-        return TrainConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad [train] section: {exc}") from exc
-
-
 def _load_spec(path, seed_override=None):
-    """(WorldConfig, TrainConfig, raw parser) from one experiment file."""
+    """(WorldConfig, TrainConfig, raw parser) from one experiment file.
+
+    ``seed_override``, when given, replaces both seeds of the file.
+    """
     parser = configparser.ConfigParser()
-    if not parser.read(path):
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:
+        raise ValidationError(f"unreadable config file: {exc}") from exc
+    if not found:
         raise ValidationError(f"config file not found: {path}")
-    problems = []
-    if "world" not in parser:
-        problems.append("missing [world] section")
-    train_cfg = None
-    if "train" in parser:
-        if "weights" not in parser["train"]:
-            problems.append("missing field: [train] weights")
-        else:
-            try:
-                train_cfg = _parse_train_section(parser["train"], seed_override)
-            except ValidationError as exc:
-                problems.append(str(exc))
-    else:
-        problems.append("missing [train] section")
+    problems = [f"missing [{name}] section" for name in ("world", "train")
+                if name not in parser]
+    if "train" in parser and "weights" not in parser["train"]:
+        problems.append("missing field: [train] weights")
     if problems:
         raise ValidationError("; ".join(problems))
-    world_cfg = load_world_config(path)
-    if seed_override is not None:
-        world_cfg = dataclasses.replace(world_cfg, seed=seed_override)
-    return world_cfg, train_cfg, parser
+    configs = []
+    for name, cls in (("world", WorldConfig), ("train", TrainConfig)):
+        try:
+            cfg = config_from_section(cls, parser[name])
+            if seed_override is not None:
+                cfg = dataclasses.replace(cfg, seed=seed_override)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad [{name}] section: {exc}") from exc
+        configs.append(cfg)
+    return configs[0], configs[1], parser
 
 
 def _echo_config(name, world_cfg, train_cfg=None, extra=None):
@@ -152,7 +129,7 @@ def _spec_hash(*parts):
 # golden: worked three-ad example
 
 
-def _golden_request(with_pcvr=0.0):
+def _golden_request():
     feats = []
     for pctr in (0.1, 0.2, 0.3):
         x = np.zeros(FEATURE_DIM)
@@ -229,7 +206,7 @@ def cmd_golden(args):
 
 def cmd_gen_world(args):
     out = _out_dir(args)
-    cfg = WorldConfig(seed=args.seed)
+    cfg = WorldConfig(seed=args.seed or 0)
     _echo_config("gen-world", cfg)
     path = out / "world.ini"
     save_world_config(cfg, path)
@@ -257,7 +234,7 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _mechanism_from_args(args, parser=None):
+def _mechanism_from_args(args):
     if args.model:
         return DeepGspMechanism(BidMultiplierNet.load(args.model))
     if args.mechanism == "gsp":
@@ -369,11 +346,9 @@ def cmd_pareto(args):
     for sig in sigma_grid:
         m, _ = world.evaluate(GspMechanism(sigma=sig), n_eval, eval_seed)
         baselines.setdefault("gsp", []).append((f"sigma={sig}", m.as_vector()))
-    bid_scale = float(np.exp(world.value_mu.mean()
-                             + 0.5 * world_cfg.value_sigma**2))
     for c in ugsp_grid:
-        lambdas = (1.0, c * bid_scale, 0.0) if metric_name in ("ctr", "acr") \
-            else (1.0, 0.0, c * bid_scale)
+        lambdas = (1.0, c * world.bid_scale, 0.0) \
+            if metric_name in ("ctr", "acr") else (1.0, 0.0, c * world.bid_scale)
         m, _ = world.evaluate(UgspMechanism(lambdas), n_eval, eval_seed)
         baselines.setdefault("ugsp", []).append((f"c={c}", m.as_vector()))
     for name, pts in baselines.items():
@@ -495,7 +470,9 @@ def build_parser():
     def common(p, needs_config=True):
         if needs_config:
             p.add_argument("--config", required=True, help="experiment file")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=None,
+                       help="replaces both seeds of the config file "
+                            "(default: keep them; gen-world: 0)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--workers", type=int, default=1)
 

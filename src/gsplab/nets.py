@@ -16,7 +16,6 @@ float64 parameter blocks).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,11 +79,6 @@ class Normalizer:
             raise ValueError(f"expected (n, {self.dim}) data, got {X.shape}")
         self.mean = X.mean(axis=0)
         self.scale = np.maximum(X.std(axis=0), 1e-8)
-        return self
-
-    def set_identity(self):
-        self.mean = np.zeros(self.dim)
-        self.scale = np.ones(self.dim)
         return self
 
     def transform(self, X):
@@ -220,18 +214,6 @@ class Mlp:
 # Optimizers
 
 
-class Sgd:
-    """Plain (momentum-free) gradient descent."""
-
-    def __init__(self, lr):
-        self.lr = lr
-
-    def step(self, params, grads):
-        _guard_nan(grads)
-        for p, g in zip(params, grads):
-            p -= self.lr * g
-
-
 class Adam:
     """Adaptive-moment estimation, deterministic given its state."""
 
@@ -301,23 +283,8 @@ class BidMultiplierNet:
         Y, _ = self.net.forward(self._inputs(bids, feats))
         return Y[:, 0]
 
-    def multiplier(self, bid, feats):
-        return float(self.multiplier_batch([bid], [feats])[0])
-
-    def grad_bid_batch(self, bids, feats):
-        """d pi / d raw bid for each row."""
-        U = self._inputs(bids, feats)
-        _, cache = self.net.forward(U)
-        V = np.zeros_like(U)
-        V[:, 0] = 1.0 / self.norm.scale[0]
-        Ydot, _ = self.net.jvp(cache, V)
-        return Ydot[:, 0]
-
-    def grad_bid(self, bid, feats):
-        return float(self.grad_bid_batch([bid], [feats])[0])
-
     def forward_with_grad(self, bids, feats):
-        """(pi, d pi/d bid, caches) for a batch; caches feed mono/pg grads."""
+        """(pi, d pi/d bid, caches) for a batch; caches feed backward_jvp."""
         U = self._inputs(bids, feats)
         Y, cache = self.net.forward(U)
         V = np.zeros_like(U)
@@ -326,21 +293,13 @@ class BidMultiplierNet:
         return Y[:, 0], Ydot[:, 0], (cache, jcache)
 
     def mono_penalty(self, bids, feats):
-        """Hinge penalty sum(max(0, -(pi + b * dpi/db))) and its θ-gradient.
-
-        The hinge uses subgradient 0 exactly at the kink.
-        """
+        """Hinge penalty sum(max(0, -(pi + b * dpi/db))) on r = b * pi."""
         bids = np.asarray(bids, dtype=float).reshape(-1)
         if bids.size == 0:
             raise ValueError("empty batch")
-        pi, dpi_db, (cache, jcache) = self.forward_with_grad(bids, feats)
+        pi, dpi_db, _ = self.forward_with_grad(bids, feats)
         slope = pi + bids * dpi_db  # d r / d b for r = b * pi
-        active = slope < 0
-        loss = float(np.sum(np.maximum(0.0, -slope)))
-        dY = np.where(active, -1.0, 0.0)[:, None]
-        dYdot = np.where(active, -bids, 0.0)[:, None]
-        grads = self.net.backward_jvp(cache, jcache, dY, dYdot)
-        return loss, grads
+        return float(np.sum(np.maximum(0.0, -slope)))
 
     def save(self, path):
         _save_checkpoint(path, kind=1, sizes=self.net.sizes,
@@ -382,9 +341,6 @@ class CriticNet:
     def q_batch(self, states, actions):
         Y, _ = self.net.forward(self._inputs(states, actions))
         return Y[:, 0]
-
-    def q(self, state, action):
-        return float(self.q_batch(np.asarray(state)[None, :], [action])[0])
 
     def mse_and_grads(self, states, actions, targets):
         """Mean squared error against targets and its parameter gradient."""
@@ -441,17 +397,25 @@ def _save_checkpoint(path, kind, sizes, hidden, output, norm, flat):
 
 def _load_checkpoint(path):
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
+
+        def read(n_bytes):
+            data = fh.read(n_bytes)
+            if len(data) != n_bytes:
+                raise ValueError(f"{path}: truncated checkpoint")
+            return data
+
+        def floats(count):
+            return np.frombuffer(read(8 * count), dtype="<f8").astype(float)
+
+        if read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a gsplab checkpoint")
-        version, kind, n_sizes = struct.unpack("<III", fh.read(12))
+        version, kind, n_sizes = struct.unpack("<III", read(12))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        sizes = list(struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes)))
-        hid_id, out_id = struct.unpack("<II", fh.read(8))
-        dim = sizes[0]
-        mean = np.fromfile(fh, dtype="<f8", count=dim)
-        scale = np.fromfile(fh, dtype="<f8", count=dim)
-        (n_params,) = struct.unpack("<Q", fh.read(8))
-        flat = np.fromfile(fh, dtype="<f8", count=n_params)
+        sizes = list(struct.unpack(f"<{n_sizes}I", read(4 * n_sizes)))
+        hid_id, out_id = struct.unpack("<II", read(8))
+        mean = floats(sizes[0])
+        scale = floats(sizes[0])
+        (n_params,) = struct.unpack("<Q", read(8))
+        flat = floats(n_params)
     return kind, sizes, _ACT_BY_ID[hid_id], _ACT_BY_ID[out_id], mean, scale, flat

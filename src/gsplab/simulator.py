@@ -12,9 +12,9 @@ to [0,1] by normalizers calibrated on a benchmark-mechanism run.
 from __future__ import annotations
 
 import configparser
-import csv
 import dataclasses
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from gsplab.auction import (
     F_PCVR,
     F_PRICE,
     F_USER,
-    AdCandidate,
-    AuctionRequest,
     GspMechanism,
     allocate_batch,
     price_batch,
@@ -70,6 +68,16 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_advertisers < 1:
+            raise ValueError("n_advertisers must be at least 1")
+        if not 1 <= self.slots <= self.n_advertisers:
+            raise ValueError(f"slots must lie in [1, n_advertisers], "
+                             f"got {self.slots}")
+        if not (math.isfinite(self.prediction_noise)
+                and self.prediction_noise >= 0):
+            raise ValueError("prediction_noise must be finite and nonnegative")
+        if self.calibration_rounds < 1:
+            raise ValueError("calibration_rounds must be at least 1")
         beta = tuple(float(b) for b in self.slot_ctr_factors)
         if len(beta) != self.slots:
             raise ValueError("slot_ctr_factors must have length slots")
@@ -96,34 +104,8 @@ class Rounds:
 
 
 @dataclass
-class FeedbackRecord:
-    """Realized user behavior for one displayed (ad, slot)."""
-
-    round_id: int
-    ad_id: str
-    slot: int
-    bid: float
-    value: float
-    price_per_click: float
-    clicked: int
-    added_to_cart: int
-    ordered: int
-    merchandise_volume: float
-
-    def __post_init__(self):
-        if self.added_to_cart and not self.clicked:
-            raise ValueError("cart requires a click")
-        if self.ordered and not self.clicked:
-            raise ValueError("order requires a click")
-
-    @property
-    def payment(self):
-        return self.clicked * self.price_per_click
-
-
-@dataclass
 class MetricCounters:
-    """Raw feedback counters; merging is plain addition."""
+    """Raw feedback counters of one episode."""
 
     impressions: int = 0
     clicks: int = 0
@@ -131,16 +113,6 @@ class MetricCounters:
     orders: int = 0
     revenue: float = 0.0
     gmv: float = 0.0
-
-    def __add__(self, other):
-        return MetricCounters(
-            self.impressions + other.impressions,
-            self.clicks + other.clicks,
-            self.carts + other.carts,
-            self.orders + other.orders,
-            self.revenue + other.revenue,
-            self.gmv + other.gmv,
-        )
 
     def raw_metrics(self):
         """(rpm, ctr, acr, cvr, gpm) before [0,1] normalization."""
@@ -174,18 +146,6 @@ class MetricsRecord:
         return np.array([self.rpm, self.ctr, self.acr, self.cvr, self.gpm])
 
 
-def compute_metrics(records, normalizers):
-    """Aggregate a batch of FeedbackRecords into a MetricsRecord."""
-    counters = MetricCounters()
-    for r in records:
-        counters = counters + MetricCounters(
-            impressions=1, clicks=r.clicked, carts=r.added_to_cart,
-            orders=r.ordered, revenue=r.clicked * r.price_per_click,
-            gmv=r.merchandise_volume,
-        )
-    return metrics_from_counters(counters, normalizers)
-
-
 def metrics_from_counters(counters, normalizers):
     raw = counters.raw_metrics()
     norm = np.minimum(raw / np.asarray(normalizers, dtype=float), 1.0)
@@ -209,11 +169,6 @@ def scalarize(metrics, weights):
         raise ValueError(f"weights must sum to 1, got {w.sum()}")
     vec = metrics.as_vector() if isinstance(metrics, MetricsRecord) else np.asarray(metrics)
     return float(w @ vec)
-
-
-def advertiser_utility(records):
-    """Per-period utility sum over clicks of (value - price_per_click)."""
-    return float(sum(r.clicked * (r.value - r.price_per_click) for r in records))
 
 
 class World:
@@ -270,22 +225,6 @@ class World:
         feats[:, :, F_USER] = rng.standard_normal((n_rounds, 1))
         return Rounds(bids=bids, values=values, feats=feats)
 
-    def sample_request(self, rng):
-        """One auction request plus its sealed ground truth."""
-        rounds = self.sample_rounds(1, rng)
-        cands = [
-            AdCandidate(self.ad_ids[i], float(rounds.bids[0, i]),
-                        rounds.feats[0, i], value=float(rounds.values[0, i]))
-            for i in range(self.n_advertisers)
-        ]
-        request = AuctionRequest(cands, self.slots, self.beta)
-        truth = {
-            "true_ctr": self.true_ctr, "true_acr": self.true_acr,
-            "true_cvr": self.true_cvr, "price": self.price,
-            "values": rounds.values[0],
-        }
-        return request, truth
-
     # -- feedback ------------------------------------------------------------
 
     def realize_batch(self, winners, rng):
@@ -301,31 +240,9 @@ class World:
         orders = clicks & (rng.random(winners.shape) < order_cond[winners])
         return clicks, carts, orders
 
-    def simulate_feedback(self, outcome, truth, rng):
-        """Object-level feedback for one AuctionOutcome (losers: no record)."""
-        id_to_idx = {a: i for i, a in enumerate(self.ad_ids)}
-        winners = np.array([[id_to_idx[ad] for ad, _s, _p in outcome.winners]])
-        clicks, carts, orders = self.realize_batch(winners, rng)
-        records = []
-        for j, (ad, slot, price) in enumerate(outcome.winners):
-            i = id_to_idx[ad]
-            ordered = int(orders[0, j])
-            records.append(FeedbackRecord(
-                round_id=0, ad_id=ad, slot=slot,
-                bid=float(truth["values"][i] if self.config.bidding_mode == "truthful"
-                          else self.config.shade_factor * truth["values"][i]),
-                value=float(truth["values"][i]),
-                price_per_click=float(price),
-                clicked=int(clicks[0, j]),
-                added_to_cart=int(carts[0, j]),
-                ordered=ordered,
-                merchandise_volume=ordered * float(self.price[i]),
-            ))
-        return records
-
     # -- vectorized episode runner -------------------------------------------
 
-    def play(self, rounds, mechanism, rng, collect_log=False):
+    def play(self, rounds, mechanism, rng):
         """Run the mechanism on sampled rounds and realize feedback.
 
         Returns a dict with counters, per-advertiser utilities and win
@@ -335,10 +252,9 @@ class World:
         order = allocate_batch(scores, rounds.bids)
         prices = price_batch(order, scores, pi, off, self.slots,
                              self.config.reserve_price)
-        return self.settle(rounds, scores, order, prices, rng,
-                           collect_log=collect_log)
+        return self.settle(rounds, scores, order, prices, rng)
 
-    def settle(self, rounds, scores, order, prices, rng, collect_log=False):
+    def settle(self, rounds, scores, order, prices, rng):
         """Realize feedback for precomputed allocations and aggregate."""
         winners = order[:, :self.slots]
         clicks, carts, orders_ = self.realize_batch(winners, rng)
@@ -358,24 +274,20 @@ class World:
         np.add.at(utility, winners.ravel(),
                   (clicks * (win_values - prices)).ravel())
         np.add.at(wins, winners.ravel(), 1)
-        out = {
+        return {
             "counters": counters, "utility": utility, "wins": wins,
             "scores": scores, "order": order, "prices": prices,
             "clicks": clicks, "carts": carts, "orders": orders_,
         }
-        if collect_log:
-            log = []
-            for r in range(rounds.n_rounds):
-                for j in range(self.slots):
-                    i = winners[r, j]
-                    log.append((r, self.ad_ids[i], j + 1,
-                                rounds.bids[r, i], rounds.values[r, i],
-                                rounds.feats[r, i, F_PCTR], scores[r, i],
-                                prices[r, j], int(clicks[r, j]),
-                                int(carts[r, j]), int(orders_[r, j]),
-                                float(gmv[r, j])))
-            out["log"] = log
-        return out
+
+    @property
+    def bid_scale(self):
+        """Typical bid level exp(mean value_mu + value_sigma^2 / 2).
+
+        The uGSP baselines scale their bid-independent weights by it.
+        """
+        return float(np.exp(self.value_mu.mean()
+                            + 0.5 * self.config.value_sigma**2))
 
     def evaluate(self, mechanism, n_rounds, seed):
         """Metrics and per-advertiser utilities over a fresh seeded episode."""
@@ -405,7 +317,7 @@ class World:
 
 
 # ---------------------------------------------------------------------------
-# Config file and CSV I/O
+# Config file I/O
 
 
 def save_world_config(config, path):
@@ -418,33 +330,34 @@ def save_world_config(config, path):
         parser.write(fh)
 
 
+def config_from_section(cls, section):
+    """Dataclass ``cls`` from one INI section; every key must be a field.
+
+    Each value is parsed with the type of the field's default (tuples
+    split on commas).  Unknown keys and unparsable values raise
+    ValueError naming the key.
+    """
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = sorted(set(section) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown key(s): {', '.join(unknown)}")
+    kwargs = {}
+    for name, raw in section.items():
+        default = defaults[name]
+        try:
+            if isinstance(default, tuple):
+                kwargs[name] = tuple(type(default[0])(x) for x in raw.split(","))
+            elif isinstance(default, bool):
+                kwargs[name] = section.getboolean(name)
+            else:
+                kwargs[name] = type(default)(raw)
+        except ValueError as exc:
+            raise ValueError(f"{name} = {raw!r}: {exc}") from exc
+    return cls(**kwargs)
+
+
 def load_world_config(path):
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise FileNotFoundError(path)
-    sect = parser["world"]
-    kwargs = {}
-    for f in dataclasses.fields(WorldConfig):
-        if f.name not in sect:
-            continue
-        raw = sect[f.name]
-        if f.name == "slot_ctr_factors":
-            kwargs[f.name] = tuple(float(x) for x in raw.split(","))
-        elif f.type in ("int", int):
-            kwargs[f.name] = int(raw)
-        elif f.type in ("float", float):
-            kwargs[f.name] = float(raw)
-        else:
-            kwargs[f.name] = raw
-    return WorldConfig(**kwargs)
-
-
-EPISODE_COLUMNS = ("round", "ad_id", "slot", "bid", "value", "pctr", "score",
-                   "ppc", "clicked", "carted", "ordered", "gmv")
-
-
-def write_episode_csv(path, log_rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EPISODE_COLUMNS)
-        writer.writerows(log_rows)
+    return config_from_section(WorldConfig, parser["world"])

@@ -13,23 +13,21 @@ below (1 - eps) of its benchmark-mechanism utility.
 
 from __future__ import annotations
 
-import copy
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from gsplab.auction import (
-    F_PCTR,
-    F_PCVR,
     DeepGspMechanism,
     GspMechanism,
     UgspMechanism,
     allocate_batch,
     price_batch,
 )
+from gsplab.audit import monotonicity_metric
 from gsplab.nets import Adam, BidMultiplierNet, CriticNet
-from gsplab.simulator import metrics_from_counters, scalarize
+from gsplab.simulator import scalarize
 
 
 @dataclass
@@ -59,7 +57,6 @@ class TrainConfig:
     eval_every: int = 10
     spot_states: int = 50
     warm_start: bool = True
-    replay_size: int = 0      # 0 disables the FIFO buffer
     seed: int = 0
 
     def __post_init__(self):
@@ -96,11 +93,13 @@ class TrainResult:
     config: TrainConfig
 
 
-def shaped_reward(F, u, ubar, eps, eta):
-    """re = F - eta * max(0, (1 - eps) * ubar - u)."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return F - eta * np.maximum(0.0, (1.0 - eps) * ubar - u)
+def transition_penalty(config, ubar, u):
+    """Smooth-transition penalty eta * max(0, (1 - eps) * ubar - u).
+
+    ``u`` is each advertiser's utility per round and ``ubar`` its
+    benchmark-mechanism average; the shaped reward is F minus this.
+    """
+    return config.eta * np.maximum(0.0, (1.0 - config.eps) * ubar - u)
 
 
 def round_objectives(world, weights, clicks, prices, carts, orders, gmv):
@@ -144,9 +143,8 @@ def collect_batch(world, actor, noise_std, rng, config, ubar):
     # per-period utility, averaged per round, compared against the
     # benchmark average; only advertisers that won at least once in the
     # period are exposed to the penalty
-    u_period = played["utility"] / config.batch_rounds
-    penalty = config.eta * np.maximum(
-        0.0, (1.0 - config.eps) * ubar - u_period)
+    penalty = transition_penalty(config, ubar,
+                                 played["utility"] / config.batch_rounds)
     penalty = np.where(played["wins"] > 0, penalty, 0.0)
     rewards = np.repeat(F, n) - np.tile(penalty, config.batch_rounds)
     states = np.column_stack([flat_bids, flat_feats])
@@ -230,38 +228,27 @@ def actor_update(experience, actor, critic, gamma_mono, optimizer,
     return loss
 
 
-def spot_monotonicity(actor, states, grid=20, lo=0.1, hi=10.0):
-    """Quick mean Spearman rho of score vs bid over a bid grid."""
-    from gsplab.audit import spearman_rho
-
-    rhos = []
-    for b, x in states:
-        bids = np.linspace(lo * b, hi * b, grid)
-        scores = bids * actor.multiplier_batch(bids, np.tile(x, (grid, 1)))
-        rho = spearman_rho(bids, scores)
-        if rho is not None:
-            rhos.append(rho)
-    return float(np.mean(rhos)) if rhos else 1.0
+def spot_monotonicity(actor, states):
+    """The audit's T_m on a few states; 1.0 when every state is degenerate."""
+    t_m = monotonicity_metric(actor, states).t_m
+    return 1.0 if np.isnan(t_m) else t_m
 
 
 def _baseline_candidates(world):
     """GSP sigma grid plus uGSP grids scaled to the world's bid level."""
     cands = [GspMechanism(sigma=s) for s in np.arange(0.5, 2.01, 0.25)]
-    bid_scale = float(np.exp(world.value_mu.mean()
-                             + 0.5 * world.config.value_sigma**2))
     for c in (0.2, 0.5, 1.0, 2.0, 5.0):
-        cands.append(UgspMechanism((1.0, c * bid_scale, 0.0)))
-        cands.append(UgspMechanism((1.0, 0.0, c * bid_scale)))
+        cands.append(UgspMechanism((1.0, c * world.bid_scale, 0.0)))
+        cands.append(UgspMechanism((1.0, 0.0, c * world.bid_scale)))
     return cands
 
 
 def penalized_objective(world, mechanism, config, eval_seed, ubar):
-    """Scalarized objective minus the mean ST penalty on an eval episode."""
+    """(metrics, F, F minus the mean ST penalty) on an eval episode."""
     metrics, utility = world.evaluate(mechanism, config.eval_rounds, eval_seed)
     f = scalarize(metrics, config.weights)
-    u_round = utility / config.eval_rounds
-    penalty = config.eta * np.maximum(0.0, (1.0 - config.eps) * ubar - u_round)
-    return f - float(np.mean(penalty))
+    penalty = transition_penalty(config, ubar, utility / config.eval_rounds)
+    return metrics, f, f - float(np.mean(penalty))
 
 
 def warm_start_actor(actor, world, config, rng, eval_seed, ubar):
@@ -273,7 +260,7 @@ def warm_start_actor(actor, world, config, rng, eval_seed, ubar):
     """
     best_mech, best_f = None, -np.inf
     for mech in _baseline_candidates(world):
-        f = penalized_objective(world, mech, config, eval_seed, ubar)
+        _, _, f = penalized_objective(world, mech, config, eval_seed, ubar)
         if f > best_f:
             best_mech, best_f = mech, f
     rounds = world.sample_rounds(40, rng)
@@ -333,48 +320,30 @@ def train(world, config):
 
     report = []
     best = {"f": -np.inf, "flat": actor.net.get_flat()}
-    replay = []
 
     def evaluate(iteration, noise_std):
-        metrics, utility = world.evaluate(DeepGspMechanism(actor),
-                                          config.eval_rounds, eval_seed)
-        f = scalarize(metrics, config.weights)
-        u_round = utility / config.eval_rounds
-        pen = float(np.mean(config.eta * np.maximum(
-            0.0, (1.0 - config.eps) * ubar - u_round)))
+        metrics, f, f_pen = penalized_objective(
+            world, DeepGspMechanism(actor), config, eval_seed, ubar)
         tm = spot_monotonicity(actor, spot)
-        mono_loss, _ = actor.mono_penalty(pre_batch.states[:256, 0],
-                                          pre_batch.states[:256, 1:])
+        mono_loss = actor.mono_penalty(pre_batch.states[:256, 0],
+                                       pre_batch.states[:256, 1:])
         mean_pay = (metrics.rpm * world.normalizers[0] / 1000.0)
         report.append({"iter": iteration, "objective": f,
-                       "penalized_objective": f - pen, "mono_loss": mono_loss,
+                       "penalized_objective": f_pen, "mono_loss": mono_loss,
                        "t_m": tm, "mean_payment": mean_pay,
                        "noise_std": noise_std})
         # model selection is on the constrained objective; a spot T_m gate
         # keeps clearly non-monotone iterates out
-        if f - pen > best["f"] and tm >= 0.97:
-            best["f"] = f - pen
+        if f_pen > best["f"] and tm >= 0.97:
+            best["f"] = f_pen
             best["flat"] = actor.net.get_flat()
 
     noise_std = config.noise_std
     evaluate(0, noise_std)
     for it in range(1, config.train_iters + 1):
         batch = collect_batch(world, actor, noise_std, rng_expl, config, ubar)
-        if config.replay_size > 0:
-            replay.append(batch)
-            total = sum(b.states.shape[0] for b in replay)
-            while total > config.replay_size and len(replay) > 1:
-                total -= replay.pop(0).states.shape[0]
-            merged = Experience(
-                states=np.concatenate([b.states for b in replay]),
-                actions=np.concatenate([b.actions for b in replay]),
-                rewards=np.concatenate([b.rewards for b in replay]),
-                round_ids=np.concatenate([b.round_ids for b in replay]),
-            )
-        else:
-            merged = batch
         for _ in range(config.critic_steps):
-            critic_update(merged, critic, critic_opt)
+            critic_update(batch, critic, critic_opt)
         for _ in range(config.actor_steps):
             actor_update(batch, actor, critic, config.gamma_mono, actor_opt,
                          config.kappa_price)

@@ -28,10 +28,3 @@ def rel_err(got, want):
 @pytest.fixture(scope="session")
 def small_world():
     return World(WorldConfig(seed=1))
-
-
-@pytest.fixture(scope="session")
-def tiny_world():
-    return World(WorldConfig(n_advertisers=4, slots=2,
-                             slot_ctr_factors=(1.0, 0.6),
-                             calibration_rounds=100, seed=2))

@@ -146,10 +146,8 @@ def test_criterion_5_objective_competitiveness(world):
     for sigma in np.arange(0.5, 2.01, 0.25):
         m, _ = world.evaluate(GspMechanism(sigma=sigma), n_eval, eval_seed)
         baselines.append(("gsp", m.as_vector()))
-    bid_scale = float(np.exp(world.value_mu.mean()
-                             + 0.5 * world.config.value_sigma**2))
     for c in (0.2, 0.5, 1.0, 2.0, 5.0, 10.0):
-        m, _ = world.evaluate(UgspMechanism((1.0, c * bid_scale, 0.0)),
+        m, _ = world.evaluate(UgspMechanism((1.0, c * world.bid_scale, 0.0)),
                               n_eval, eval_seed)
         baselines.append(("ugsp", m.as_vector()))
     best_gsp_rpm = max(v[0] for name, v in baselines if name == "gsp")

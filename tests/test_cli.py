@@ -100,6 +100,76 @@ def test_bad_train_value(tmp_path, capsys):
     assert "[train]" in capsys.readouterr().err
 
 
+def _edited_spec(tmp_path, section, line):
+    """TINY_SPEC with ``line`` set in ``section`` (replacing its key)."""
+    key = line.split("=")[0].strip()
+    out, current = [], None
+    for ln in TINY_SPEC.splitlines():
+        if ln.startswith("["):
+            current = ln.strip("[]")
+        elif current == section and ln.split("=")[0].strip() == key:
+            continue
+        out.append(ln)
+        if ln == f"[{section}]":
+            out.append(line)
+    path = tmp_path / "edited.ini"
+    path.write_text("\n".join(out) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("section,line,key", [
+    ("train", "gama_mono = 5", "gama_mono"),
+    ("world", "n_advertiser = 9", "n_advertiser"),
+    ("train", "replay_size = 100", "replay_size"),
+])
+def test_unknown_key_is_validation_error(tmp_path, capsys, section, line, key):
+    path = _edited_spec(tmp_path, section, line)
+    code = cli.main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"[{section}]" in err and key in err
+
+
+@pytest.mark.parametrize("line", [
+    "slots = abc",
+    "slot_ctr_factors = 1.0,0.6,0.4",
+    "slots = 5",                      # more slots than advertisers
+    "n_advertisers = 0",
+    "prediction_noise = nan",
+    "prediction_noise = -0.1",
+    "calibration_rounds = 0",
+])
+def test_bad_world_value_is_validation_error(tmp_path, capsys, line):
+    path = _edited_spec(tmp_path, "world", line)
+    code = cli.main(["evaluate", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "[world]" in capsys.readouterr().err
+
+
+def test_unparsable_file_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "dup.ini"
+    path.write_text(TINY_SPEC.replace("slots = 2\n", "slots = 2\nslots = 3\n"))
+    code = cli.main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "slots" in capsys.readouterr().err
+
+
+def test_seed_defaults_to_the_file_seeds(tmp_path, capsys):
+    path = _edited_spec(tmp_path, "train", "seed = 3")
+    args = ["evaluate", "--config", str(path), "--out", str(tmp_path / "e")]
+    assert cli.main(args) == 0
+    out = capsys.readouterr().out
+    assert "seed=1)" in out.split("world = ")[1].splitlines()[0]
+    assert "seed=3)" in out.split("train = ")[1].splitlines()[0]
+    assert cli.main(args + ["--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert "seed=7)" in out.split("world = ")[1].splitlines()[0]
+    assert "seed=7)" in out.split("train = ")[1].splitlines()[0]
+
+
 # ---------------------------------------------------------------------------
 # gen-world
 
@@ -111,6 +181,9 @@ def test_gen_world_outputs(tmp_path):
     manifest = (out / "manifest.txt").read_text()
     assert "world.ini" in manifest
     assert _sha(out / "world.ini") in manifest
+    assert "seed = 9" in (out / "world.ini").read_text()
+    assert cli.main(["gen-world", "--out", str(tmp_path / "w0")]) == 0
+    assert "seed = 0" in (tmp_path / "w0" / "world.ini").read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from gsplab.nets import (
+    CHECKPOINT_MAGIC,
     Adam,
     BidMultiplierNet,
     CriticNet,
     Mlp,
     NanGradientError,
     Normalizer,
-    Sgd,
     UnfittedNormalizerError,
     _softplus,
 )
+from gsplab.trainer import Experience, actor_update
 
 from conftest import rel_err
 
@@ -25,6 +26,20 @@ def _random_actor(rng, hidden=(6, 4)):
     feats = rng.uniform(0.0, 1.0, size=(64, FEAT))
     actor.fit_normalizer(bids, feats)
     return actor
+
+
+def _identity_norm(model):
+    model.norm.mean = np.zeros(model.input_dim)
+    model.norm.scale = np.ones(model.input_dim)
+    return model
+
+
+def _pi(actor, b, x):
+    return float(actor.multiplier_batch([b], [x])[0])
+
+
+def _dpi_db(actor, b, x):
+    return float(actor.forward_with_grad([b], [x])[1][0])
 
 
 def _fd_param_grad(flatten_loss, flat, h=1e-5):
@@ -59,13 +74,12 @@ def test_normalizer_unfitted_raises():
 
 
 def test_constant_actor_is_softplus_of_bias():
-    actor = BidMultiplierNet(FEAT, hidden=(4,))
-    actor.norm.set_identity()
+    actor = _identity_norm(BidMultiplierNet(FEAT, hidden=(4,)))
     actor.net.weights[-1][:] = 0.0
     actor.net.biases[-1][:] = 1.7
     pi = actor.multiplier_batch(np.array([0.1, 2.0, 9.0]), np.zeros((3, FEAT)))
     assert np.allclose(pi, _softplus(np.array([1.7])))
-    assert np.allclose(actor.grad_bid_batch(np.array([1.0]), np.zeros((1, FEAT))), 0.0)
+    assert _dpi_db(actor, 1.0, np.zeros(FEAT)) == 0.0
 
 
 def test_fresh_actor_output_positive():
@@ -77,8 +91,7 @@ def test_fresh_actor_output_positive():
 
 
 def test_constant_critic_is_bias():
-    critic = CriticNet(FEAT, hidden=(4,))
-    critic.norm.set_identity()
+    critic = _identity_norm(CriticNet(FEAT, hidden=(4,)))
     critic.net.weights[-1][:] = 0.0
     critic.net.biases[-1][:] = -0.3
     q = critic.q_batch(np.zeros((5, FEAT + 1)), np.arange(5.0))
@@ -95,7 +108,7 @@ def test_single_layer_bid_derivative_closed_form():
     u = np.concatenate([[bid / 2.0], feats])
     pre = float(w @ u + actor.net.biases[0][0])
     sig = 1.0 / (1.0 + np.exp(-pre))
-    assert actor.grad_bid(bid, feats) == pytest.approx(sig * w[0] / 2.0)
+    assert _dpi_db(actor, bid, feats) == pytest.approx(sig * w[0] / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +122,8 @@ def test_bid_gradient_matches_finite_differences():
         b = float(rng.uniform(0.2, 8.0))
         x = rng.uniform(0.0, 1.0, FEAT)
         h = 1e-4 * max(1.0, abs(b))
-        fd = (actor.multiplier(b + h, x) - actor.multiplier(b - h, x)) / (2 * h)
-        assert rel_err(actor.grad_bid(b, x), fd) <= 1e-4
+        fd = (_pi(actor, b + h, x) - _pi(actor, b - h, x)) / (2 * h)
+        assert rel_err(_dpi_db(actor, b, x), fd) <= 1e-4
 
 
 def test_actor_param_gradient_matches_finite_differences():
@@ -201,27 +214,23 @@ def test_critic_action_gradient_matches_finite_differences():
 
 
 def test_mono_penalty_zero_for_constant_actor():
-    actor = BidMultiplierNet(FEAT, hidden=(4,))
-    actor.norm.set_identity()
+    actor = _identity_norm(BidMultiplierNet(FEAT, hidden=(4,)))
     actor.net.weights[-1][:] = 0.0
     actor.net.biases[-1][:] = 0.5
-    loss, grads = actor.mono_penalty(np.array([1.0, 2.0, 3.0]),
-                                     np.zeros((3, FEAT)))
+    loss = actor.mono_penalty(np.array([1.0, 2.0, 3.0]), np.zeros((3, FEAT)))
     assert loss == 0.0
-    assert all(np.all(g == 0.0) for g in grads)
 
 
 def _slope(actor, b):
     x = np.zeros(FEAT)
-    return actor.multiplier(b, x) + b * actor.grad_bid(b, x)
+    return _pi(actor, b, x) + b * _dpi_db(actor, b, x)
 
 
 def test_mono_penalty_hinge_arithmetic():
     # engineer a decreasing single-layer actor, then bisect for the bid
     # where d(b*pi)/db = -0.5; a batch with that point plus two safe ones
     # must score exactly 0.5
-    actor = BidMultiplierNet(FEAT, hidden=())
-    actor.norm.set_identity()
+    actor = _identity_norm(BidMultiplierNet(FEAT, hidden=()))
     actor.net.weights[0][0, :] = 0.0
     actor.net.weights[0][0, 0] = -12.0
     actor.net.biases[0][0] = 3.0
@@ -237,59 +246,58 @@ def test_mono_penalty_hinge_arithmetic():
     b_star = 0.5 * (lo + hi)
     batch = np.array([0.0, 1e-3, b_star])
     assert _slope(actor, 1e-3) > 0
-    loss, grads = actor.mono_penalty(batch, np.zeros((3, FEAT)))
+    loss = actor.mono_penalty(batch, np.zeros((3, FEAT)))
     assert loss == pytest.approx(0.5, abs=1e-9)
-    assert any(np.any(g != 0) for g in grads)
+
+
+class _KeepGrads:
+    """An optimizer stand-in that records the gradient and leaves params."""
+
+    def step(self, params, grads):
+        self.grads = grads
 
 
 def test_mono_penalty_gradient_matches_finite_differences():
+    # the penalty's θ-gradient is the one actor_update applies: with a
+    # zero critic and gamma = batch size, its gradient is d(sum hinge)/dθ
     rng = np.random.default_rng(6)
-    actor = BidMultiplierNet(FEAT, hidden=(4,))
-    actor.norm.set_identity()
+    actor = _identity_norm(BidMultiplierNet(FEAT, hidden=(4,)))
     # steer the net into a regime with active hinges
     actor.net.weights[0][:, 0] = -6.0
     actor.net.weights[-1][:] = np.abs(actor.net.weights[-1]) + 1.0
     actor.net.biases[-1][:] = 1.0
     bids = np.linspace(0.2, 1.5, 6)
     feats = rng.uniform(0, 1, (6, FEAT))
-    loss0, grads = actor.mono_penalty(bids, feats)
-    assert loss0 > 0
+    assert actor.mono_penalty(bids, feats) > 0
+
+    critic = _identity_norm(CriticNet(FEAT, hidden=(3,)))
+    critic.net.weights[-1][:] = 0.0
+    critic.net.biases[-1][:] = 0.0
+    states = np.column_stack([bids, feats])
+    batch = Experience(states=states, actions=np.zeros(6), rewards=np.zeros(6),
+                       round_ids=np.arange(6))
+    keep = _KeepGrads()
+    actor_update(batch, actor, critic, float(bids.size), keep)
 
     def loss(flat):
         actor.net.set_flat(flat)
-        return actor.mono_penalty(bids, feats)[0]
+        return actor.mono_penalty(bids, feats)
 
     flat0 = actor.net.get_flat()
-    analytic = np.concatenate([g.ravel() for g in grads])
+    analytic = np.concatenate([g.ravel() for g in keep.grads])
     fd = _fd_param_grad(loss, flat0)
     actor.net.set_flat(flat0)
     assert np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-10) <= 1e-3
 
 
 def test_mono_penalty_empty_batch_rejected():
-    actor = BidMultiplierNet(FEAT, hidden=(4,))
-    actor.norm.set_identity()
+    actor = _identity_norm(BidMultiplierNet(FEAT, hidden=(4,)))
     with pytest.raises(ValueError):
         actor.mono_penalty(np.array([]), np.zeros((0, FEAT)))
 
 
 # ---------------------------------------------------------------------------
 # Optimizers
-
-
-def test_sgd_zero_lr_no_change():
-    p = np.array([1.0, -2.0])
-    Sgd(0.0).step([p], [np.array([5.0, 5.0])])
-    assert np.array_equal(p, [1.0, -2.0])
-
-
-def test_sgd_quadratic_bowl():
-    w = np.array([1.0])
-    opt = Sgd(0.1)
-    for _ in range(50):
-        opt.step([w], [2.0 * w])
-    assert abs(w[0]) == pytest.approx(0.8**50, rel=1e-9)
-    assert abs(w[0]) < 1e-4
 
 
 def test_adam_quadratic_bowl():
@@ -376,6 +384,29 @@ def test_save_unfitted_refused(tmp_path):
     actor = BidMultiplierNet(FEAT, hidden=(4,))
     with pytest.raises(UnfittedNormalizerError):
         actor.save(tmp_path / "actor.ckpt")
+
+
+def test_truncated_checkpoint_names_file(tmp_path):
+    rng = np.random.default_rng(11)
+    actor = _random_actor(rng)
+    path = tmp_path / "actor.ckpt"
+    actor.save(path)
+    data = path.read_bytes()
+    # cut inside the magic, version/kind/count, sizes, activation ids,
+    # normalizer mean and scale, parameter count and parameter block
+    magic = len(CHECKPOINT_MAGIC)
+    sizes_end = magic + 12 + 4 * len(actor.net.sizes)
+    mean_end = sizes_end + 8 + 8 * actor.input_dim
+    scale_end = mean_end + 8 * actor.input_dim
+    offsets = (0, magic - 3, magic + 5, sizes_end - 2, sizes_end + 3,
+               mean_end - 8, scale_end - 4, scale_end + 4, scale_end + 8 + 16,
+               len(data) - 1)
+    for cut in offsets:
+        short = tmp_path / f"short{cut}.ckpt"
+        short.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="truncated") as info:
+            BidMultiplierNet.load(short)
+        assert str(short) in str(info.value)
 
 
 def test_mlp_set_flat_length_check():

@@ -1,30 +1,17 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from gsplab.auction import F_PCTR, GspMechanism
+from gsplab.auction import FEATURE_DIM, F_PCTR, GspMechanism
 from gsplab.simulator import (
-    EPISODE_COLUMNS,
-    FeedbackRecord,
     MetricCounters,
+    Rounds,
     World,
     WorldConfig,
-    advertiser_utility,
-    compute_metrics,
     load_world_config,
     metrics_from_counters,
     save_world_config,
     scalarize,
-    write_episode_csv,
 )
-
-
-def _record(clicked=1, carted=0, ordered=0, value=1.0, ppc=0.5, gmv=0.0):
-    return FeedbackRecord(round_id=0, ad_id="a", slot=1, bid=value,
-                          value=value, price_per_click=ppc, clicked=clicked,
-                          added_to_cart=carted, ordered=ordered,
-                          merchandise_volume=gmv)
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +27,15 @@ def test_world_config_validation():
         WorldConfig(slots=1, slot_ctr_factors=(1.5,))
     with pytest.raises(ValueError):
         WorldConfig(bidding_mode="bayesian")
+    with pytest.raises(ValueError):
+        WorldConfig(n_advertisers=2)  # three slots
+    with pytest.raises(ValueError):
+        WorldConfig(n_advertisers=0, slots=1, slot_ctr_factors=(1.0,))
+    for noise in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError):
+            WorldConfig(prediction_noise=noise)
+    with pytest.raises(ValueError):
+        WorldConfig(calibration_rounds=0)
 
 
 def test_world_config_round_trip(tmp_path):
@@ -90,23 +86,8 @@ def test_equal_configs_build_identical_worlds():
     assert np.array_equal(w1.normalizers, w2.normalizers)
 
 
-def test_sample_request_valid():
-    world = World(WorldConfig(calibration_rounds=10, seed=3))
-    request, truth = world.sample_request(np.random.default_rng(1))
-    assert len(request.candidates) == world.n_advertisers
-    assert request.slots == world.slots
-    assert truth["values"].shape == (world.n_advertisers,)
-
-
 # ---------------------------------------------------------------------------
 # Feedback realization
-
-
-def test_feedback_funnel_validation():
-    with pytest.raises(ValueError):
-        _record(clicked=0, carted=1)
-    with pytest.raises(ValueError):
-        _record(clicked=0, ordered=1)
 
 
 def test_zero_ctr_produces_nothing():
@@ -161,17 +142,9 @@ def test_rpm_arithmetic():
     assert counters.raw_metrics()[1] == pytest.approx(0.3)
 
 
-def test_counters_additive():
-    a = MetricCounters(10, 3, 2, 1, 5.0, 20.0)
-    b = MetricCounters(4, 1, 0, 0, 2.0, 0.0)
-    merged = a + b
-    assert merged == MetricCounters(14, 4, 2, 1, 7.0, 20.0)
-    assert np.allclose((a + b).raw_metrics(), (b + a).raw_metrics())
-
-
 def test_all_click_no_order_batch():
-    records = [_record(clicked=1) for _ in range(10)]
-    metrics = compute_metrics(records, normalizers=np.ones(5))
+    counters = MetricCounters(impressions=10, clicks=10, revenue=5.0)
+    metrics = metrics_from_counters(counters, normalizers=np.ones(5))
     assert metrics.cvr == 0.0
     assert metrics.gpm == 0.0
     assert metrics.ctr == 1.0
@@ -209,14 +182,26 @@ def test_scalarize_validation():
 # Advertiser utility
 
 
+def _settle_one(ctr, value, ppc):
+    """Utility of advertiser 0 winning one single-slot round at ``ppc``."""
+    world = World(WorldConfig(n_advertisers=2, slots=1, slot_ctr_factors=(1.0,),
+                              calibration_rounds=10, seed=3))
+    world.true_ctr[:] = ctr
+    rounds = Rounds(bids=np.array([[value, 1.0]]),
+                    values=np.array([[value, 1.0]]),
+                    feats=np.zeros((1, 2, FEATURE_DIM)))
+    played = world.settle(rounds, rounds.bids, np.array([[0, 1]]),
+                          np.array([[ppc]]), np.random.default_rng(0))
+    assert played["wins"].tolist() == [1, 0]
+    return played["utility"]
+
+
 def test_utility_no_clicks_is_zero():
-    records = [_record(clicked=0, value=5.0, ppc=1.0)]
-    assert advertiser_utility(records) == 0.0
+    assert np.array_equal(_settle_one(0.0, value=5.0, ppc=1.0), [0.0, 0.0])
 
 
 def test_utility_worked_example():
-    records = [_record(clicked=1, value=10.0, ppc=9.55)]
-    assert advertiser_utility(records) == pytest.approx(0.45)
+    assert _settle_one(1.0, value=10.0, ppc=9.55) == pytest.approx([0.45, 0.0])
 
 
 def test_utility_positive_under_second_price(small_world):
@@ -276,29 +261,3 @@ def test_evaluate_deterministic(small_world):
     m2, u2 = small_world.evaluate(GspMechanism(1.0), 200, seed=4)
     assert m1 == m2
     assert np.array_equal(u1, u2)
-
-
-def test_episode_log_csv(tmp_path, tiny_world):
-    rng = np.random.default_rng(2)
-    rounds = tiny_world.sample_rounds(5, rng)
-    played = tiny_world.play(rounds, GspMechanism(1.0), rng, collect_log=True)
-    path = tmp_path / "episode.csv"
-    write_episode_csv(path, played["log"])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == ",".join(EPISODE_COLUMNS)
-    assert len(lines) == 1 + 5 * tiny_world.slots
-
-
-def test_simulate_feedback_matches_outcome(tiny_world):
-    from gsplab.auction import run_auction
-
-    rng = np.random.default_rng(3)
-    request, truth = tiny_world.sample_request(rng)
-    outcome = run_auction(request, GspMechanism(1.0))
-    records = tiny_world.simulate_feedback(outcome, truth, rng)
-    assert len(records) == tiny_world.slots
-    for rec, (ad, slot, price) in zip(records, outcome.winners):
-        assert rec.ad_id == ad
-        assert rec.slot == slot
-        assert rec.price_per_click == pytest.approx(price)
-        assert rec.payment == rec.clicked * rec.price_per_click

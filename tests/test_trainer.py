@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gsplab.auction import FEATURE_DIM, DeepGspMechanism
-from gsplab.nets import BidMultiplierNet, CriticNet, Sgd
+from gsplab.nets import Adam, BidMultiplierNet, CriticNet
 from gsplab.simulator import World, WorldConfig
 from gsplab.trainer import (
     Experience,
@@ -13,9 +13,9 @@ from gsplab.trainer import (
     collect_batch,
     critic_update,
     pretrain_critic,
-    shaped_reward,
     spot_monotonicity,
     train,
+    transition_penalty,
 )
 
 TINY = dict(batch_rounds=10, pretrain_rounds=20, pretrain_epochs=20,
@@ -34,22 +34,30 @@ def train_world():
 # Reward shaping
 
 
+def _shaped(F, u, ubar, eps, eta):
+    """Shaped reward re = F - ST penalty, as collect_batch forms it."""
+    return F - transition_penalty(TrainConfig(eps=eps, eta=eta), ubar, u)
+
+
 def test_shaped_reward_disabled_constraint():
-    assert shaped_reward(0.7, 0.0, 5.0, eps=1.0, eta=10.0) == pytest.approx(0.7)
+    assert _shaped(0.7, 0.0, 5.0, eps=1.0, eta=10.0) == pytest.approx(0.7)
 
 
 def test_shaped_reward_satisfied_constraint():
-    assert shaped_reward(0.7, 0.9, 1.0, eps=0.2, eta=10.0) == pytest.approx(0.7)
+    assert _shaped(0.7, 0.9, 1.0, eps=0.2, eta=10.0) == pytest.approx(0.7)
 
 
 def test_shaped_reward_hinge_arithmetic():
     # (1 - 0.2) * 1.0 - 0.6 = 0.2 shortfall at eta = 2
-    assert shaped_reward(0.5, 0.6, 1.0, eps=0.2, eta=2.0) == pytest.approx(0.1)
+    assert _shaped(0.5, 0.6, 1.0, eps=0.2, eta=2.0) == pytest.approx(0.1)
+    per_ad = transition_penalty(TrainConfig(eps=0.2, eta=2.0),
+                                np.array([1.0, 1.0]), np.array([0.6, 0.9]))
+    assert per_ad == pytest.approx([0.4, 0.0])
 
 
 def test_shaped_reward_requires_positive_eta():
     with pytest.raises(ValueError):
-        shaped_reward(0.5, 0.6, 1.0, eps=0.2, eta=0.0)
+        TrainConfig(eta=0.0)
 
 
 def test_train_config_validation():
@@ -174,7 +182,7 @@ def test_critic_update_descends():
     exp = _synthetic_experience(rng, reward_fn=lambda s, a: np.sin(a))
     critic = CriticNet(FEATURE_DIM, hidden=(8,), rng=rng)
     critic.fit_normalizer(exp.states, exp.actions)
-    opt = Sgd(1e-2)
+    opt = Adam(1e-2)
     losses = [critic_update(exp, critic, opt) for _ in range(100)]
     assert losses[-1] < losses[0]
 
@@ -213,7 +221,7 @@ def test_actor_update_gradient_matches_finite_differences():
     for gamma, kappa in ((0.0, 0.0), (2.0, 0.0), (0.0, 0.5), (1.0, 0.3)):
         flat0 = actor.net.get_flat()
         frozen = actor.net.get_flat()
-        actor_update(exp, actor, critic, gamma, Sgd(0.0), kappa)
+        actor_update(exp, actor, critic, gamma, Adam(0.0), kappa)
         actor.net.set_flat(frozen)
         # recompute the analytic gradient explicitly for the check
         pi, dpi, (cache, jcache) = actor.forward_with_grad(bids, feats)
@@ -244,7 +252,7 @@ def test_actor_update_gradient_matches_finite_differences():
 def test_actor_update_descends_on_fixed_batch():
     rng = np.random.default_rng(4)
     actor, critic, exp = _actor_critic_pair(rng)
-    opt = Sgd(1e-3)
+    opt = Adam(1e-3)
     losses = [actor_update(exp, actor, critic, 0.0, opt) for _ in range(100)]
     assert losses[-1] < losses[0]
 
@@ -257,9 +265,9 @@ def test_mono_hinge_inactive_for_increasing_policy():
     actor.net.weights[-1][:] = 0.0
     actor.net.biases[-1][:] = 0.5
     flat0 = actor.net.get_flat()
-    l_plain = actor_update(exp, actor, critic, 0.0, Sgd(0.0))
+    l_plain = actor_update(exp, actor, critic, 0.0, Adam(0.0))
     actor.net.set_flat(flat0)
-    l_pen = actor_update(exp, actor, critic, 1e6, Sgd(0.0))
+    l_pen = actor_update(exp, actor, critic, 1e6, Adam(0.0))
     assert l_pen == pytest.approx(l_plain)
 
 
@@ -270,6 +278,16 @@ def test_spot_monotonicity_constant_actor(train_world):
     rounds = train_world.sample_rounds(5, np.random.default_rng(0))
     states = [(rounds.bids[i, 0], rounds.feats[i, 0]) for i in range(5)]
     assert spot_monotonicity(actor, states) == pytest.approx(1.0)
+
+
+def test_spot_monotonicity_degenerate_states_fall_back_to_one(train_world):
+    class ZeroActor:
+        def multiplier_batch(self, bids, feats):
+            return np.zeros(np.asarray(bids).shape)
+
+    rounds = train_world.sample_rounds(3, np.random.default_rng(0))
+    states = [(rounds.bids[i, 0], rounds.feats[i, 0]) for i in range(3)]
+    assert spot_monotonicity(ZeroActor(), states) == 1.0
 
 
 # ---------------------------------------------------------------------------
