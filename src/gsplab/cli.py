@@ -16,6 +16,7 @@ import concurrent.futures
 import configparser
 import dataclasses
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -42,6 +43,7 @@ from gsplab.nets import BidMultiplierNet
 from gsplab.simulator import (
     World,
     WorldConfig,
+    check_bounds,
     config_from_section,
     save_world_config,
     scalarize,
@@ -62,12 +64,42 @@ class ValidationError(ValueError):
 # Config plumbing
 
 
-def _load_spec(path, seed_override=None):
-    """(WorldConfig, TrainConfig, raw parser) from one experiment file.
+_METRIC_INDEX = {"ctr": 1, "acr": 2, "cvr": 3, "gpm": 4}
 
+
+@dataclasses.dataclass
+class SweepConfig:
+    """The optional [sweep] section of the pareto and transition sweeps."""
+
+    lambda_grid: tuple = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+    sigma_grid: tuple = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+    ugsp_grid: tuple = (0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
+    trade_metric: str = "ctr"
+    eps_grid: tuple = (0.0, 0.1, 0.2, 0.3, 0.4)
+    compare_rounds: int = 6000
+
+    def __post_init__(self):
+        for name in ("lambda_grid", "sigma_grid", "ugsp_grid", "eps_grid"):
+            grid = getattr(self, name)
+            if not grid or not all(0.0 <= x < math.inf for x in grid):
+                raise ValueError(f"{name} must be non-empty, finite and >= 0")
+        for name in ("lambda_grid", "eps_grid"):
+            grid = list(getattr(self, name))
+            if grid != sorted(grid) or grid[-1] > 1.0:
+                raise ValueError(f"{name} must be sorted and lie in [0, 1]")
+        if self.trade_metric not in _METRIC_INDEX:
+            raise ValueError(f"trade_metric must be one of "
+                             f"{sorted(_METRIC_INDEX)}")
+        check_bounds(self, 1, "compare_rounds")
+
+
+def _load_spec(path, seed_override=None):
+    """(WorldConfig, TrainConfig, SweepConfig, raw parser) from one file.
+
+    A missing [sweep] section gives the SweepConfig defaults.
     ``seed_override``, when given, replaces both seeds of the file.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         found = parser.read(path)
     except configparser.Error as exc:
@@ -81,15 +113,17 @@ def _load_spec(path, seed_override=None):
     if problems:
         raise ValidationError("; ".join(problems))
     configs = []
-    for name, cls in (("world", WorldConfig), ("train", TrainConfig)):
+    for name, cls in (("world", WorldConfig), ("train", TrainConfig),
+                      ("sweep", SweepConfig)):
         try:
-            cfg = config_from_section(cls, parser[name])
-            if seed_override is not None:
+            cfg = config_from_section(cls, parser[name] if name in parser
+                                      else {})
+            if seed_override is not None and name != "sweep":
                 cfg = dataclasses.replace(cfg, seed=seed_override)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad [{name}] section: {exc}") from exc
         configs.append(cfg)
-    return configs[0], configs[1], parser
+    return (*configs, parser)
 
 
 def _echo_config(name, world_cfg, train_cfg=None, extra=None):
@@ -116,13 +150,6 @@ def _out_dir(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _spec_hash(*parts):
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(repr(p).encode())
-    return h.hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +232,11 @@ def cmd_golden(args):
 
 
 def cmd_gen_world(args):
+    try:
+        cfg = WorldConfig(seed=args.seed or 0)
+    except ValueError as exc:
+        raise ValidationError(f"bad --seed: {exc}") from exc
     out = _out_dir(args)
-    cfg = WorldConfig(seed=args.seed or 0)
     _echo_config("gen-world", cfg)
     path = out / "world.ini"
     save_world_config(cfg, path)
@@ -220,7 +250,7 @@ def cmd_gen_world(args):
 
 
 def cmd_train(args):
-    world_cfg, train_cfg, _ = _load_spec(args.config, args.seed)
+    world_cfg, train_cfg, _, _ = _load_spec(args.config, args.seed)
     out = _out_dir(args)
     _echo_config("train", world_cfg, train_cfg, {"seed": train_cfg.seed})
     world = World(world_cfg)
@@ -246,7 +276,7 @@ def _mechanism_from_args(args):
 
 
 def cmd_evaluate(args):
-    world_cfg, train_cfg, _ = _load_spec(args.config, args.seed)
+    world_cfg, train_cfg, _, _ = _load_spec(args.config, args.seed)
     out = _out_dir(args)
     mech = _mechanism_from_args(args)
     _echo_config("evaluate", world_cfg, train_cfg,
@@ -269,60 +299,46 @@ def cmd_evaluate(args):
 # ---------------------------------------------------------------------------
 # pareto / transition sweeps
 
-_METRIC_INDEX = {"ctr": 1, "acr": 2, "cvr": 3, "gpm": 4}
 
+def _sweep_point(task):
+    """Worker: train one sweep configuration and evaluate the trained actor.
 
-def _train_point(world_cfg, train_cfg, cache_dir):
-    """Train (or load from cache) one Deep GSP model; returns actor path."""
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    key = _spec_hash(world_cfg, train_cfg)
-    path = cache_dir / f"actor_{key}.ckpt"
-    if not path.exists():
-        world = World(world_cfg)
-        result = train(world, train_cfg)
-        result.actor.save(path)
-        write_report_csv(cache_dir / f"report_{key}.csv", result.report)
-    return str(path)
-
-
-def _pareto_point(task):
-    """Worker: one lambda point of the Pareto sweep."""
-    world_cfg, train_cfg, lam, metric_name, cache_dir, eval_seed, n_eval = task
+    The actor and its report are written under ``models_dir`` as outputs;
+    every run trains afresh.  Returns world.evaluate's (metrics, utility).
+    """
+    world_cfg, train_cfg, name, models_dir, eval_seed, n_eval = task
     world = World(world_cfg)
-    actor_path = _train_point(world_cfg, train_cfg, cache_dir)
-    actor = BidMultiplierNet.load(actor_path)
-    mech = DeepGspMechanism(actor)
-    metrics, _ = world.evaluate(mech, n_eval, eval_seed)
-    return lam, metrics.as_vector()
+    result = train(world, train_cfg)
+    result.actor.save(Path(models_dir) / f"actor_{name}.ckpt")
+    write_report_csv(Path(models_dir) / f"report_{name}.csv", result.report)
+    return world.evaluate(DeepGspMechanism(result.actor), n_eval, eval_seed)
+
+
+def _run_sweep(args, out, world_cfg, named_cfgs, eval_seed, n_eval):
+    """_sweep_point for each (name, TrainConfig); models go to out/models."""
+    models = out / "models"
+    models.mkdir(exist_ok=True)
+    tasks = [(world_cfg, cfg, name, str(models), eval_seed, n_eval)
+             for name, cfg in named_cfgs]
+    if args.workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
+            return list(pool.map(_sweep_point, tasks))
+    return [_sweep_point(t) for t in tasks]
 
 
 def cmd_pareto(args):
-    world_cfg, base_train, parser = _load_spec(args.config, args.seed)
+    world_cfg, base_train, sweep, parser = _load_spec(args.config, args.seed)
     out = _out_dir(args)
-    sweep = parser["sweep"] if "sweep" in parser else {}
-    lam_grid = [float(x) for x in
-                sweep.get("lambda_grid", "0,0.2,0.4,0.6,0.8,1.0").split(",")]
-    sigma_grid = [float(x) for x in
-                  sweep.get("sigma_grid", "0.5,0.75,1.0,1.25,1.5,1.75,2.0").split(",")]
-    ugsp_grid = [float(x) for x in
-                 sweep.get("ugsp_grid", "0.2,0.5,1,2,5,10").split(",")]
-    metric_name = sweep.get("trade_metric", "ctr")
-    if metric_name not in _METRIC_INDEX:
-        raise ValidationError(f"trade_metric must be one of {sorted(_METRIC_INDEX)}")
-    if sorted(lam_grid) != lam_grid or not lam_grid:
-        raise ValidationError("lambda_grid must be nonempty and sorted")
+    metric_name = sweep.trade_metric
     mi = _METRIC_INDEX[metric_name]
-    n_eval = int(sweep.get("compare_rounds", "6000"))
+    n_eval = sweep.compare_rounds
     _echo_config("pareto", world_cfg, base_train,
-                 {"lambda_grid": lam_grid, "sigma_grid": sigma_grid,
-                  "trade_metric": metric_name, "compare_rounds": n_eval,
-                  "seed": base_train.seed})
+                 {"sweep": sweep, "seed": base_train.seed})
     world = World(world_cfg)
     eval_seed = base_train.seed + 0x5EED
 
-    tasks = []
-    for lam in lam_grid:
+    named_cfgs = []
+    for lam in sweep.lambda_grid:
         weights = [0.0] * 5
         weights[0] = lam
         weights[mi] = 1.0 - lam
@@ -331,22 +347,19 @@ def cmd_pareto(args):
             # sweep points at the frontier edges need bid-sensitive
             # multipliers, which the pricing regularizer forbids
             cfg = dataclasses.replace(cfg, kappa_price=0.0)
-        tasks.append((world_cfg, cfg, lam, metric_name, str(out / "models"),
-                      eval_seed, n_eval))
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
-            deep_points = list(pool.map(_pareto_point, tasks))
-    else:
-        deep_points = [_pareto_point(t) for t in tasks]
+        named_cfgs.append((f"lambda_{lam}", cfg))
+    results = _run_sweep(args, out, world_cfg, named_cfgs, eval_seed, n_eval)
+    deep_points = [(lam, m.as_vector())
+                   for lam, (m, _) in zip(sweep.lambda_grid, results)]
 
     rows = []
     for lam, vec in deep_points:
         rows.append(("deepgsp", f"lambda={lam}", lam, vec[mi], vec[0]))
     baselines = {}
-    for sig in sigma_grid:
+    for sig in sweep.sigma_grid:
         m, _ = world.evaluate(GspMechanism(sigma=sig), n_eval, eval_seed)
         baselines.setdefault("gsp", []).append((f"sigma={sig}", m.as_vector()))
-    for c in ugsp_grid:
+    for c in sweep.ugsp_grid:
         lambdas = (1.0, c * world.bid_scale, 0.0) \
             if metric_name in ("ctr", "acr") else (1.0, 0.0, c * world.bid_scale)
         m, _ = world.evaluate(UgspMechanism(lambdas), n_eval, eval_seed)
@@ -376,29 +389,12 @@ def cmd_pareto(args):
     return EXIT_OK
 
 
-def _transition_point(task):
-    world_cfg, train_cfg, eps, cache_dir, eval_seed, n_eval = task
-    cfg = dataclasses.replace(train_cfg, eps=eps)
-    world = World(world_cfg)
-    actor_path = _train_point(world_cfg, cfg, cache_dir)
-    actor = BidMultiplierNet.load(actor_path)
-    metrics, utility = world.evaluate(DeepGspMechanism(actor),
-                                      n_eval, eval_seed)
-    return eps, scalarize(metrics, cfg.weights), float(utility.sum()) / n_eval
-
-
 def cmd_transition(args):
-    world_cfg, base_train, parser = _load_spec(args.config, args.seed)
+    world_cfg, base_train, sweep, _ = _load_spec(args.config, args.seed)
     out = _out_dir(args)
-    sweep = parser["sweep"] if "sweep" in parser else {}
-    eps_grid = [float(x) for x in
-                sweep.get("eps_grid", "0,0.1,0.2,0.3,0.4").split(",")]
-    if sorted(eps_grid) != eps_grid or not eps_grid:
-        raise ValidationError("eps_grid must be nonempty and sorted")
-    n_eval = int(sweep.get("compare_rounds", "4000"))
+    n_eval = sweep.compare_rounds
     _echo_config("transition", world_cfg, base_train,
-                 {"eps_grid": eps_grid, "compare_rounds": n_eval,
-                  "seed": base_train.seed})
+                 {"sweep": sweep, "seed": base_train.seed})
     world = World(world_cfg)
     eval_seed = base_train.seed + 0x5EED
     m0 = GspMechanism(sigma=1.0)
@@ -406,17 +402,15 @@ def cmd_transition(args):
     m0_f = scalarize(m0_metrics, base_train.weights)
     m0_u = float(m0_utility.sum()) / n_eval
 
-    tasks = [(world_cfg, base_train, eps, str(out / "models"), eval_seed,
-              n_eval) for eps in eps_grid]
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
-            points = list(pool.map(_transition_point, tasks))
-    else:
-        points = [_transition_point(t) for t in tasks]
+    named_cfgs = [(f"eps_{eps}", dataclasses.replace(base_train, eps=eps))
+                  for eps in sweep.eps_grid]
+    results = _run_sweep(args, out, world_cfg, named_cfgs, eval_seed, n_eval)
 
     with open(out / "transition.csv", "w") as fh:
         fh.write("eps,adv_utility_pct,platform_objective_pct\n")
-        for eps, f, u in points:
+        for eps, (metrics, utility) in zip(sweep.eps_grid, results):
+            f = scalarize(metrics, base_train.weights)
+            u = float(utility.sum()) / n_eval
             adv_pct = 100.0 * u / m0_u if m0_u > 0 else float("nan")
             plat_pct = 100.0 * f / m0_f if m0_f > 0 else float("nan")
             fh.write(f"{eps},{adv_pct},{plat_pct}\n")
@@ -431,7 +425,7 @@ def cmd_transition(args):
 
 
 def cmd_audit(args):
-    world_cfg, train_cfg, _ = _load_spec(args.config, args.seed)
+    world_cfg, train_cfg, _, _ = _load_spec(args.config, args.seed)
     out = _out_dir(args)
     actor = BidMultiplierNet.load(args.model)
     _echo_config("audit", world_cfg, train_cfg,

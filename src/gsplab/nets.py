@@ -137,15 +137,14 @@ class Mlp:
     def forward(self, U):
         """U: (B, n_in) -> output (B, n_out), plus cache for backward."""
         A = np.asarray(U, dtype=float)
-        zs, acts, d1s, d2s = [], [A], [], []
+        acts, d1s, d2s = [A], [], []
         for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
             Z = A @ w.T + b
             A, d1, d2 = _act(self._act_name(layer), Z)
-            zs.append(Z)
             acts.append(A)
             d1s.append(d1)
             d2s.append(d2)
-        cache = {"zs": zs, "acts": acts, "d1s": d1s, "d2s": d2s}
+        cache = {"acts": acts, "d1s": d1s, "d2s": d2s}
         return A, cache
 
     def backward(self, cache, dY):

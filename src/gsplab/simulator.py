@@ -35,6 +35,16 @@ from gsplab.auction import (
 METRIC_NAMES = ("rpm", "ctr", "acr", "cvr", "gpm")
 
 
+def check_bounds(config, low, *names, strict=False):
+    """Raise ValueError naming the first field of ``names`` that is not
+    finite and at least ``low`` (above ``low`` when ``strict``)."""
+    for name in names:
+        value = getattr(config, name)
+        if not (low < value < math.inf if strict else low <= value < math.inf):
+            raise ValueError(f"{name} must be finite and "
+                             f"{'>' if strict else '>='} {low}, got {value!r}")
+
+
 @dataclass
 class WorldConfig:
     """Synthetic market description; fully determines a World given a seed."""
@@ -68,25 +78,27 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_advertisers < 1:
-            raise ValueError("n_advertisers must be at least 1")
+        check_bounds(self, 1, "n_advertisers", "calibration_rounds")
+        check_bounds(self, -math.inf, "value_mu", "price_mu", strict=True)
+        check_bounds(self, 0.0, "value_sigma", "value_mu_spread", "price_sigma",
+                     "prediction_noise", "reserve_price", "seed")
+        check_bounds(self, 0.0, "ctr_alpha", "ctr_beta",
+                     "cart_given_click_alpha", "cart_given_click_beta",
+                     "order_given_click_alpha", "order_given_click_beta",
+                     "shade_factor", "normalizer_margin", strict=True)
         if not 1 <= self.slots <= self.n_advertisers:
             raise ValueError(f"slots must lie in [1, n_advertisers], "
                              f"got {self.slots}")
-        if not (math.isfinite(self.prediction_noise)
-                and self.prediction_noise >= 0):
-            raise ValueError("prediction_noise must be finite and nonnegative")
-        if self.calibration_rounds < 1:
-            raise ValueError("calibration_rounds must be at least 1")
         beta = tuple(float(b) for b in self.slot_ctr_factors)
         if len(beta) != self.slots:
             raise ValueError("slot_ctr_factors must have length slots")
-        if any(b <= 0 or b > 1 for b in beta):
-            raise ValueError("slot factors must lie in (0, 1]")
+        if not all(0 < b <= 1 for b in beta):
+            raise ValueError("slot_ctr_factors must lie in (0, 1]")
         if any(b2 > b1 for b1, b2 in zip(beta, beta[1:])):
-            raise ValueError("slot factors must be non-increasing")
+            raise ValueError("slot_ctr_factors must be non-increasing")
         if self.bidding_mode not in ("truthful", "shaded"):
-            raise ValueError(f"unknown bidding mode {self.bidding_mode!r}")
+            raise ValueError(f"bidding_mode must be truthful or shaded, "
+                             f"got {self.bidding_mode!r}")
         object.__setattr__(self, "slot_ctr_factors", beta)
 
 
@@ -104,62 +116,45 @@ class Rounds:
 
 
 @dataclass
-class MetricCounters:
-    """Raw feedback counters of one episode."""
-
-    impressions: int = 0
-    clicks: int = 0
-    carts: int = 0
-    orders: int = 0
-    revenue: float = 0.0
-    gmv: float = 0.0
-
-    def raw_metrics(self):
-        """(rpm, ctr, acr, cvr, gpm) before [0,1] normalization."""
-        if self.impressions == 0:
-            return np.zeros(5)
-        imp = float(self.impressions)
-        return np.array([
-            self.revenue / imp * 1000.0,
-            self.clicks / imp,
-            self.carts / imp,
-            self.orders / imp,
-            self.gmv / imp * 1000.0,
-        ])
-
-
-@dataclass
 class MetricsRecord:
-    """Normalized metrics in [0,1] plus the raw counters behind them."""
+    """The five normalized metrics of one episode, each in [0,1]."""
 
     rpm: float
     ctr: float
     acr: float
     cvr: float
     gpm: float
-    impressions: int
-    clicks: int
-    orders: int
-    degenerate: bool = False  # zero impressions
 
     def as_vector(self):
         return np.array([self.rpm, self.ctr, self.acr, self.cvr, self.gpm])
 
 
-def metrics_from_counters(counters, normalizers):
-    raw = counters.raw_metrics()
-    norm = np.minimum(raw / np.asarray(normalizers, dtype=float), 1.0)
-    return MetricsRecord(
-        *norm,
-        impressions=counters.impressions,
-        clicks=counters.clicks,
-        orders=counters.orders,
-        degenerate=counters.impressions == 0,
-    )
+def raw_metrics(played, per_round=False):
+    """(rpm, ctr, acr, cvr, gpm) before normalization from settled feedback.
+
+    ``played`` holds the (R, K) ``clicks``, ``carts``, ``orders``,
+    ``prices`` and ``gmv`` arrays that ``World.settle`` returns.  Each
+    metric is a mean per impression, RPM and GPM per mille: over the
+    whole episode as a 5-vector, or with ``per_round`` over each round's
+    K slots as an (R, 5) array whose rows average to the episode vector.
+    """
+    clicks = played["clicks"]
+    axis, n = (1, clicks.shape[1]) if per_round else (None, clicks.size)
+    return np.stack([
+        (clicks * played["prices"]).sum(axis=axis) / n * 1000.0,
+        clicks.sum(axis=axis) / n,
+        played["carts"].sum(axis=axis) / n,
+        played["orders"].sum(axis=axis) / n,
+        played["gmv"].sum(axis=axis) / n * 1000.0,
+    ], axis=-1)
 
 
 def scalarize(metrics, weights):
-    """F = sum_j w_j f_j over the five normalized metrics."""
+    """F = sum_j w_j f_j over the five normalized metrics.
+
+    ``metrics`` is a MetricsRecord or 5-vector (returns a float) or an
+    (R, 5) array of per-round metrics (returns one F per round).
+    """
     w = np.asarray(weights, dtype=float)
     if w.shape != (5,):
         raise ValueError("expected five metric weights")
@@ -168,7 +163,8 @@ def scalarize(metrics, weights):
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {w.sum()}")
     vec = metrics.as_vector() if isinstance(metrics, MetricsRecord) else np.asarray(metrics)
-    return float(w @ vec)
+    f = vec @ w
+    return float(f) if f.ndim == 0 else f
 
 
 class World:
@@ -245,8 +241,8 @@ class World:
     def play(self, rounds, mechanism, rng):
         """Run the mechanism on sampled rounds and realize feedback.
 
-        Returns a dict with counters, per-advertiser utilities and win
-        counts, plus the allocation arrays (for reuse by trainer/audits).
+        Returns settle's dict: per-advertiser utilities and win counts,
+        the allocation arrays and the (R, K) feedback arrays.
         """
         scores, pi, off = mechanism.score_batch(rounds.bids, rounds.feats)
         order = allocate_batch(scores, rounds.bids)
@@ -255,29 +251,25 @@ class World:
         return self.settle(rounds, scores, order, prices, rng)
 
     def settle(self, rounds, scores, order, prices, rng):
-        """Realize feedback for precomputed allocations and aggregate."""
+        """Realize feedback for precomputed allocations and aggregate.
+
+        The (R, K) ``clicks``, ``carts``, ``orders``, ``prices`` and
+        ``gmv`` arrays of the result feed ``raw_metrics``.
+        """
         winners = order[:, :self.slots]
         clicks, carts, orders_ = self.realize_batch(winners, rng)
         rows = np.arange(rounds.n_rounds)[:, None]
         win_values = rounds.values[rows, winners]
         gmv = orders_ * self.price[winners]
-        counters = MetricCounters(
-            impressions=int(winners.size),
-            clicks=int(clicks.sum()),
-            carts=int(carts.sum()),
-            orders=int(orders_.sum()),
-            revenue=float((clicks * prices).sum()),
-            gmv=float(gmv.sum()),
-        )
         utility = np.zeros(self.n_advertisers)
         wins = np.zeros(self.n_advertisers, dtype=int)
         np.add.at(utility, winners.ravel(),
                   (clicks * (win_values - prices)).ravel())
         np.add.at(wins, winners.ravel(), 1)
         return {
-            "counters": counters, "utility": utility, "wins": wins,
+            "utility": utility, "wins": wins,
             "scores": scores, "order": order, "prices": prices,
-            "clicks": clicks, "carts": carts, "orders": orders_,
+            "clicks": clicks, "carts": carts, "orders": orders_, "gmv": gmv,
         }
 
     @property
@@ -289,12 +281,18 @@ class World:
         return float(np.exp(self.value_mu.mean()
                             + 0.5 * self.config.value_sigma**2))
 
+    def normalized(self, raw):
+        """Raw metrics scaled by the calibrated normalizers, clipped at 1."""
+        return np.minimum(raw / self.normalizers, 1.0)
+
     def evaluate(self, mechanism, n_rounds, seed):
         """Metrics and per-advertiser utilities over a fresh seeded episode."""
+        if n_rounds < 1:
+            raise ValueError("need at least one evaluation round")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         rounds = self.sample_rounds(n_rounds, rng)
         played = self.play(rounds, mechanism, rng)
-        metrics = metrics_from_counters(played["counters"], self.normalizers)
+        metrics = MetricsRecord(*self.normalized(raw_metrics(played)))
         return metrics, played["utility"]
 
     def benchmark_utilities(self, mechanism, n_rounds, rng):
@@ -312,7 +310,7 @@ class World:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xCA11)))
         rounds = self.sample_rounds(cfg.calibration_rounds, rng)
         played = self.play(rounds, GspMechanism(sigma=1.0), rng)
-        raw = played["counters"].raw_metrics()
+        raw = raw_metrics(played)
         self.normalizers = np.maximum(cfg.normalizer_margin * raw, 1e-9)
 
 
@@ -357,7 +355,7 @@ def config_from_section(cls, section):
 
 
 def load_world_config(path):
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     if not parser.read(path):
         raise FileNotFoundError(path)
     return config_from_section(WorldConfig, parser["world"])

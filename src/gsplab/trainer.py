@@ -27,7 +27,7 @@ from gsplab.auction import (
 )
 from gsplab.audit import monotonicity_metric
 from gsplab.nets import Adam, BidMultiplierNet, CriticNet
-from gsplab.simulator import scalarize
+from gsplab.simulator import check_bounds, raw_metrics, scalarize
 
 
 @dataclass
@@ -61,14 +61,21 @@ class TrainConfig:
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
-        if len(w) != 5 or abs(sum(w) - 1.0) > 1e-9:
+        if (len(w) != 5 or not all(x >= 0 for x in w)
+                or abs(sum(w) - 1.0) > 1e-9):
             raise ValueError("weights must be five values on the simplex")
-        if not 0.0 <= self.eps <= 1.0:
-            raise ValueError("eps must lie in [0,1]")
-        if self.eta <= 0 or self.gamma_mono < 0:
-            raise ValueError("eta > 0 and gamma_mono >= 0 required")
-        if min(self.actor_lr, self.critic_lr) <= 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("eps", "noise_decay"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
+        check_bounds(self, 0.0, "eta", "actor_lr", "critic_lr", strict=True)
+        check_bounds(self, 0.0, "gamma_mono", "kappa_price", "noise_std",
+                     "noise_floor", "critic_steps", "actor_steps",
+                     "pretrain_epochs", "train_iters", "seed")
+        check_bounds(self, 1, "batch_rounds", "pretrain_rounds",
+                     "benchmark_rounds", "eval_rounds", "eval_every",
+                     "spot_states")
+        if any(h < 1 for h in self.hidden):
+            raise ValueError("hidden layer widths must be at least 1")
         object.__setattr__(self, "weights", w)
 
 
@@ -102,20 +109,6 @@ def transition_penalty(config, ubar, u):
     return config.eta * np.maximum(0.0, (1.0 - config.eps) * ubar - u)
 
 
-def round_objectives(world, weights, clicks, prices, carts, orders, gmv):
-    """Per-round scalarized objective from realized (R, K) feedback arrays."""
-    k = clicks.shape[1]
-    raw = np.stack([
-        (clicks * prices).sum(axis=1) / k * 1000.0,
-        clicks.sum(axis=1) / k,
-        carts.sum(axis=1) / k,
-        orders.sum(axis=1) / k,
-        gmv.sum(axis=1) / k * 1000.0,
-    ], axis=1)
-    norm = np.minimum(raw / world.normalizers[None, :], 1.0)
-    return norm @ np.asarray(weights)
-
-
 def collect_batch(world, actor, noise_std, rng, config, ubar):
     """Exploratory on-policy rollout of config.batch_rounds auctions.
 
@@ -136,10 +129,8 @@ def collect_batch(world, actor, noise_std, rng, config, ubar):
     prices = price_batch(order, scores, pi, np.zeros_like(pi), world.slots,
                          world.config.reserve_price)
     played = world.settle(rounds, scores, order, prices, rng)
-    winners = order[:, :world.slots]
-    gmv = played["orders"] * world.price[winners]
-    F = round_objectives(world, config.weights, played["clicks"], prices,
-                         played["carts"], played["orders"], gmv)
+    F = scalarize(world.normalized(raw_metrics(played, per_round=True)),
+                  config.weights)
     # per-period utility, averaged per round, compared against the
     # benchmark average; only advertisers that won at least once in the
     # period are exposed to the penalty
@@ -305,7 +296,7 @@ def train(world, config):
         warm_start_actor(actor, world, config, rng_fit, eval_seed, ubar)
 
     critic = CriticNet(feature_dim, hidden=config.hidden, rng=rng_init)
-    pre_cfg = replace(config, batch_rounds=max(config.pretrain_rounds, 1))
+    pre_cfg = replace(config, batch_rounds=config.pretrain_rounds)
     pre_batch = collect_batch(world, actor, config.noise_std, rng_pre,
                               pre_cfg, ubar)
     critic.fit_normalizer(pre_batch.states, pre_batch.actions)

@@ -1,8 +1,16 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsplab import cli
+from gsplab.simulator import WorldConfig
+from gsplab.trainer import TrainConfig
 
 TINY_SPEC = """\
 [world]
@@ -121,6 +129,7 @@ def _edited_spec(tmp_path, section, line):
     ("train", "gama_mono = 5", "gama_mono"),
     ("world", "n_advertiser = 9", "n_advertiser"),
     ("train", "replay_size = 100", "replay_size"),
+    ("sweep", "lamda_grid = 0,1", "lamda_grid"),
 ])
 def test_unknown_key_is_validation_error(tmp_path, capsys, section, line, key):
     path = _edited_spec(tmp_path, section, line)
@@ -146,6 +155,152 @@ def test_bad_world_value_is_validation_error(tmp_path, capsys, line):
                      "--out", str(tmp_path / "out")])
     assert code == 1
     assert "[world]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,line", [
+    ("train", "eval_rounds = 0"),
+    ("train", "benchmark_rounds = 0"),
+    ("train", "batch_rounds = 0"),
+    ("train", "eval_every = 0"),
+    ("train", "spot_states = 0"),
+    ("train", "train_iters = -1"),
+    ("train", "noise_std = -1"),
+    ("evaluate", "eval_rounds = 0"),
+])
+def test_bad_train_value_is_validation_error(tmp_path, capsys, command, line):
+    path = _edited_spec(tmp_path, "train", line)
+    code = cli.main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "[train]" in err and line.split(" =")[0] in err
+
+
+@pytest.mark.parametrize("line", [
+    "compare_rounds = abc",
+    "compare_rounds = 0",
+    "lambda_grid = 0,1.5",
+    "lambda_grid = 1.0,0",
+    "eps_grid = -0.1,0.2",
+    "eps_grid = 0.4,0.2",
+    "trade_metric = rpm",
+    "sigma_grid = ",
+    "sigma_grid = nan",
+    "ugsp_grid = 1,-1",
+])
+def test_bad_sweep_value_is_validation_error(tmp_path, capsys, line):
+    path = _edited_spec(tmp_path, "sweep", line)
+    code = cli.main(["pareto", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "[sweep]" in err and line.split(" =")[0] in err
+
+
+def test_sweep_config_validation():
+    assert cli.SweepConfig().compare_rounds == 6000
+    for bad in (dict(lambda_grid=()), dict(ugsp_grid=()),
+                dict(eps_grid=(0.2, 1.1)), dict(trade_metric="rpm"),
+                dict(compare_rounds=0)):
+        with pytest.raises(ValueError):
+            cli.SweepConfig(**bad)
+
+
+def test_repo_configs_load():
+    configs = sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))
+    assert configs
+    for path in configs:
+        *_, parser = cli._load_spec(str(path))   # raises on a bad value
+        assert "sweep" in parser, path
+
+
+# Every [world]/[train] key with values outside its range; each key
+# also gets the unparsable values below.
+_NONFINITE = st.sampled_from(["nan", "inf", "-inf"])
+_NEGATIVE = st.floats(max_value=-1e-300).map(repr) | _NONFINITE
+_NOT_POSITIVE = st.floats(max_value=0.0).map(repr) | _NONFINITE
+_OUTSIDE_UNIT = (st.floats(max_value=-1e-300)
+                 | st.floats(min_value=1.0, exclude_min=True)).map(repr) \
+    | st.just("nan")
+_INT_BELOW_1 = st.integers(max_value=0).map(str)
+_INT_BELOW_0 = st.integers(max_value=-1).map(str)
+_OUT_OF_RANGE = {
+    ("world", "n_advertisers"): st.integers(max_value=1).map(str),
+    ("world", "slots"): (st.integers(max_value=0)
+                         | st.integers(min_value=5)).map(str),
+    ("world", "slot_ctr_factors"): st.sampled_from(
+        ["1.0", "1.0,0.6,0.4", "0.5,0.6", "1.5,0.6", "1.0,0", "nan,0.5"]),
+    ("world", "value_mu"): _NONFINITE,
+    ("world", "value_sigma"): _NEGATIVE,
+    ("world", "value_mu_spread"): _NEGATIVE,
+    ("world", "ctr_alpha"): _NOT_POSITIVE,
+    ("world", "ctr_beta"): _NOT_POSITIVE,
+    ("world", "cart_given_click_alpha"): _NOT_POSITIVE,
+    ("world", "cart_given_click_beta"): _NOT_POSITIVE,
+    ("world", "order_given_click_alpha"): _NOT_POSITIVE,
+    ("world", "order_given_click_beta"): _NOT_POSITIVE,
+    ("world", "price_mu"): _NONFINITE,
+    ("world", "price_sigma"): _NEGATIVE,
+    ("world", "prediction_noise"): _NEGATIVE,
+    ("world", "bidding_mode"): st.sampled_from(["bayesian", "Truthful"]),
+    ("world", "shade_factor"): _NOT_POSITIVE,
+    ("world", "reserve_price"): _NEGATIVE,
+    ("world", "normalizer_margin"): _NOT_POSITIVE,
+    ("world", "calibration_rounds"): _INT_BELOW_1,
+    ("world", "seed"): _INT_BELOW_0,
+    ("train", "weights"): st.sampled_from(
+        ["1,0,0,0", "0.5,0.2,0,0,0", "1.5,-0.5,0,0,0", "nan,0,0,0,1",
+         "inf,0,0,0,0", "0.2,0.2,0.2,0.2,0.2,0"]),
+    ("train", "eps"): _OUTSIDE_UNIT,
+    ("train", "eta"): _NOT_POSITIVE,
+    ("train", "gamma_mono"): _NEGATIVE,
+    ("train", "kappa_price"): _NEGATIVE,
+    ("train", "noise_std"): _NEGATIVE,
+    ("train", "noise_decay"): _OUTSIDE_UNIT,
+    ("train", "noise_floor"): _NEGATIVE,
+    ("train", "batch_rounds"): _INT_BELOW_1,
+    ("train", "actor_lr"): _NOT_POSITIVE,
+    ("train", "critic_lr"): _NOT_POSITIVE,
+    ("train", "critic_steps"): _INT_BELOW_0,
+    ("train", "actor_steps"): _INT_BELOW_0,
+    ("train", "hidden"): st.sampled_from(["0", "8,0", "-1,4"]),
+    ("train", "pretrain_rounds"): _INT_BELOW_1,
+    ("train", "pretrain_epochs"): _INT_BELOW_0,
+    ("train", "train_iters"): _INT_BELOW_0,
+    ("train", "benchmark_rounds"): _INT_BELOW_1,
+    ("train", "eval_rounds"): _INT_BELOW_1,
+    ("train", "eval_every"): _INT_BELOW_1,
+    ("train", "spot_states"): _INT_BELOW_1,
+    ("train", "warm_start"): st.nothing(),
+    ("train", "seed"): _INT_BELOW_0,
+}
+_UNPARSABLE = st.sampled_from(["abc", "", "1,x", "50%", "1.5.2"])
+
+
+def test_fuzz_table_covers_every_key():
+    keys = {("world", f.name) for f in dataclasses.fields(WorldConfig)}
+    keys |= {("train", f.name) for f in dataclasses.fields(TrainConfig)}
+    assert set(_OUT_OF_RANGE) == keys
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(sorted(_OUT_OF_RANGE)).flatmap(
+    lambda k: st.tuples(st.just(k), _OUT_OF_RANGE[k] | _UNPARSABLE)))
+def test_invalid_value_exits_1(fuzz_dir, case):
+    (section, key), value = case
+    path = _edited_spec(fuzz_dir, section, f"{key} = {value}")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(["evaluate", "--config", str(path),
+                         "--out", str(fuzz_dir / "out")])
+    assert code == 1, (key, value, err.getvalue())
+    assert f"[{section}]" in err.getvalue() and key in err.getvalue()
 
 
 def test_unparsable_file_is_validation_error(tmp_path, capsys):
@@ -184,6 +339,9 @@ def test_gen_world_outputs(tmp_path):
     assert "seed = 9" in (out / "world.ini").read_text()
     assert cli.main(["gen-world", "--out", str(tmp_path / "w0")]) == 0
     assert "seed = 0" in (tmp_path / "w0" / "world.ini").read_text()
+    assert cli.main(["gen-world", "--out", str(tmp_path / "neg"),
+                     "--seed", "-1"]) == 1
+    assert not (tmp_path / "neg").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +417,26 @@ def test_pareto_sweep(spec_file, tmp_path, capsys):
     assert lines[0] == "mechanism,param,lambda,ctr,rpm"
     mechs = {ln.split(",")[0] for ln in lines[1:]}
     assert mechs == {"deepgsp", "gsp", "ugsp"}
+
+
+@pytest.mark.parametrize("command", ["pareto", "transition"])
+def test_sweep_retrains_on_every_run(spec_file, tmp_path, monkeypatch,
+                                     command):
+    calls = []
+
+    def counting_train(world, config):
+        calls.append(config)
+        return cli_train(world, config)
+
+    cli_train = cli.train
+    monkeypatch.setattr(cli, "train", counting_train)
+    args = [command, "--config", str(spec_file), "--out", str(tmp_path)]
+    assert cli.main(args) == 0
+    first = len(calls)
+    assert first == 2
+    assert cli.main(args) == 0
+    assert len(calls) == 2 * first
+    assert len(list((tmp_path / "models").glob("actor_*.ckpt"))) == first
 
 
 def test_transition_sweep(spec_file, tmp_path, capsys):

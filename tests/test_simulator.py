@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsplab.auction import FEATURE_DIM, F_PCTR, GspMechanism
 from gsplab.simulator import (
-    MetricCounters,
     Rounds,
     World,
     WorldConfig,
     load_world_config,
-    metrics_from_counters,
+    raw_metrics,
     save_world_config,
     scalarize,
 )
@@ -36,6 +37,11 @@ def test_world_config_validation():
             WorldConfig(prediction_noise=noise)
     with pytest.raises(ValueError):
         WorldConfig(calibration_rounds=0)
+    for bad in (dict(value_sigma=-1.0), dict(ctr_alpha=0.0), dict(seed=-1),
+                dict(value_mu=float("nan")), dict(normalizer_margin=0.0),
+                dict(slots=2, slot_ctr_factors=(float("nan"), 0.5))):
+        with pytest.raises(ValueError):
+            WorldConfig(**bad)
 
 
 def test_world_config_round_trip(tmp_path):
@@ -136,30 +142,72 @@ def test_monte_carlo_click_rate():
 # Metrics
 
 
+def _feedback(n_rounds, slots, n_clicks, price, n_orders=0, gmv=0.0):
+    """(R, K) settle-style feedback with the first n_clicks slots clicked."""
+    clicks = np.zeros((n_rounds, slots), dtype=bool)
+    clicks.flat[:n_clicks] = True
+    orders = np.zeros_like(clicks)
+    orders.flat[:n_orders] = True
+    return {"clicks": clicks, "carts": np.zeros_like(clicks), "orders": orders,
+            "prices": np.full(clicks.shape, price),
+            "gmv": np.where(orders, gmv, 0.0)}
+
+
+def _unit_world():
+    world = World(WorldConfig(calibration_rounds=10, seed=3))
+    world.normalizers = np.ones(5)
+    return world
+
+
 def test_rpm_arithmetic():
-    counters = MetricCounters(impressions=1000, clicks=300, revenue=300.0)
-    assert counters.raw_metrics()[0] == pytest.approx(300.0)
-    assert counters.raw_metrics()[1] == pytest.approx(0.3)
+    # 300 clicks at 1.0 over 1000 impressions: RPM 300, CTR 0.3
+    raw = raw_metrics(_feedback(500, 2, n_clicks=300, price=1.0))
+    assert raw[0] == pytest.approx(300.0)
+    assert raw[1] == pytest.approx(0.3)
 
 
 def test_all_click_no_order_batch():
-    counters = MetricCounters(impressions=10, clicks=10, revenue=5.0)
-    metrics = metrics_from_counters(counters, normalizers=np.ones(5))
-    assert metrics.cvr == 0.0
-    assert metrics.gpm == 0.0
-    assert metrics.ctr == 1.0
+    raw = raw_metrics(_feedback(5, 2, n_clicks=10, price=0.5))
+    rpm, ctr, acr, cvr, gpm = _unit_world().normalized(raw)
+    assert cvr == 0.0
+    assert gpm == 0.0
+    assert ctr == 1.0
 
 
 def test_metrics_clipped_to_unit_interval():
-    counters = MetricCounters(impressions=10, clicks=10, revenue=1e6)
-    metrics = metrics_from_counters(counters, normalizers=np.ones(5))
-    assert metrics.rpm == 1.0
+    raw = raw_metrics(_feedback(5, 2, n_clicks=10, price=1e5))
+    assert _unit_world().normalized(raw)[0] == 1.0
 
 
-def test_degenerate_metrics_flagged():
-    metrics = metrics_from_counters(MetricCounters(), np.ones(5))
-    assert metrics.degenerate
-    assert np.all(metrics.as_vector() == 0.0)
+def test_per_round_metrics_rows():
+    played = _feedback(3, 2, n_clicks=3, price=2.0, n_orders=1, gmv=40.0)
+    per_round = raw_metrics(played, per_round=True)
+    # round 0: both slots clicked at 2.0, one order worth 40
+    assert per_round[0] == pytest.approx([2000.0, 1.0, 0.0, 0.5, 20000.0])
+    assert per_round[1] == pytest.approx([1000.0, 0.5, 0.0, 0.0, 0.0])
+    assert np.all(per_round[2] == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_rounds=st.integers(1, 300), sigma=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_per_round_metrics_average_to_episode(small_world, n_rounds, sigma,
+                                              seed):
+    # the critic's per-round reward and the reported episode metrics
+    # come from one formula, so they agree before clipping
+    rng = np.random.default_rng(seed)
+    rounds = small_world.sample_rounds(n_rounds, rng)
+    played = small_world.play(rounds, GspMechanism(sigma), rng)
+    per_round = raw_metrics(played, per_round=True)
+    assert per_round.shape == (n_rounds, 5)
+    assert np.allclose(per_round.mean(axis=0), raw_metrics(played))
+
+
+def test_scalarize_per_round_rows():
+    rows = np.array([[0.4, 0.2, 0.1, 0.3, 0.5], [1.0, 0.0, 0.0, 0.0, 0.0]])
+    f = scalarize(rows, (0.5, 0.5, 0, 0, 0))
+    assert f == pytest.approx([0.3, 0.5])
+    assert scalarize(rows[0], (0.5, 0.5, 0, 0, 0)) == f[0]
 
 
 def test_scalarize_examples():
@@ -254,6 +302,11 @@ def test_benchmark_requires_rounds():
 
 # ---------------------------------------------------------------------------
 # Evaluation plumbing
+
+
+def test_evaluate_requires_rounds(small_world):
+    with pytest.raises(ValueError):
+        small_world.evaluate(GspMechanism(1.0), 0, seed=4)
 
 
 def test_evaluate_deterministic(small_world):

@@ -69,6 +69,13 @@ def test_train_config_validation():
         TrainConfig(eta=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(actor_lr=0.0)
+    for bad in (dict(eval_rounds=0), dict(benchmark_rounds=0),
+                dict(batch_rounds=0), dict(eval_every=0), dict(spot_states=0),
+                dict(train_iters=-1), dict(noise_std=-1.0),
+                dict(eta=float("nan")), dict(hidden=(8, 0)),
+                dict(weights=(1.5, -0.5, 0, 0, 0))):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
 
 
 # ---------------------------------------------------------------------------
