@@ -7,23 +7,16 @@ trainer, and an economic-property audit suite.
 """
 
 from gsplab.auction import (
-    AdCandidate,
-    AuctionOutcome,
-    AuctionRequest,
     DeepGspMechanism,
     FixedScoreMechanism,
     GspMechanism,
     UgspMechanism,
     price_exact_binary_search,
-    run_auction,
 )
 from gsplab.simulator import MetricsRecord, World, WorldConfig, scalarize
 from gsplab.trainer import TrainConfig, train
 
 __all__ = [
-    "AdCandidate",
-    "AuctionOutcome",
-    "AuctionRequest",
     "DeepGspMechanism",
     "FixedScoreMechanism",
     "GspMechanism",
@@ -33,7 +26,6 @@ __all__ = [
     "World",
     "WorldConfig",
     "price_exact_binary_search",
-    "run_auction",
     "scalarize",
     "train",
 ]

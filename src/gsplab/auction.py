@@ -3,8 +3,9 @@
 Candidate ranking, top-K allocation, and payment computation for GSP,
 uGSP, fixed nonlinear scores, and the learned bid-multiplier mechanism.
 There is one engine, on (R, N) arrays of rounds x candidates: a
-mechanism's ``score_batch``, then ``allocate_batch`` and ``price_batch``.
-``run_auction`` is its single-auction (R = 1) wrapper.  Every rank score is expressed in affine-in-bid form
+mechanism's ``score_batch``, then ``allocate_batch`` and ``price_batch``;
+a single auction is one row.  Every rank score is expressed in
+affine-in-bid form
 
     r = bid * multiplier + offset
 
@@ -20,7 +21,6 @@ all winners at once) is provided for payment-error audits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,100 +36,12 @@ F_CATEGORY = 5
 F_USER = 6
 FEATURE_DIM = 7
 
-DEFAULT_EPS_DIV = 1e-9
+# a winner's multiplier must exceed this for its price to be a division
+EPS_DIV = 1e-9
 
 
 class DegenerateMultiplierError(ValueError):
     """Multiplier too close to zero to divide a price by."""
-
-
-def _check_finite(name, value):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-@dataclass(frozen=True)
-class AdCandidate:
-    """One bidder entering an auction: bid plus non-bid feature vector.
-
-    ``value`` is the private valuation; it is only known to the simulator
-    and never read by any mechanism.
-    """
-
-    ad_id: str
-    bid: float
-    features: np.ndarray
-    value: float | None = None
-
-    def __post_init__(self):
-        _check_finite("bid", self.bid)
-        if self.bid < 0:
-            raise ValueError(f"bid must be nonnegative, got {self.bid}")
-        feats = np.asarray(self.features, dtype=float)
-        object.__setattr__(self, "features", feats)
-        if feats.ndim != 1:
-            raise ValueError("features must be a 1-D vector")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features must be finite")
-        for idx in (F_PCTR, F_PACR, F_PCVR):
-            if idx < feats.size and not 0.0 <= feats[idx] <= 1.0:
-                raise ValueError(
-                    f"predicted rate feature {idx} out of [0,1]: {feats[idx]}"
-                )
-        if F_PRICE < feats.size and feats[F_PRICE] < 0:
-            raise ValueError("product_price must be nonnegative")
-
-    @property
-    def pctr(self):
-        return float(self.features[F_PCTR])
-
-    @property
-    def pacr(self):
-        return float(self.features[F_PACR])
-
-    @property
-    def pcvr(self):
-        return float(self.features[F_PCVR])
-
-
-@dataclass(frozen=True)
-class AuctionRequest:
-    """N candidates competing for K slots with position factors beta."""
-
-    candidates: list
-    slots: int
-    slot_ctr_factors: np.ndarray
-
-    def __post_init__(self):
-        if len(self.candidates) < 1:
-            raise ValueError("need at least one candidate")
-        if not 1 <= self.slots <= len(self.candidates):
-            raise ValueError(
-                f"slots must be in [1, {len(self.candidates)}], got {self.slots}"
-            )
-        beta = np.asarray(self.slot_ctr_factors, dtype=float)
-        object.__setattr__(self, "slot_ctr_factors", beta)
-        if beta.shape != (self.slots,):
-            raise ValueError("slot_ctr_factors must have length K")
-        if np.any(beta <= 0) or np.any(beta > 1):
-            raise ValueError("slot factors must lie in (0, 1]")
-        if np.any(np.diff(beta) > 0):
-            raise ValueError("slot factors must be non-increasing")
-        dims = {c.features.size for c in self.candidates}
-        if len(dims) != 1:
-            raise ValueError("all candidates must share one feature length")
-
-
-@dataclass(frozen=True)
-class AuctionOutcome:
-    winners: list  # ordered (ad_id, slot_index 1..K, price_per_click)
-    losers: list  # ad_ids, best-ranked first
-
-    def price_of(self, ad_id):
-        for wid, _slot, price in self.winners:
-            if wid == ad_id:
-                return price
-        raise KeyError(ad_id)
 
 
 # ---------------------------------------------------------------------------
@@ -207,48 +119,28 @@ def allocate_batch(scores, bids):
     return np.lexsort((idx, -bids, -scores))
 
 
-def price_batch(order, scores, multipliers, offsets, slots, reserve_price=0.0,
-                eps_div=DEFAULT_EPS_DIV):
+def price_batch(order, scores, multipliers, offsets, slots, reserve_price=0.0):
     """Division-based prices for the top-``slots`` entries of each row.
 
     p_j = max(0, (r_{j+1} - offset_j) / pi_j); a winner ranked last overall
     pays the reserve.  Returns an (R, slots) array aligned with
-    order[:, :slots].
+    order[:, :slots]; a winner's multiplier at or below EPS_DIV raises
+    DegenerateMultiplierError.
     """
-    rows = np.arange(order.shape[0])[:, None]
-    ranked_scores = np.take_along_axis(scores, order, axis=1)
-    win = order[:, :slots]
-    pi = multipliers[rows, win]
-    off = offsets[rows, win]
-    if np.any(pi <= eps_div):
-        raise DegenerateMultiplierError("degenerate multiplier among winners")
+    rows = np.arange(order.shape[0])
     n = scores.shape[1]
     prices = np.empty((order.shape[0], slots))
     for j in range(slots):
+        win = order[:, j]
+        pi = multipliers[rows, win]
+        if np.any(pi <= EPS_DIV):
+            raise DegenerateMultiplierError("degenerate multiplier among winners")
         if j + 1 < n:
-            nxt = ranked_scores[:, j + 1]
-            prices[:, j] = np.maximum(0.0, (nxt - off[:, j]) / pi[:, j])
+            nxt = scores[rows, order[:, j + 1]]
+            prices[:, j] = np.maximum(0.0, (nxt - offsets[rows, win]) / pi)
         else:
             prices[:, j] = reserve_price
     return prices
-
-
-def run_auction(request, mechanism, reserve_price=0.0):
-    """Score, allocate, and price one auction on the batch path (R = 1).
-
-    Candidates are stacked in ad_id order, so the engine's lower-index
-    tie-break (after score, then bid) is a tie-break by ad_id.
-    """
-    cands = sorted(request.candidates, key=lambda c: c.ad_id)
-    bids = np.array([[c.bid for c in cands]])
-    feats = np.stack([c.features for c in cands])[None]
-    scores, pi, off = mechanism.score_batch(bids, feats)
-    order = allocate_batch(scores, bids)
-    prices = price_batch(order, scores, pi, off, request.slots, reserve_price)
-    ids = [cands[i].ad_id for i in order[0]]
-    winners = [(ids[j], j + 1, float(prices[0, j]))
-               for j in range(request.slots)]
-    return AuctionOutcome(winners=winners, losers=ids[request.slots:])
 
 
 def price_exact_binary_search(rank_fn, target, bid_hi, tol_bid=None):

@@ -15,7 +15,12 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from gsplab.auction import allocate_batch, price_exact_binary_search
+from gsplab.auction import (
+    EPS_DIV,
+    allocate_batch,
+    price_batch,
+    price_exact_binary_search,
+)
 
 
 @dataclass
@@ -39,18 +44,12 @@ class AuditConfig:
 
 
 def _average_ranks(xs):
+    """1-based ranks; tied values share the mean of their positions."""
     xs = np.asarray(xs, dtype=float)
-    order = np.argsort(xs, kind="mergesort")
-    ranks = np.empty(xs.size)
-    sorted_xs = xs[order]
-    i = 0
-    while i < xs.size:
-        j = i
-        while j + 1 < xs.size and sorted_xs[j + 1] == sorted_xs[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    sorted_xs = np.sort(xs)
+    first = np.searchsorted(sorted_xs, xs, side="left")
+    after_last = np.searchsorted(sorted_xs, xs, side="right")
+    return 0.5 * (first + after_last + 1)
 
 
 def spearman_rho(xs, ys):
@@ -115,8 +114,9 @@ class PaymentErrorResult:
 def payment_error_rate(world, mechanism, config=AuditConfig(), tol=1e-6):
     """PER = approximate price / exact bisection price across winners.
 
-    Winners with a degenerate multiplier, or whose exact oracle has no
-    solution (bracketing failure, NaN), are excluded and counted.
+    The approximate price is the market's own, ``price_batch``.  Winners
+    with a degenerate multiplier, or whose exact oracle has no solution
+    (bracketing failure, NaN), are excluded and counted.
     """
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x9E4)))
     rounds = world.sample_rounds(config.per_rounds, rng)
@@ -126,11 +126,14 @@ def payment_error_rate(world, mechanism, config=AuditConfig(), tol=1e-6):
     k = min(world.slots, world.n_advertisers - 1)
     rows = np.arange(rounds.n_rounds)[:, None]
     win = order[:, :k]
-    target = scores[rows, order[:, 1:k + 1]]
-    ok = pi[rows, win] > 1e-9
-    target, pi_w, off_w = target[ok], pi[rows, win][ok], off[rows, win][ok]
+    divisible = pi > EPS_DIV
+    ok = divisible[rows, win]
+    # a stand-in multiplier keeps the excluded winners from failing the
+    # whole batch in price_batch
+    approx = price_batch(order, scores, np.where(divisible, pi, 1.0), off,
+                         k)[ok]
+    target = scores[rows, order[:, 1:k + 1]][ok]
     feats = rounds.feats[rows, win][ok]
-    approx = np.maximum(0.0, (target - off_w) / pi_w)
     bid_hi = np.maximum(rounds.bids[rows, win][ok], 1e-9)
     exact = price_exact_binary_search(
         lambda z: mechanism.score_batch(z, feats)[0], target, bid_hi,
@@ -153,75 +156,58 @@ def payment_error_rate(world, mechanism, config=AuditConfig(), tol=1e-6):
 @dataclass
 class IsicResult:
     value: float
-    per_advertiser: np.ndarray
-    n_samples: int
-    alpha: float
 
 
-def i_sic(mechanism, world, config=AuditConfig(), rng=None, first_price=False):
+def i_sic(mechanism, world, config=AuditConfig()):
     """Finite-alpha incentive-compatibility score on a single-slot world.
 
     For every (round, advertiser), the auction is replayed three times
     with that advertiser bidding v, (1+a)v, (1-a)v while everyone else is
-    held fixed (common random numbers).  With u(b) = win(b) * (b - p(b)),
+    held fixed (common random numbers), and priced by ``price_batch``.
+    With u(b) = win(b) * (b - p(b)),
 
         i-SIC = E[u((1+a)v) - u((1-a)v)] / (2a * E[v * win(v)]).
 
     A truthful (critical-bid-priced, monotone) mechanism scores 1 up to
-    Monte-Carlo error.
+    Monte-Carlo error.  A degenerate winning multiplier raises
+    DegenerateMultiplierError.
     """
     if world.slots != 1:
         raise ValueError("i-SIC is defined on single-slot worlds (K = 1)")
     if config.alpha > 0.05:
         raise ValueError("alpha must be <= 0.05")
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x151C)))
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x151C)))
     rounds = world.sample_rounds(config.isic_rounds, rng)
     values = rounds.values
     a = config.alpha
-    n = world.n_advertisers
-    util = {}
-    win_v = None
-    scores, _pi, _off = mechanism.score_batch(rounds.bids, rounds.feats)
-    for label, mult in (("up", 1.0 + a), ("base", 1.0), ("down", 1.0 - a)):
-        u = np.zeros((rounds.n_rounds, n))
-        won = np.zeros((rounds.n_rounds, n), dtype=bool)
-        for i in range(n):
-            bids_i = mult * values[:, i]
-            s_i, pi_i, off_i = mechanism.score_batch(
-                bids_i, rounds.feats[:, i, :])
-            sc = scores.copy()
-            sc[:, i] = s_i
-            bids = rounds.bids.copy()
-            bids[:, i] = bids_i
+    base = mechanism.score_batch(rounds.bids, rounds.feats)
+
+    def replay(mult):
+        """(R, N) utilities and wins when advertiser i alone bids mult * v_i."""
+        u = np.zeros(values.shape)
+        won = np.zeros(values.shape, dtype=bool)
+        sampled = (rounds.bids, *base)
+        bids, sc, pi, off = (m.copy() for m in sampled)
+        for i in range(world.n_advertisers):
+            b = mult * values[:, i]
+            bids[:, i] = b
+            sc[:, i], pi[:, i], off[:, i] = mechanism.score_batch(
+                b, rounds.feats[:, i, :])
             order = allocate_batch(sc, bids)
-            winner = order[:, 0]
-            is_win = winner == i
-            runner = order[:, 1]
-            next_score = sc[np.arange(rounds.n_rounds), runner]
-            if first_price:
-                price = bids_i
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    price = np.maximum(
-                        0.0, (next_score - off_i) / np.maximum(pi_i, 1e-300))
-            u[:, i] = np.where(is_win, bids_i - price, 0.0)
-            won[:, i] = is_win
-        util[label] = u
-        if label == "base":
-            win_v = won
+            price = price_batch(order, sc, pi, off, 1)[:, 0]
+            won[:, i] = order[:, 0] == i
+            u[:, i] = np.where(won[:, i], b - price, 0.0)
+            for replayed, orig in zip((bids, sc, pi, off), sampled):
+                replayed[:, i] = orig[:, i]
+        return u, won
+
+    u_up, _ = replay(1.0 + a)
+    _, win_v = replay(1.0)
+    u_down, _ = replay(1.0 - a)
     denom = float(np.mean(values * win_v) * 2.0 * a)
     if abs(denom) < 1e-9:
         raise ZeroDivisionError("i-SIC denominator below 1e-9 (no wins?)")
-    numer = util["up"] - util["down"]
-    value = float(np.mean(numer) / denom)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_adv_denom = 2.0 * a * np.mean(values * win_v, axis=0)
-        per_adv = np.where(per_adv_denom > 1e-12,
-                           numer.mean(axis=0) / np.maximum(per_adv_denom, 1e-300),
-                           np.nan)
-    return IsicResult(value=value, per_advertiser=per_adv,
-                      n_samples=rounds.n_rounds * n, alpha=a)
+    return IsicResult(value=float(np.mean(u_up - u_down) / denom))
 
 
 def single_slot_world(world):

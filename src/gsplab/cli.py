@@ -30,17 +30,19 @@ from gsplab.audit import (
     single_slot_world,
 )
 from gsplab.auction import (
+    F_PCTR,
     FEATURE_DIM,
-    AdCandidate,
-    AuctionRequest,
     DeepGspMechanism,
     FixedScoreMechanism,
     GspMechanism,
     UgspMechanism,
-    run_auction,
+    allocate_batch,
+    price_batch,
 )
 from gsplab.nets import BidMultiplierNet
 from gsplab.simulator import (
+    NORMALIZER_FLOOR,
+    MetricsRecord,
     World,
     WorldConfig,
     check_bounds,
@@ -126,6 +128,24 @@ def _load_spec(path, seed_override=None):
     return (*configs, parser)
 
 
+def _build_world(world_cfg):
+    """World(world_cfg), refusing metrics its calibration episode reads as 0.
+
+    Such a metric would be divided by the normalizer floor, so every
+    mechanism would score it as exactly 0 or 1.
+    """
+    world = World(world_cfg)
+    zero = [f.name for f, norm in zip(dataclasses.fields(MetricsRecord),
+                                      world.normalizers)
+            if norm <= NORMALIZER_FLOOR]
+    if zero:
+        raise ValidationError(
+            f"bad [world] section: the calibration episode "
+            f"(calibration_rounds = {world_cfg.calibration_rounds}) gave "
+            f"{', '.join(zero)} = 0, which cannot be normalized")
+    return world
+
+
 def _echo_config(name, world_cfg, train_cfg=None, extra=None):
     print(f"# gsplab {name}: resolved configuration")
     print(f"world = {world_cfg}")
@@ -156,54 +176,47 @@ def _out_dir(args):
 # golden: worked three-ad example
 
 
-def _golden_request():
-    feats = []
-    for pctr in (0.1, 0.2, 0.3):
-        x = np.zeros(FEATURE_DIM)
-        x[0] = pctr
-        feats.append(x)
-    cands = [
-        AdCandidate("Ad1", 10.0, feats[0]),
-        AdCandidate("Ad2", 2.4, feats[1]),
-        AdCandidate("Ad3", 1.3, feats[2]),
-    ]
-    return AuctionRequest(cands, slots=2, slot_ctr_factors=np.array([1.0, 1.0]))
+# The worked example: three ads in one auction for two equal slots.  Per
+# mechanism: the expected {ad: (slot, price per click)}, the price
+# tolerance, the expected revenue (sum of PPC * pCTR over the winners)
+# with its tolerance, and the expected CTR (sum of the winners' pCTR).
+_GOLDEN_ADS = ("Ad1", "Ad2", "Ad3")
+_GOLDEN_BIDS = (10.0, 2.4, 1.3)
+_GOLDEN_PCTR = (0.1, 0.2, 0.3)
+_GOLDEN_CASES = (
+    ("gsp", GspMechanism(sigma=1.0), {"Ad1": (1, 4.8), "Ad2": (2, 1.95)},
+     1e-9, (0.87, 1e-9), 0.3),
+    ("deep", FixedScoreMechanism(), {"Ad1": (1, 9.54), "Ad3": (2, 1.25)},
+     0.02, (1.329, 0.005), 0.4),
+)
 
 
 def golden_example():
-    """Both halves of the worked three-ad example.
+    """Both halves of the worked three-ad example, on the auction engine.
 
-    Returns (rows, failures); expected revenue uses PPC * pCTR per winner.
+    The ads are the columns of one (1, 3) row run through score_batch,
+    allocate_batch and price_batch.  Returns (checks, failures).
     """
-    request = _golden_request()
-    pctr = {"Ad1": 0.1, "Ad2": 0.2, "Ad3": 0.3}
+    bids = np.array([_GOLDEN_BIDS])
+    feats = np.zeros((1, len(_GOLDEN_ADS), FEATURE_DIM))
+    feats[0, :, F_PCTR] = _GOLDEN_PCTR
     checks = []
-
-    gsp = run_auction(request, GspMechanism(sigma=1.0))
-    expected_gsp = {"Ad1": (1, 4.8), "Ad2": (2, 1.95)}
-    rev = sum(p * pctr[a] for a, _s, p in gsp.winners)
-    ctr = sum(pctr[a] for a, _s, _p in gsp.winners)
-    checks.append(("gsp winners", sorted(a for a, _s, _p in gsp.winners),
-                   sorted(expected_gsp), 0))
-    for ad, slot, price in gsp.winners:
-        exp_slot, exp_price = expected_gsp[ad]
-        checks.append((f"gsp {ad} slot", slot, exp_slot, 0))
-        checks.append((f"gsp {ad} ppc", price, exp_price, 1e-9))
-    checks.append(("gsp revenue", rev, 0.87, 1e-9))
-    checks.append(("gsp ctr", ctr, 0.3, 1e-9))
-
-    deep = run_auction(request, FixedScoreMechanism())
-    expected_deep = {"Ad1": (1, 9.54), "Ad3": (2, 1.25)}
-    rev_d = sum(p * pctr[a] for a, _s, p in deep.winners)
-    ctr_d = sum(pctr[a] for a, _s, _p in deep.winners)
-    checks.append(("deep winners", sorted(a for a, _s, _p in deep.winners),
-                   sorted(expected_deep), 0))
-    for ad, slot, price in deep.winners:
-        exp_slot, exp_price = expected_deep[ad]
-        checks.append((f"deep {ad} slot", slot, exp_slot, 0))
-        checks.append((f"deep {ad} ppc", price, exp_price, 0.02))
-    checks.append(("deep revenue", rev_d, 1.329, 0.005))
-    checks.append(("deep ctr", ctr_d, 0.4, 1e-9))
+    for label, mech, expected, ppc_tol, revenue, ctr in _GOLDEN_CASES:
+        scores, pi, off = mech.score_batch(bids, feats)
+        order = allocate_batch(scores, bids)
+        prices = price_batch(order, scores, pi, off, 2)[0].tolist()
+        won = order[0, :2].tolist()
+        names = [_GOLDEN_ADS[i] for i in won]
+        checks.append((f"{label} winners", sorted(names), sorted(expected), 0))
+        for slot, (name, price) in enumerate(zip(names, prices), 1):
+            exp_slot, exp_price = expected[name]
+            checks.append((f"{label} {name} slot", slot, exp_slot, 0))
+            checks.append((f"{label} {name} ppc", price, exp_price, ppc_tol))
+        checks.append((f"{label} revenue",
+                       sum(p * _GOLDEN_PCTR[i] for i, p in zip(won, prices)),
+                       *revenue))
+        checks.append((f"{label} ctr", sum(_GOLDEN_PCTR[i] for i in won),
+                       ctr, 1e-9))
 
     failures = []
     for name, got, want, tol in checks:
@@ -253,7 +266,7 @@ def cmd_train(args):
     world_cfg, train_cfg, _, _ = _load_spec(args.config, args.seed)
     out = _out_dir(args)
     _echo_config("train", world_cfg, train_cfg, {"seed": train_cfg.seed})
-    world = World(world_cfg)
+    world = _build_world(world_cfg)
     result = train(world, train_cfg)
     result.actor.save(out / "actor.ckpt")
     result.critic.save(out / "critic.ckpt")
@@ -281,7 +294,7 @@ def cmd_evaluate(args):
     mech = _mechanism_from_args(args)
     _echo_config("evaluate", world_cfg, train_cfg,
                  {"mechanism": mech, "seed": train_cfg.seed})
-    world = World(world_cfg)
+    world = _build_world(world_cfg)
     metrics, utility = world.evaluate(mech, train_cfg.eval_rounds,
                                       train_cfg.seed)
     f = scalarize(metrics, train_cfg.weights)
@@ -334,7 +347,7 @@ def cmd_pareto(args):
     n_eval = sweep.compare_rounds
     _echo_config("pareto", world_cfg, base_train,
                  {"sweep": sweep, "seed": base_train.seed})
-    world = World(world_cfg)
+    world = _build_world(world_cfg)
     eval_seed = base_train.seed + 0x5EED
 
     named_cfgs = []
@@ -395,7 +408,7 @@ def cmd_transition(args):
     n_eval = sweep.compare_rounds
     _echo_config("transition", world_cfg, base_train,
                  {"sweep": sweep, "seed": base_train.seed})
-    world = World(world_cfg)
+    world = _build_world(world_cfg)
     eval_seed = base_train.seed + 0x5EED
     m0 = GspMechanism(sigma=1.0)
     m0_metrics, m0_utility = world.evaluate(m0, n_eval, eval_seed)
@@ -430,7 +443,7 @@ def cmd_audit(args):
     actor = BidMultiplierNet.load(args.model)
     _echo_config("audit", world_cfg, train_cfg,
                  {"model": args.model, "seed": train_cfg.seed})
-    world = World(world_cfg)
+    world = _build_world(world_cfg)
     cfg = AuditConfig(seed=train_cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA0D)))
     rounds = world.sample_rounds(cfg.n_states, rng)

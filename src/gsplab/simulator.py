@@ -32,7 +32,8 @@ from gsplab.auction import (
     price_batch,
 )
 
-METRIC_NAMES = ("rpm", "ctr", "acr", "cvr", "gpm")
+# normalizer of a metric whose calibration episode reads 0
+NORMALIZER_FLOOR = 1e-9
 
 
 def check_bounds(config, low, *names, strict=False):
@@ -68,7 +69,7 @@ class WorldConfig:
     price_sigma: float = 0.5
     # multiplicative log-normal noise on predicted rates
     prediction_noise: float = 0.15
-    bidding_mode: str = "truthful"  # or "shaded"
+    # every advertiser bids shade_factor times its valuation
     shade_factor: float = 1.0
     reserve_price: float = 0.0
     # headroom multiplier applied to benchmark metrics when calibrating
@@ -96,9 +97,6 @@ class WorldConfig:
             raise ValueError("slot_ctr_factors must lie in (0, 1]")
         if any(b2 > b1 for b1, b2 in zip(beta, beta[1:])):
             raise ValueError("slot_ctr_factors must be non-increasing")
-        if self.bidding_mode not in ("truthful", "shaded"):
-            raise ValueError(f"bidding_mode must be truthful or shaded, "
-                             f"got {self.bidding_mode!r}")
         object.__setattr__(self, "slot_ctr_factors", beta)
 
 
@@ -202,10 +200,7 @@ class World:
         cfg = self.config
         n = self.n_advertisers
         values = rng.lognormal(self.value_mu, cfg.value_sigma, size=(n_rounds, n))
-        if cfg.bidding_mode == "shaded":
-            bids = cfg.shade_factor * values
-        else:
-            bids = values.copy()
+        bids = cfg.shade_factor * values
         feats = np.empty((n_rounds, n, FEATURE_DIM))
         for idx, true in ((F_PCTR, self.true_ctr), (F_PACR, self.true_acr),
                           (F_PCVR, self.true_cvr)):
@@ -311,7 +306,8 @@ class World:
         rounds = self.sample_rounds(cfg.calibration_rounds, rng)
         played = self.play(rounds, GspMechanism(sigma=1.0), rng)
         raw = raw_metrics(played)
-        self.normalizers = np.maximum(cfg.normalizer_margin * raw, 1e-9)
+        self.normalizers = np.maximum(cfg.normalizer_margin * raw,
+                                      NORMALIZER_FLOOR)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,6 @@ class Experience:
     states: np.ndarray    # (M, 1 + feature_dim): raw bid then features
     actions: np.ndarray   # (M,) realized rank scores
     rewards: np.ndarray   # (M,)
-    round_ids: np.ndarray  # (M,)
 
 
 @dataclass
@@ -94,10 +93,7 @@ class TrainResult:
     actor: BidMultiplierNet
     critic: CriticNet
     report: list               # per-evaluation dict rows
-    benchmark_utility: np.ndarray
-    final_metrics: object
     final_objective: float
-    config: TrainConfig
 
 
 def transition_penalty(config, ubar, u):
@@ -140,8 +136,7 @@ def collect_batch(world, actor, noise_std, rng, config, ubar):
     rewards = np.repeat(F, n) - np.tile(penalty, config.batch_rounds)
     states = np.column_stack([flat_bids, flat_feats])
     return Experience(states=states, actions=scores.reshape(-1),
-                      rewards=rewards,
-                      round_ids=np.repeat(np.arange(config.batch_rounds), n))
+                      rewards=rewards)
 
 
 def pretrain_critic(experience, critic, lr=5e-3, max_epochs=300,
@@ -348,8 +343,7 @@ def train(world, config):
                                       config.eval_rounds, eval_seed)
     final_f = scalarize(final_metrics, config.weights)
     return TrainResult(actor=actor, critic=critic, report=report,
-                       benchmark_utility=ubar, final_metrics=final_metrics,
-                       final_objective=final_f, config=config)
+                       final_objective=final_f)
 
 
 REPORT_COLUMNS = ("iter", "objective", "penalized_objective", "mono_loss",

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from gsplab.auction import FEATURE_DIM, AdCandidate, AuctionRequest
+from gsplab.auction import (
+    F_PCTR,
+    F_PCVR,
+    FEATURE_DIM,
+    allocate_batch,
+    price_batch,
+)
 from gsplab.simulator import World, WorldConfig
 
 
@@ -11,14 +17,28 @@ def feature_vec(pctr=0.0, pacr=0.0, pcvr=0.0, price=0.0):
     return x
 
 
+def auction_row(bids, pctr, pcvr=0.0):
+    """One auction as the engine's (1, N) bids and (1, N, F) features."""
+    bids = np.array([bids], dtype=float)
+    feats = np.zeros(bids.shape + (FEATURE_DIM,))
+    feats[..., F_PCTR] = pctr
+    feats[..., F_PCVR] = pcvr
+    return bids, feats
+
+
 def golden_request():
-    """The worked three-ad, two-slot example with equal slot factors."""
-    cands = [
-        AdCandidate("Ad1", 10.0, feature_vec(pctr=0.1)),
-        AdCandidate("Ad2", 2.4, feature_vec(pctr=0.2)),
-        AdCandidate("Ad3", 1.3, feature_vec(pctr=0.3)),
-    ]
-    return AuctionRequest(cands, slots=2, slot_ctr_factors=np.array([1.0, 1.0]))
+    """The worked three-ad example (Ad1..Ad3 are columns 0..2).
+
+    Two slots with equal slot factors, so only the ranking matters.
+    """
+    return auction_row([10.0, 2.4, 1.3], [0.1, 0.2, 0.3])
+
+
+def run_engine(mech, bids, feats, slots, reserve_price=0.0):
+    """score_batch -> allocate_batch -> price_batch: (order, prices)."""
+    scores, pi, off = mech.score_batch(bids, feats)
+    order = allocate_batch(scores, bids)
+    return order, price_batch(order, scores, pi, off, slots, reserve_price)
 
 
 def rel_err(got, want):

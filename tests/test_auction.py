@@ -6,19 +6,16 @@ from hypothesis import strategies as st
 from gsplab.auction import (
     FEATURE_DIM,
     DegenerateMultiplierError,
-    AdCandidate,
-    AuctionRequest,
     DeepGspMechanism,
     FixedScoreMechanism,
     GspMechanism,
     UgspMechanism,
     allocate_batch,
     price_exact_binary_search,
-    run_auction,
 )
 from gsplab.nets import BidMultiplierNet
 
-from conftest import feature_vec, golden_request
+from conftest import auction_row, feature_vec, golden_request, run_engine
 
 
 def _score(mech, bids, pctr=0.0, pcvr=0.0):
@@ -27,10 +24,6 @@ def _score(mech, bids, pctr=0.0, pcvr=0.0):
     feats = np.broadcast_to(feature_vec(pctr=pctr, pcvr=pcvr),
                             bids.shape + (FEATURE_DIM,))
     return mech.score_batch(bids, feats)[0]
-
-
-def _ranking(outcome):
-    return [a for a, _s, _p in outcome.winners] + outcome.losers
 
 
 # ---------------------------------------------------------------------------
@@ -71,63 +64,30 @@ def test_fixed_score_column():
 
 
 # ---------------------------------------------------------------------------
-# Candidate / request validation
-
-
-def test_candidate_validation():
-    with pytest.raises(ValueError):
-        AdCandidate("a", -1.0, feature_vec(pctr=0.1))
-    with pytest.raises(ValueError):
-        AdCandidate("a", 1.0, feature_vec(pctr=1.5))
-    with pytest.raises(ValueError):
-        AdCandidate("a", float("inf"), feature_vec(pctr=0.1))
-
-
-def test_request_validation():
-    cands = [AdCandidate("a", 1.0, feature_vec(pctr=0.1))]
-    with pytest.raises(ValueError):
-        AuctionRequest(cands, slots=2, slot_ctr_factors=np.array([1.0, 0.5]))
-    two = cands + [AdCandidate("b", 1.0, feature_vec(pctr=0.1))]
-    with pytest.raises(ValueError):
-        AuctionRequest(two, slots=2, slot_ctr_factors=np.array([0.5, 1.0]))
-    with pytest.raises(ValueError):
-        AuctionRequest(two, slots=2, slot_ctr_factors=np.array([1.0, 0.0]))
-
-
-# ---------------------------------------------------------------------------
-# Allocation
+# Allocation (golden columns: Ad1, Ad2, Ad3)
 
 
 def test_allocate_classic_ranking():
-    outcome = run_auction(golden_request(), GspMechanism(1.0))
-    assert [(a, s) for a, s, _ in outcome.winners] == [("Ad1", 1), ("Ad2", 2)]
-    assert outcome.losers == ["Ad3"]
+    order, _ = run_engine(GspMechanism(1.0), *golden_request(), 2)
+    assert order[0].tolist() == [0, 1, 2]
 
 
 def test_allocate_fixed_score_ranking():
-    outcome = run_auction(golden_request(), FixedScoreMechanism())
-    assert [(a, s) for a, s, _ in outcome.winners] == [("Ad1", 1), ("Ad3", 2)]
-    assert outcome.losers == ["Ad2"]
+    order, _ = run_engine(FixedScoreMechanism(), *golden_request(), 2)
+    assert order[0].tolist() == [0, 2, 1]
 
 
 def test_allocate_single_candidate():
-    cand = AdCandidate("only", 2.0, feature_vec(pctr=0.4))
-    request = AuctionRequest([cand], slots=1, slot_ctr_factors=np.array([1.0]))
-    outcome = run_auction(request, GspMechanism(), reserve_price=0.1)
-    assert outcome.winners == [("only", 1, 0.1)]
-    assert outcome.losers == []
+    order, prices = run_engine(GspMechanism(), *auction_row([2.0], [0.4]), 1,
+                               reserve_price=0.1)
+    assert order.tolist() == [[0]]
+    assert prices.tolist() == [[0.1]]
 
 
 def test_allocate_tie_breaks_by_bid_then_id():
-    cands = [
-        AdCandidate("c_ad", 4.0, feature_vec(pctr=0.1)),
-        AdCandidate("b_ad", 2.0, feature_vec(pctr=0.2)),
-        AdCandidate("a_ad", 4.0, feature_vec(pctr=0.1)),
-    ]
-    request = AuctionRequest(cands, slots=2, slot_ctr_factors=np.array([1.0, 1.0]))
-    outcome = run_auction(request, GspMechanism(1.0))  # all score 0.4
-    assert [a for a, _s, _p in outcome.winners] == ["a_ad", "c_ad"]
-    assert outcome.losers == ["b_ad"]
+    bids, feats = auction_row([4.0, 2.0, 4.0], [0.1, 0.2, 0.1])
+    order, _ = run_engine(GspMechanism(1.0), bids, feats, 2)  # all score 0.4
+    assert order[0].tolist() == [0, 2, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -135,41 +95,30 @@ def test_allocate_tie_breaks_by_bid_then_id():
 
 
 def test_price_division_worked_example():
-    request = golden_request()
-    outcome = run_auction(request, FixedScoreMechanism())
-    assert outcome.price_of("Ad1") == pytest.approx(9.55, abs=0.02)
-    assert outcome.price_of("Ad3") == pytest.approx(1.25, abs=0.01)
+    _, prices = run_engine(FixedScoreMechanism(), *golden_request(), 2)
+    assert prices[0, 0] == pytest.approx(9.55, abs=0.02)  # Ad1
+    assert prices[0, 1] == pytest.approx(1.25, abs=0.01)  # Ad3
 
 
 def test_price_division_classic_example():
-    outcome = run_auction(golden_request(), GspMechanism(1.0))
-    assert outcome.price_of("Ad1") == pytest.approx(0.48 / 0.1)
-    assert outcome.price_of("Ad2") == pytest.approx(0.39 / 0.2)
+    _, prices = run_engine(GspMechanism(1.0), *golden_request(), 2)
+    assert prices[0] == pytest.approx([0.48 / 0.1, 0.39 / 0.2])
 
 
 def test_last_ranked_pays_reserve():
-    cands = [
-        AdCandidate("a", 3.0, feature_vec(pctr=0.3)),
-        AdCandidate("b", 1.0, feature_vec(pctr=0.2)),
-    ]
-    request = AuctionRequest(cands, slots=2, slot_ctr_factors=np.array([1.0, 0.5]))
-    outcome = run_auction(request, GspMechanism(1.0), reserve_price=0.25)
-    assert outcome.price_of("b") == pytest.approx(0.25)
+    bids, feats = auction_row([3.0, 1.0], [0.3, 0.2])
+    _, prices = run_engine(GspMechanism(1.0), bids, feats, 2,
+                           reserve_price=0.25)
+    assert prices[0, 1] == pytest.approx(0.25)
 
 
 def test_price_degenerate_multiplier_rejected():
     # zero pCTR is a zero GSP multiplier: that winner is rejected whether a
     # candidate ranks below it or it ranks last and would pay the reserve
-    cands = [
-        AdCandidate("a", 1.0, feature_vec(pctr=0.5)),
-        AdCandidate("b", 5.0, feature_vec(pctr=0.0)),
-        AdCandidate("c", 1.0, feature_vec(pctr=0.0)),
-    ]
+    bids, feats = auction_row([1.0, 5.0, 1.0], [0.5, 0.0, 0.0])
     for n in (3, 2):
-        request = AuctionRequest(cands[:n], slots=2,
-                                 slot_ctr_factors=np.ones(2))
         with pytest.raises(DegenerateMultiplierError):
-            run_auction(request, GspMechanism(1.0))
+            run_engine(GspMechanism(1.0), bids[:, :n], feats[:, :n], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -212,19 +161,16 @@ def test_bisection_rejects_bad_bracket():
         price_exact_binary_search(lambda b: b, [np.nan], 1.0)
 
 
-def _exact_prices(request, mech):
-    """Critical bids of run_auction's winners that have a next score."""
-    cands = sorted(request.candidates, key=lambda c: c.ad_id)
-    bids = np.array([[c.bid for c in cands]])
-    feats = np.stack([c.features for c in cands])[None]
-    scores, _pi, _off = mech.score_batch(bids, feats)
-    order = allocate_batch(scores, bids)[0]
-    k = min(request.slots, len(cands) - 1)
-    win = order[:k]
+def _exact_prices(bids, feats, slots, mech):
+    """(division prices, critical bids) of the winners with a next score."""
+    order, prices = run_engine(mech, bids, feats, slots)
+    scores = mech.score_batch(bids, feats)[0]
+    k = min(slots, bids.shape[1] - 1)
+    win = order[0, :k]
     exact = price_exact_binary_search(
         lambda z: mech.score_batch(z, feats[0, win])[0],
-        scores[0, order[1:k + 1]], np.maximum(bids[0, win], 1e-12))
-    return {cands[i].ad_id: p for i, p in zip(win, exact)}
+        scores[0, order[0, 1:k + 1]], np.maximum(bids[0, win], 1e-12))
+    return prices[0, :k], exact
 
 
 def test_deep_gsp_batched_oracle_matches_one_row_bisection():
@@ -252,38 +198,30 @@ def test_deep_gsp_batched_oracle_matches_one_row_bisection():
 
 
 # ---------------------------------------------------------------------------
-# run_auction totals (worked-example golden values)
+# Auction totals (worked-example golden values)
+
+_GOLDEN_PCTR = np.array([0.1, 0.2, 0.3])
 
 
 def test_run_auction_classic_totals():
-    outcome = run_auction(golden_request(), GspMechanism(1.0))
-    pctr = {"Ad1": 0.1, "Ad2": 0.2, "Ad3": 0.3}
-    revenue = sum(p * pctr[a] for a, _s, p in outcome.winners)
-    ctr = sum(pctr[a] for a, _s, _p in outcome.winners)
-    assert revenue == pytest.approx(0.87)
-    assert ctr == pytest.approx(0.3)
+    order, prices = run_engine(GspMechanism(1.0), *golden_request(), 2)
+    pctr = _GOLDEN_PCTR[order[0, :2]]
+    assert prices[0] @ pctr == pytest.approx(0.87)
+    assert pctr.sum() == pytest.approx(0.3)
 
 
 def test_run_auction_fixed_score_totals():
-    outcome = run_auction(golden_request(), FixedScoreMechanism())
-    pctr = {"Ad1": 0.1, "Ad2": 0.2, "Ad3": 0.3}
-    revenue = sum(p * pctr[a] for a, _s, p in outcome.winners)
-    ctr = sum(pctr[a] for a, _s, _p in outcome.winners)
-    assert revenue == pytest.approx(1.329, abs=0.005)
-    assert ctr == pytest.approx(0.4)
+    order, prices = run_engine(FixedScoreMechanism(), *golden_request(), 2)
+    pctr = _GOLDEN_PCTR[order[0, :2]]
+    assert prices[0] @ pctr == pytest.approx(1.329, abs=0.005)
+    assert pctr.sum() == pytest.approx(0.4)
 
 
 def test_run_auction_all_slots_filled():
-    cands = [
-        AdCandidate("a", 3.0, feature_vec(pctr=0.3)),
-        AdCandidate("b", 2.0, feature_vec(pctr=0.2)),
-        AdCandidate("c", 1.0, feature_vec(pctr=0.1)),
-    ]
-    request = AuctionRequest(cands, slots=3,
-                             slot_ctr_factors=np.array([1.0, 0.7, 0.4]))
-    outcome = run_auction(request, GspMechanism(1.0))
-    assert not outcome.losers
-    assert outcome.price_of("c") == 0.0  # reserve defaults to zero
+    bids, feats = auction_row([3.0, 2.0, 1.0], [0.3, 0.2, 0.1])
+    order, prices = run_engine(GspMechanism(1.0), bids, feats, 3)
+    assert order[0].tolist() == [0, 1, 2]
+    assert prices[0, 2] == 0.0  # reserve defaults to zero
 
 
 # ---------------------------------------------------------------------------
@@ -300,106 +238,101 @@ _candidates = st.lists(
 )
 
 
-def _make_request(raw, slots=None):
-    cands = [
-        AdCandidate(f"ad{i:02d}", bid, feature_vec(pctr=pctr, pcvr=pcvr))
-        for i, (bid, pctr, pcvr) in enumerate(raw)
-    ]
-    k = slots if slots is not None else max(1, len(cands) // 2)
-    return AuctionRequest(cands, slots=k, slot_ctr_factors=np.ones(k))
+def _make_request(raw):
+    """(bids, feats, slots) of one auction: half the candidates win."""
+    bids, pctr, pcvr = (list(col) for col in zip(*raw))
+    return (*auction_row(bids, pctr, pcvr), max(1, len(raw) // 2))
+
+
+def _check_payment_dominance(raw, mech):
+    bids, feats, k = _make_request(raw)
+    order, prices = run_engine(mech, bids, feats, k)
+    assert np.all(prices[0] <= bids[0, order[0, :k]] + 1e-9)
 
 
 @given(_candidates)
 @settings(max_examples=100, deadline=None)
 def test_payment_dominance_gsp(raw):
-    request = _make_request(raw)
-    outcome = run_auction(request, GspMechanism(1.0))
-    bids = {c.ad_id: c.bid for c in request.candidates}
-    for ad, _slot, price in outcome.winners:
-        assert price <= bids[ad] + 1e-9
+    _check_payment_dominance(raw, GspMechanism(1.0))
 
 
 @given(_candidates)
 @settings(max_examples=100, deadline=None)
 def test_payment_dominance_ugsp(raw):
-    request = _make_request(raw)
-    outcome = run_auction(request, UgspMechanism((1.0, 0.5, 0.25)))
-    bids = {c.ad_id: c.bid for c in request.candidates}
-    for ad, _slot, price in outcome.winners:
-        assert price <= bids[ad] + 1e-9
+    _check_payment_dominance(raw, UgspMechanism((1.0, 0.5, 0.25)))
 
 
 @given(_candidates, st.floats(min_value=1.01, max_value=5.0))
 @settings(max_examples=100, deadline=None)
 def test_monotone_allocation(raw, factor):
     """Raising one bid never demotes that candidate under a monotone score."""
-    request = _make_request(raw)
+    bids, feats, k = _make_request(raw)
     mech = GspMechanism(1.0)
-    before = _ranking(run_auction(request, mech))
-    target = request.candidates[0]
-    raised = AdCandidate(target.ad_id, target.bid * factor, target.features)
-    bumped = [raised] + list(request.candidates[1:])
-    request2 = AuctionRequest(bumped, request.slots, request.slot_ctr_factors)
-    after = _ranking(run_auction(request2, mech))
-    assert after.index(target.ad_id) <= before.index(target.ad_id)
+    before, _ = run_engine(mech, bids, feats, k)
+    raised = bids.copy()
+    raised[0, 0] *= factor
+    after, _ = run_engine(mech, raised, feats, k)
+    assert after[0].tolist().index(0) <= before[0].tolist().index(0)
+
+
+def _check_exact_oracle(raw, mech):
+    approx, exact = _exact_prices(*_make_request(raw), mech)
+    assert exact.size
+    assert exact == pytest.approx(approx, abs=1e-4)
 
 
 @given(_candidates)
 @settings(max_examples=60, deadline=None)
 def test_exact_oracle_matches_division_gsp(raw):
-    request = _make_request(raw)
-    approx = run_auction(request, GspMechanism(1.0))
-    exact = _exact_prices(request, GspMechanism(1.0))
-    assert exact
-    for ad, price in exact.items():
-        assert price == pytest.approx(approx.price_of(ad), abs=1e-4)
+    _check_exact_oracle(raw, GspMechanism(1.0))
 
 
 @given(_candidates)
 @settings(max_examples=60, deadline=None)
 def test_exact_oracle_matches_division_ugsp(raw):
-    mech = UgspMechanism((1.0, 0.4, 0.6))
-    request = _make_request(raw)
-    approx = run_auction(request, mech)
-    exact = _exact_prices(request, mech)
-    assert exact
-    for ad, price in exact.items():
-        assert price == pytest.approx(approx.price_of(ad), abs=1e-4)
+    _check_exact_oracle(raw, UgspMechanism((1.0, 0.4, 0.6)))
 
 
 @given(_candidates)
 @settings(max_examples=60, deadline=None)
 def test_critical_bid_property(raw):
     """Bidding just below the payment loses the slot; just above keeps it."""
-    request = _make_request(raw)
+    bids, feats, k = _make_request(raw)
     mech = GspMechanism(1.0)
-    outcome = run_auction(request, mech)
-    by_id = {c.ad_id: c for c in request.candidates}
-    for ad, slot, price in outcome.winners:
+    order, prices = run_engine(mech, bids, feats, k)
+    for slot, (ad, price) in enumerate(zip(order[0, :k], prices[0])):
         if price <= 1e-6:
             continue
         for delta, keeps in ((-1e-4 * price - 1e-9, False),
                              (1e-4 * price + 1e-9, True)):
-            cand = by_id[ad]
-            rebid = AdCandidate(ad, max(price + delta, 0.0), cand.features)
-            others = [c for c in request.candidates if c.ad_id != ad]
-            req2 = AuctionRequest([rebid] + others, request.slots,
-                                  request.slot_ctr_factors)
-            out2 = run_auction(req2, mech)
-            slots2 = {a: s for a, s, _p in out2.winners}
+            rebid = bids.copy()
+            rebid[0, ad] = max(price + delta, 0.0)
+            order2, _ = run_engine(mech, rebid, feats, k)
+            rank2 = order2[0].tolist().index(ad)
             if keeps:
-                assert slots2.get(ad, 99) <= slot
+                assert rank2 <= slot
             else:
-                assert slots2.get(ad, 99) > slot
+                assert rank2 > slot
 
 
-@given(_candidates)
+@given(_candidates, st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
-def test_run_auction_deterministic(raw):
-    request = _make_request(raw)
-    a = run_auction(request, GspMechanism(0.9))
-    b = run_auction(request, GspMechanism(0.9))
-    assert a == b
-    shuffled = AuctionRequest(request.candidates[::-1], request.slots,
-                              request.slot_ctr_factors)
-    assert run_auction(shuffled, GspMechanism(0.9)) == a
+def test_run_auction_deterministic(raw, random):
+    bids, feats, k = _make_request(raw)
+    mech = GspMechanism(0.9)
+    order, prices = run_engine(mech, bids, feats, k)
+    again = run_engine(mech, bids, feats, k)
+    assert np.array_equal(again[0], order)
+    assert np.array_equal(again[1], prices)
+    # under a column permutation the same candidates win at the same
+    # prices; only exact (score, bid) ties may trade places
+    perm = np.array(random.sample(range(bids.shape[1]), bids.shape[1]))
+    order_p, prices_p = run_engine(mech, bids[:, perm], feats[:, perm], k)
+    assert np.array_equal(prices_p, prices)
+    scores = mech.score_batch(bids, feats)[0]
+    ranked = perm[order_p[0]]
+    assert np.array_equal(bids[0, ranked], bids[0, order[0]])
+    assert np.array_equal(scores[0, ranked], scores[0, order[0]])
+    keys = set(zip(bids[0].tolist(), scores[0].tolist()))
+    if len(keys) == bids.shape[1]:
+        assert np.array_equal(ranked, order[0])

@@ -157,6 +157,29 @@ def test_bad_world_value_is_validation_error(tmp_path, capsys, line):
     assert "[world]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edits,seed,zero", [
+    # one bidder pays the zero reserve: no revenue
+    ({"n_advertisers = 4": "n_advertisers = 1", "slots = 2": "slots = 1",
+      "slot_ctr_factors = 1.0,0.6": "slot_ctr_factors = 1.0"}, "1", "rpm"),
+    # one calibration round has clicks but no cart or order
+    ({"calibration_rounds = 100": "calibration_rounds = 1"}, "5",
+     "acr, cvr, gpm"),
+])
+def test_zero_calibration_metric_is_validation_error(tmp_path, capsys, edits,
+                                                      seed, zero):
+    spec = TINY_SPEC
+    for old, new in edits.items():
+        spec = spec.replace(old, new)
+    path = tmp_path / "spec.ini"
+    path.write_text(spec)
+    code = cli.main(["train", "--config", str(path), "--seed", seed,
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "[world]" in err and "calibration_rounds" in err
+    assert f"gave {zero} = 0" in err
+
+
 @pytest.mark.parametrize("command,line", [
     ("train", "eval_rounds = 0"),
     ("train", "benchmark_rounds = 0"),
@@ -242,7 +265,6 @@ _OUT_OF_RANGE = {
     ("world", "price_mu"): _NONFINITE,
     ("world", "price_sigma"): _NEGATIVE,
     ("world", "prediction_noise"): _NEGATIVE,
-    ("world", "bidding_mode"): st.sampled_from(["bayesian", "Truthful"]),
     ("world", "shade_factor"): _NOT_POSITIVE,
     ("world", "reserve_price"): _NEGATIVE,
     ("world", "normalizer_margin"): _NOT_POSITIVE,

@@ -274,8 +274,7 @@ def test_mono_penalty_gradient_matches_finite_differences():
     critic.net.weights[-1][:] = 0.0
     critic.net.biases[-1][:] = 0.0
     states = np.column_stack([bids, feats])
-    batch = Experience(states=states, actions=np.zeros(6), rewards=np.zeros(6),
-                       round_ids=np.arange(6))
+    batch = Experience(states=states, actions=np.zeros(6), rewards=np.zeros(6))
     keep = _KeepGrads()
     actor_update(batch, actor, critic, float(bids.size), keep)
 

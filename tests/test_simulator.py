@@ -27,7 +27,7 @@ def test_world_config_validation():
     with pytest.raises(ValueError):
         WorldConfig(slots=1, slot_ctr_factors=(1.5,))
     with pytest.raises(ValueError):
-        WorldConfig(bidding_mode="bayesian")
+        WorldConfig(shade_factor=0.0)
     with pytest.raises(ValueError):
         WorldConfig(n_advertisers=2)  # three slots
     with pytest.raises(ValueError):
@@ -70,11 +70,11 @@ def test_truthful_bids_equal_values():
 
 
 def test_shaded_bids():
-    cfg = WorldConfig(bidding_mode="shaded", shade_factor=0.7,
-                      calibration_rounds=10, seed=3)
+    # shade_factor alone sets the bids; there is no mode to switch it on
+    cfg = WorldConfig(shade_factor=0.7, calibration_rounds=10, seed=3)
     world = World(cfg)
     rounds = world.sample_rounds(5, np.random.default_rng(0))
-    assert np.allclose(rounds.bids, 0.7 * rounds.values)
+    assert np.array_equal(rounds.bids, 0.7 * rounds.values)
 
 
 def test_sampling_deterministic():

@@ -101,7 +101,6 @@ def test_collect_batch_cardinality(train_world):
     assert batch.states.shape == (m, 1 + FEATURE_DIM)
     assert batch.actions.shape == (m,)
     assert batch.rewards.shape == (m,)
-    assert batch.round_ids.shape == (m,)
 
 
 def test_collect_batch_deterministic_without_noise(train_world):
@@ -124,9 +123,9 @@ def test_reward_shared_within_round(train_world):
     ubar = np.ones(train_world.n_advertisers)
     batch = collect_batch(train_world, actor, 0.2, np.random.default_rng(4),
                           cfg, ubar)
-    for rid in np.unique(batch.round_ids):
-        rewards = batch.rewards[batch.round_ids == rid]
-        assert np.allclose(rewards, rewards[0])
+    # rows are round-major: one row per candidate of each round
+    per_round = batch.rewards.reshape(10, train_world.n_advertisers)
+    assert np.allclose(per_round, per_round[:, :1])
 
 
 def test_penalty_only_for_winners(train_world):
@@ -150,8 +149,7 @@ def _synthetic_experience(rng, m=128, reward_fn=None):
     actions = rng.uniform(0.1, 3.0, size=m)
     rewards = (np.full(m, 0.42) if reward_fn is None
                else reward_fn(states, actions))
-    return Experience(states=states, actions=actions, rewards=rewards,
-                      round_ids=np.arange(m))
+    return Experience(states=states, actions=actions, rewards=rewards)
 
 
 def test_pretrain_constant_reward():
@@ -178,8 +176,7 @@ def test_pretrain_linear_reward():
 def test_pretrain_empty_log_rejected():
     critic = CriticNet(FEATURE_DIM, hidden=(4,))
     empty = Experience(states=np.zeros((0, 1 + FEATURE_DIM)),
-                       actions=np.zeros(0), rewards=np.zeros(0),
-                       round_ids=np.zeros(0))
+                       actions=np.zeros(0), rewards=np.zeros(0))
     with pytest.raises(ValueError):
         pretrain_critic(empty, critic)
 
