@@ -21,6 +21,7 @@ all winners at once) is provided for payment-error audits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,10 @@ class GspMechanism:
 
     sigma: float = 1.0
 
+    def __post_init__(self):
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and >= 0")
+
     def score_batch(self, bids, feats):
         pi = feats[..., F_PCTR] ** self.sigma
         return bids * pi, pi, np.zeros_like(pi)
@@ -66,8 +71,9 @@ class UgspMechanism:
     lambdas: tuple = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if len(self.lambdas) != 3 or min(self.lambdas) < 0:
-            raise ValueError("lambdas must be three nonnegative reals")
+        if (len(self.lambdas) != 3
+                or not all(0.0 <= x < math.inf for x in self.lambdas)):
+            raise ValueError("lambdas must be three finite reals >= 0")
 
     def score_batch(self, bids, feats):
         l1, l2, l3 = self.lambdas

@@ -277,21 +277,30 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _load_actor(path):
+    """The --model actor; a file that is not one is a validation error."""
+    try:
+        return BidMultiplierNet.load(path)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"bad --model: {exc}") from exc
+
+
 def _mechanism_from_args(args):
     if args.model:
-        return DeepGspMechanism(BidMultiplierNet.load(args.model))
-    if args.mechanism == "gsp":
-        return GspMechanism(sigma=args.sigma)
-    if args.mechanism == "ugsp":
-        lambdas = tuple(float(x) for x in args.lambdas.split(","))
-        return UgspMechanism(lambdas)
-    raise ValidationError(f"unknown mechanism {args.mechanism!r}")
+        return DeepGspMechanism(_load_actor(args.model))
+    try:
+        if args.mechanism == "gsp":
+            return GspMechanism(sigma=args.sigma)
+        return UgspMechanism(tuple(float(x) for x in args.lambdas.split(",")))
+    except ValueError as exc:
+        flag = "--sigma" if args.mechanism == "gsp" else "--lambdas"
+        raise ValidationError(f"bad {flag}: {exc}") from exc
 
 
 def cmd_evaluate(args):
     world_cfg, train_cfg, _, _ = _load_spec(args.config, args.seed)
-    out = _out_dir(args)
     mech = _mechanism_from_args(args)
+    out = _out_dir(args)
     _echo_config("evaluate", world_cfg, train_cfg,
                  {"mechanism": mech, "seed": train_cfg.seed})
     world = _build_world(world_cfg)
@@ -439,8 +448,8 @@ def cmd_transition(args):
 
 def cmd_audit(args):
     world_cfg, train_cfg, _, _ = _load_spec(args.config, args.seed)
+    actor = _load_actor(args.model)
     out = _out_dir(args)
-    actor = BidMultiplierNet.load(args.model)
     _echo_config("audit", world_cfg, train_cfg,
                  {"model": args.model, "seed": train_cfg.seed})
     world = _build_world(world_cfg)

@@ -117,11 +117,7 @@ class Mlp:
         return self.output if layer == self.n_layers - 1 else self.hidden
 
     def params(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def get_flat(self):
         return np.concatenate([p.ravel() for p in self.params()])
@@ -162,11 +158,7 @@ class Mlp:
             dA = dZ @ self.weights[layer]
             if layer > 0:
                 dZ = dA * d1s[layer - 1]
-        grads = []
-        for dw, db in zip(dws, dbs):
-            grads.append(dw)
-            grads.append(db)
-        return grads, dA
+        return [g for pair in zip(dws, dbs) for g in pair], dA
 
     def jvp(self, cache, V):
         """Directional derivative of the output along input tangent V."""
@@ -202,11 +194,7 @@ class Mlp:
             if layer > 0:
                 dZ = dA * d1s[layer - 1] + dS * d2s[layer - 1] * ts[layer - 1]
                 dT = dS * d1s[layer - 1]
-        grads = []
-        for dw, db in zip(dws, dbs):
-            grads.append(dw)
-            grads.append(db)
-        return grads
+        return [g for pair in zip(dws, dbs) for g in pair]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +242,52 @@ def _guard_nan(grads):
 DEFAULT_HIDDEN = (64, 32)
 
 
-class BidMultiplierNet:
+class _NormalizedNet:
+    """One-output Mlp over standardized inputs, with its checkpoint I/O.
+
+    The actor and the critic differ only in the inputs they take besides
+    the features, the output activation and the checkpoint kind tag.
+    """
+
+    KIND = EXTRA_INPUTS = OUTPUT = None  # set by each subclass
+
+    def __init__(self, feature_dim, hidden=DEFAULT_HIDDEN, rng=None):
+        self.feature_dim = feature_dim
+        self.input_dim = self.EXTRA_INPUTS + feature_dim
+        self.norm = Normalizer(self.input_dim)
+        self.net = Mlp([self.input_dim, *hidden, 1], hidden="tanh",
+                       output=self.OUTPUT, rng=rng)
+
+    def save(self, path):
+        if not self.norm.fitted:
+            raise UnfittedNormalizerError("refusing to save an unfitted model")
+        net, flat = self.net, self.net.get_flat()
+        with open(path, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<III", CHECKPOINT_VERSION, self.KIND,
+                                 len(net.sizes)))
+            fh.write(struct.pack(f"<{len(net.sizes)}I", *net.sizes))
+            fh.write(struct.pack("<II", _ACT_NAMES[net.hidden],
+                                 _ACT_NAMES[net.output]))
+            self.norm.mean.astype("<f8").tofile(fh)
+            self.norm.scale.astype("<f8").tofile(fh)
+            fh.write(struct.pack("<Q", flat.size))
+            flat.astype("<f8").tofile(fh)
+
+    @classmethod
+    def load(cls, path):
+        kind, sizes, hidden, output, mean, scale, flat = _load_checkpoint(path)
+        if kind != cls.KIND:
+            raise ValueError(f"{path}: checkpoint kind {kind} is not a "
+                             f"{cls.__name__}")
+        obj = cls(sizes[0] - cls.EXTRA_INPUTS, hidden=tuple(sizes[1:-1]))
+        obj.net = Mlp(sizes, hidden=hidden, output=output)
+        obj.net.set_flat(flat)
+        obj.norm.mean, obj.norm.scale = mean, scale
+        return obj
+
+
+class BidMultiplierNet(_NormalizedNet):
     """Actor pi(b, x) > 0: positive bid multiplier, rank score r = b * pi.
 
     Inputs are standardized with fitted statistics; the bid derivative is
@@ -262,12 +295,7 @@ class BidMultiplierNet:
     d pi / d (raw bid).
     """
 
-    def __init__(self, feature_dim, hidden=DEFAULT_HIDDEN, rng=None):
-        self.feature_dim = feature_dim
-        self.input_dim = 1 + feature_dim
-        self.norm = Normalizer(self.input_dim)
-        self.net = Mlp([self.input_dim, *hidden, 1], hidden="tanh",
-                       output="softplus", rng=rng)
+    KIND, EXTRA_INPUTS, OUTPUT = 1, 1, "softplus"  # input: bid, features
 
     def fit_normalizer(self, bids, feats):
         self.norm.fit(np.column_stack([bids, feats]))
@@ -291,42 +319,11 @@ class BidMultiplierNet:
         Ydot, jcache = self.net.jvp(cache, V)
         return Y[:, 0], Ydot[:, 0], (cache, jcache)
 
-    def mono_penalty(self, bids, feats):
-        """Hinge penalty sum(max(0, -(pi + b * dpi/db))) on r = b * pi."""
-        bids = np.asarray(bids, dtype=float).reshape(-1)
-        if bids.size == 0:
-            raise ValueError("empty batch")
-        pi, dpi_db, _ = self.forward_with_grad(bids, feats)
-        slope = pi + bids * dpi_db  # d r / d b for r = b * pi
-        return float(np.sum(np.maximum(0.0, -slope)))
 
-    def save(self, path):
-        _save_checkpoint(path, kind=1, sizes=self.net.sizes,
-                         hidden=self.net.hidden, output=self.net.output,
-                         norm=self.norm, flat=self.net.get_flat())
-
-    @classmethod
-    def load(cls, path):
-        kind, sizes, hidden, output, mean, scale, flat = _load_checkpoint(path)
-        if kind != 1:
-            raise ValueError(f"checkpoint kind {kind} is not an actor")
-        obj = cls(feature_dim=sizes[0] - 1, hidden=tuple(sizes[1:-1]))
-        obj.net = Mlp(sizes, hidden=hidden, output=output)
-        obj.net.set_flat(flat)
-        obj.norm.mean = mean
-        obj.norm.scale = scale
-        return obj
-
-
-class CriticNet:
+class CriticNet(_NormalizedNet):
     """Critic Q(s, a) over standardized (bid, features, action) input."""
 
-    def __init__(self, feature_dim, hidden=DEFAULT_HIDDEN, rng=None):
-        self.feature_dim = feature_dim
-        self.input_dim = 1 + feature_dim + 1
-        self.norm = Normalizer(self.input_dim)
-        self.net = Mlp([self.input_dim, *hidden, 1], hidden="tanh",
-                       output="identity", rng=rng)
+    KIND, EXTRA_INPUTS, OUTPUT = 2, 2, "identity"
 
     def fit_normalizer(self, states, actions):
         self.norm.fit(np.column_stack([states, actions]))
@@ -351,70 +348,57 @@ class CriticNet:
         grads, _ = self.net.backward(cache, dY)
         return loss, grads
 
-    def grad_action(self, states, actions):
-        """dQ / d raw action for each row."""
-        _, cache = self.net.forward(self._inputs(states, actions))
-        dY = np.ones((np.asarray(states).shape[0], 1))
-        _, dU = self.net.backward(cache, dY)
-        return dU[:, -1] / self.norm.scale[-1]
-
-    def save(self, path):
-        _save_checkpoint(path, kind=2, sizes=self.net.sizes,
-                         hidden=self.net.hidden, output=self.net.output,
-                         norm=self.norm, flat=self.net.get_flat())
-
-    @classmethod
-    def load(cls, path):
-        kind, sizes, hidden, output, mean, scale, flat = _load_checkpoint(path)
-        if kind != 2:
-            raise ValueError(f"checkpoint kind {kind} is not a critic")
-        obj = cls(feature_dim=sizes[0] - 2, hidden=tuple(sizes[1:-1]))
-        obj.net = Mlp(sizes, hidden=hidden, output=output)
-        obj.net.set_flat(flat)
-        obj.norm.mean = mean
-        obj.norm.scale = scale
-        return obj
+    def q_and_grad_action(self, states, actions):
+        """(Q, dQ / d raw action) for each row, from one forward pass."""
+        Y, cache = self.net.forward(self._inputs(states, actions))
+        _, dU = self.net.backward(cache, np.ones_like(Y))
+        return Y[:, 0], dU[:, -1] / self.norm.scale[-1]
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint I/O
-
-
-def _save_checkpoint(path, kind, sizes, hidden, output, norm, flat):
-    if not norm.fitted:
-        raise UnfittedNormalizerError("refusing to save an unfitted model")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<III", CHECKPOINT_VERSION, kind, len(sizes)))
-        fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        fh.write(struct.pack("<II", _ACT_NAMES[hidden], _ACT_NAMES[output]))
-        norm.mean.astype("<f8").tofile(fh)
-        norm.scale.astype("<f8").tofile(fh)
-        fh.write(struct.pack("<Q", flat.size))
-        flat.astype("<f8").tofile(fh)
+# Checkpoint reading
 
 
 def _load_checkpoint(path):
+    """(kind, sizes, hidden, output, mean, scale, flat) of a checkpoint.
+
+    Raises ValueError naming the file when it is not a well-formed one.
+    """
     with open(path, "rb") as fh:
+        data = fh.read()
+    pos = 0
 
-        def read(n_bytes):
-            data = fh.read(n_bytes)
-            if len(data) != n_bytes:
-                raise ValueError(f"{path}: truncated checkpoint")
-            return data
+    def read(n_bytes):
+        nonlocal pos
+        if n_bytes > len(data) - pos:
+            raise ValueError(f"{path}: truncated checkpoint")
+        pos += n_bytes
+        return data[pos - n_bytes:pos]
 
-        def floats(count):
-            return np.frombuffer(read(8 * count), dtype="<f8").astype(float)
+    def floats(count):
+        return np.frombuffer(read(8 * count), dtype="<f8").astype(float)
 
-        if read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a gsplab checkpoint")
-        version, kind, n_sizes = struct.unpack("<III", read(12))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        sizes = list(struct.unpack(f"<{n_sizes}I", read(4 * n_sizes)))
-        hid_id, out_id = struct.unpack("<II", read(8))
-        mean = floats(sizes[0])
-        scale = floats(sizes[0])
-        (n_params,) = struct.unpack("<Q", read(8))
-        flat = floats(n_params)
-    return kind, sizes, _ACT_BY_ID[hid_id], _ACT_BY_ID[out_id], mean, scale, flat
+    if read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a gsplab checkpoint")
+    version, kind, n_sizes = struct.unpack("<III", read(12))
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    if n_sizes < 2:
+        raise ValueError(f"{path}: {n_sizes} layer sizes, need at least 2")
+    sizes = list(struct.unpack(f"<{n_sizes}I", read(4 * n_sizes)))
+    act_ids = struct.unpack("<II", read(8))
+    if not set(act_ids) <= set(_ACT_BY_ID):
+        raise ValueError(f"{path}: unknown activation id in {act_ids}")
+    mean = floats(sizes[0])
+    scale = floats(sizes[0])
+    (n_params,) = struct.unpack("<Q", read(8))
+    flat = floats(n_params)
+    if pos != len(data):
+        raise ValueError(f"{path}: {len(data) - pos} trailing bytes after "
+                         f"the parameters")
+    if not (np.isfinite(np.concatenate([mean, scale, flat])).all()
+            and (scale > 0).all()):
+        raise ValueError(f"{path}: non-finite values or a normalizer scale "
+                         f"<= 0")
+    return (kind, sizes, *(_ACT_BY_ID[i] for i in act_ids), mean, scale,
+            flat)

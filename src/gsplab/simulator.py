@@ -189,7 +189,6 @@ class World:
         self.true_cvr = self.true_ctr * order_cond
         self.price = rng.lognormal(config.price_mu, config.price_sigma, size=n)
         self.value_mu = config.value_mu + config.value_mu_spread * rng.standard_normal(n)
-        self.ad_ids = [f"ad_{i:03d}" for i in range(n)]
         self.normalizers = np.ones(5)
         self._calibrate()
 

@@ -56,7 +56,6 @@ class TrainConfig:
     eval_rounds: int = 2000
     eval_every: int = 10
     spot_states: int = 50
-    warm_start: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -153,15 +152,12 @@ def pretrain_critic(experience, critic, lr=5e-3, max_epochs=300,
     perm = rng.permutation(m)
     n_val = max(1, int(val_frac * m))
     val, tr = perm[:n_val], perm[n_val:]
+    train_split = Experience(experience.states[tr], experience.actions[tr],
+                             experience.rewards[tr])
     opt = Adam(lr)
     best_val, best_flat, stale = np.inf, None, 0
     for _epoch in range(max_epochs):
-        loss, grads = critic.mse_and_grads(
-            experience.states[tr], experience.actions[tr],
-            experience.rewards[tr])
-        if not np.isfinite(loss):
-            raise FloatingPointError("critic pretraining diverged (NaN loss)")
-        opt.step(critic.net.params(), grads)
+        critic_update(train_split, critic, opt)
         val_pred = critic.q_batch(experience.states[val], experience.actions[val])
         val_loss = float(np.mean((val_pred - experience.rewards[val]) ** 2))
         if val_loss < best_val - 1e-12:
@@ -183,35 +179,44 @@ def critic_update(experience, critic, optimizer):
     return loss
 
 
+def actor_penalties(bids, pi, dpi_db, gamma_mono, kappa_price):
+    """The actor's regularizers and their derivatives in pi and dpi/db.
+
+    gamma * mean(max(0, -(pi + b * dpi/db))) is a hinge on the bid slope
+    of the rank score r = b * pi, which keeps r monotone in the bid;
+    kappa * mean((b * dpi/db / pi)^2) discourages bid-sensitive
+    multipliers, for which the division-based payment diverges from the
+    exact critical bid.  Returns (loss, dY, dYdot): the derivatives per
+    row, to which a caller adds its own term's before backward_jvp.
+    """
+    m = bids.size
+    if m == 0:
+        raise ValueError("empty batch")
+    hinge = np.maximum(0.0, -(pi + bids * dpi_db))
+    sens = bids * dpi_db / pi
+    loss = gamma_mono * np.mean(hinge) + kappa_price * np.mean(sens**2)
+    active = np.where(hinge > 0, gamma_mono / m, 0.0)
+    dY = -active - (2.0 * kappa_price / m) * sens**2 / pi
+    dYdot = -active * bids + (2.0 * kappa_price / m) * sens * bids / pi
+    return float(loss), dY, dYdot
+
+
 def actor_update(experience, actor, critic, gamma_mono, optimizer,
                  kappa_price=0.0):
-    """One step on mean(-Q(s, b * pi(s))) + gamma * mean mono hinge.
+    """One step on mean(-Q(s, b * pi(s))) plus the actor_penalties.
 
-    The gradient flows through the action into the (frozen) critic.  An
-    optional kappa * mean((b * dpi/db / pi)^2) term discourages
-    bid-sensitive multipliers, for which the division-based payment
-    diverges from the exact critical bid.
+    The gradient flows through the action into the (frozen) critic.
     """
     bids = experience.states[:, 0]
     feats = experience.states[:, 1:]
-    m = bids.size
     pi, dpi_db, (cache, jcache) = actor.forward_with_grad(bids, feats)
-    actions = bids * pi
-    q = critic.q_batch(experience.states, actions)
-    dq_da = critic.grad_action(experience.states, actions)
-    slope = pi + bids * dpi_db
-    active = slope < 0
-    sens = bids * dpi_db / pi
-    loss = float(np.mean(-q) + gamma_mono * np.mean(np.maximum(0.0, -slope))
-                 + kappa_price * np.mean(sens**2))
-    dY = (-dq_da * bids / m
-          + gamma_mono / m * np.where(active, -1.0, 0.0)
-          - kappa_price / m * 2.0 * sens * bids * dpi_db / pi**2)
-    dYdot = (gamma_mono / m * np.where(active, -bids, 0.0)
-             + kappa_price / m * 2.0 * sens * bids / pi)
+    q, dq_da = critic.q_and_grad_action(experience.states, bids * pi)
+    loss, dY, dYdot = actor_penalties(bids, pi, dpi_db, gamma_mono,
+                                      kappa_price)
+    dY -= dq_da * bids / bids.size
     grads = actor.net.backward_jvp(cache, jcache, dY[:, None], dYdot[:, None])
     optimizer.step(actor.net.params(), grads)
-    return loss
+    return loss - float(np.mean(q))
 
 
 def spot_monotonicity(actor, states):
@@ -256,15 +261,12 @@ def warm_start_actor(actor, world, config, rng, eval_seed, ubar):
     target = np.maximum(scores / np.maximum(bids, 1e-9), 1e-6)
     log_target = np.log(target)
     opt = Adam(1e-2)
-    m = bids.size
-    kappa = config.kappa_price
     for _step in range(1500):
         pi, dpi_db, (cache, jcache) = actor.forward_with_grad(bids, feats)
         pi = np.maximum(pi, 1e-12)
-        resid = np.log(pi) - log_target
-        sens = bids * dpi_db / pi
-        dY = (2.0 / m) * (resid / pi - kappa * sens * bids * dpi_db / pi**2)
-        dYdot = (2.0 / m) * kappa * sens * bids / pi
+        _, dY, dYdot = actor_penalties(bids, pi, dpi_db, 0.0,
+                                       config.kappa_price)
+        dY += (2.0 / bids.size) * (np.log(pi) - log_target) / pi
         grads = actor.net.backward_jvp(cache, jcache, dY[:, None],
                                        dYdot[:, None])
         opt.step(actor.net.params(), grads)
@@ -287,8 +289,7 @@ def train(world, config):
     norm_rounds = world.sample_rounds(200, rng_init)
     actor.fit_normalizer(norm_rounds.bids.reshape(-1),
                          norm_rounds.feats.reshape(-1, feature_dim))
-    if config.warm_start:
-        warm_start_actor(actor, world, config, rng_fit, eval_seed, ubar)
+    warm_start_actor(actor, world, config, rng_fit, eval_seed, ubar)
 
     critic = CriticNet(feature_dim, hidden=config.hidden, rng=rng_init)
     pre_cfg = replace(config, batch_rounds=config.pretrain_rounds)
@@ -304,6 +305,9 @@ def train(world, config):
              norm_rounds.feats[i % 200, i % world.n_advertisers])
             for i in range(config.spot_states)]
 
+    # the report's mono_loss is the mean hinge on these states
+    mono_states = pre_batch.states[:256]
+    mono_bids = mono_states[:, 0]
     report = []
     best = {"f": -np.inf, "flat": actor.net.get_flat()}
 
@@ -311,8 +315,8 @@ def train(world, config):
         metrics, f, f_pen = penalized_objective(
             world, DeepGspMechanism(actor), config, eval_seed, ubar)
         tm = spot_monotonicity(actor, spot)
-        mono_loss = actor.mono_penalty(pre_batch.states[:256, 0],
-                                       pre_batch.states[:256, 1:])
+        pi, dpi_db, _ = actor.forward_with_grad(mono_bids, mono_states[:, 1:])
+        mono_loss, _, _ = actor_penalties(mono_bids, pi, dpi_db, 1.0, 0.0)
         mean_pay = (metrics.rpm * world.normalizers[0] / 1000.0)
         report.append({"iter": iteration, "objective": f,
                        "penalized_objective": f_pen, "mono_loss": mono_loss,

@@ -45,6 +45,29 @@ def rel_err(got, want):
     return abs(got - want) / max(abs(want), 1e-12)
 
 
+class KeepGrads:
+    """An optimizer stand-in that records the gradient and leaves params."""
+
+    def step(self, params, grads):
+        self.grads = np.concatenate([g.ravel() for g in grads])
+
+
+def fd_param_grad(flatten_loss, flat, h=1e-5):
+    """Central finite differences of a loss of the flat parameter vector."""
+    grad = np.empty_like(flat)
+    for i in range(flat.size):
+        up, dn = flat.copy(), flat.copy()
+        up[i] += h
+        dn[i] -= h
+        grad[i] = (flatten_loss(up) - flatten_loss(dn)) / (2 * h)
+    return grad
+
+
+def grad_err(analytic, fd):
+    """Relative distance of an analytic gradient from finite differences."""
+    return np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-10)
+
+
 @pytest.fixture(scope="session")
 def small_world():
     return World(WorldConfig(seed=1))

@@ -293,7 +293,6 @@ _OUT_OF_RANGE = {
     ("train", "eval_rounds"): _INT_BELOW_1,
     ("train", "eval_every"): _INT_BELOW_1,
     ("train", "spot_states"): _INT_BELOW_1,
-    ("train", "warm_start"): st.nothing(),
     ("train", "seed"): _INT_BELOW_0,
 }
 _UNPARSABLE = st.sampled_from(["abc", "", "1,x", "50%", "1.5.2"])
@@ -417,13 +416,53 @@ def test_evaluate_trained_model(spec_file, trained_dir, tmp_path):
     assert (out / "metrics.csv").exists()
 
 
-def test_evaluate_missing_model_is_runtime_failure(spec_file, tmp_path,
-                                                   capsys):
+@pytest.mark.parametrize("flags, named", [
+    (["--sigma", "nan"], "--sigma"),
+    (["--sigma", "-1"], "--sigma"),
+    (["--sigma", "inf"], "--sigma"),
+    (["--mechanism", "ugsp", "--lambdas", "1,2"], "--lambdas"),
+    (["--mechanism", "ugsp", "--lambdas", "1,x,0"], "--lambdas"),
+    (["--mechanism", "ugsp", "--lambdas", "1,nan,0"], "--lambdas"),
+    (["--mechanism", "ugsp", "--lambdas", "1,0,inf"], "--lambdas"),
+    (["--mechanism", "ugsp", "--lambdas", "1,-0.5,0"], "--lambdas"),
+], ids=["sigma-nan", "sigma-negative", "sigma-inf", "lambdas-two",
+        "lambdas-unparsable", "lambdas-nan", "lambdas-inf", "lambdas-negative"])
+def test_bad_mechanism_flag_is_validation_error(spec_file, tmp_path, capsys,
+                                                flags, named):
+    out = tmp_path / "eval"
     code = cli.main(["evaluate", "--config", str(spec_file),
-                     "--out", str(tmp_path / "eval"),
-                     "--model", str(tmp_path / "missing.ckpt")])
-    assert code == 2
-    assert "runtime failure" in capsys.readouterr().err
+                     "--out", str(out), *flags])
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _bad_model(kind, trained_dir, tmp_path):
+    """A --model path that is not an actor checkpoint."""
+    path = tmp_path / f"{kind}.ckpt"
+    if kind == "foreign":
+        path.write_text("[world]\nseed = 1\n")
+    elif kind == "truncated":
+        path.write_bytes((trained_dir / "actor.ckpt").read_bytes()[:-5])
+    elif kind == "critic":
+        return trained_dir / "critic.ckpt"
+    elif kind == "directory":
+        path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize("command", ["evaluate", "audit"])
+@pytest.mark.parametrize("kind", ["missing", "foreign", "truncated", "critic",
+                                  "directory"])
+def test_bad_model_is_validation_error(spec_file, trained_dir, tmp_path,
+                                       capsys, command, kind):
+    model = _bad_model(kind, trained_dir, tmp_path)
+    code = cli.main([command, "--config", str(spec_file),
+                     "--out", str(tmp_path / "out"), "--model", str(model)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "validation error: bad --model" in err and str(model) in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

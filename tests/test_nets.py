@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from gsplab.nets import (
     UnfittedNormalizerError,
     _softplus,
 )
-from gsplab.trainer import Experience, actor_update
+from gsplab.trainer import actor_penalties
 
-from conftest import rel_err
+from conftest import fd_param_grad, grad_err, rel_err
 
 FEAT = 3  # small feature dimension for speed
 
@@ -40,16 +42,6 @@ def _pi(actor, b, x):
 
 def _dpi_db(actor, b, x):
     return float(actor.forward_with_grad([b], [x])[1][0])
-
-
-def _fd_param_grad(flatten_loss, flat, h=1e-5):
-    grad = np.empty_like(flat)
-    for i in range(flat.size):
-        up, dn = flat.copy(), flat.copy()
-        up[i] += h
-        dn[i] -= h
-        grad[i] = (flatten_loss(up) - flatten_loss(dn)) / (2 * h)
-    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +136,7 @@ def test_actor_param_gradient_matches_finite_differences():
         _, cache = actor.net.forward(U)
         grads, _ = actor.net.backward(cache, w[:, None])
         analytic = np.concatenate([g.ravel() for g in grads])
-        fd = _fd_param_grad(loss, flat0)
+        fd = fd_param_grad(loss, flat0)
         actor.net.set_flat(flat0)
         denom = max(np.linalg.norm(fd), 1e-10)
         assert np.linalg.norm(analytic - fd) / denom <= 1e-4
@@ -170,7 +162,7 @@ def test_backward_jvp_matches_finite_differences():
         grads = actor.net.backward_jvp(cache, jcache, a[:, None],
                                        (2 * c * dpi)[:, None])
         analytic = np.concatenate([g.ravel() for g in grads])
-        fd = _fd_param_grad(loss, flat0)
+        fd = fd_param_grad(loss, flat0)
         actor.net.set_flat(flat0)
         assert np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-10) <= 1e-4
 
@@ -191,7 +183,7 @@ def test_critic_param_gradient_matches_finite_differences():
     flat0 = critic.net.get_flat()
     _, grads = critic.mse_and_grads(states, actions, targets)
     analytic = np.concatenate([g.ravel() for g in grads])
-    fd = _fd_param_grad(loss, flat0)
+    fd = fd_param_grad(loss, flat0)
     critic.net.set_flat(flat0)
     assert np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-10) <= 1e-4
 
@@ -205,20 +197,28 @@ def test_critic_action_gradient_matches_finite_differences():
     h = 1e-5
     fd = (critic.q_batch(states, actions + h)
           - critic.q_batch(states, actions - h)) / (2 * h)
-    analytic = critic.grad_action(states, actions)
+    q, analytic = critic.q_and_grad_action(states, actions)
     assert np.allclose(analytic, fd, rtol=1e-4, atol=1e-8)
+    assert np.array_equal(q, critic.q_batch(states, actions))
 
 
 # ---------------------------------------------------------------------------
-# Monotonicity penalty
+# Actor penalties: monotonicity hinge and price sensitivity
+
+
+def _penalties(actor, bids, feats, gamma=1.0, kappa=0.0):
+    pi, dpi_db, _ = actor.forward_with_grad(bids, feats)
+    return actor_penalties(bids, pi, dpi_db, gamma, kappa)
 
 
 def test_mono_penalty_zero_for_constant_actor():
     actor = _identity_norm(BidMultiplierNet(FEAT, hidden=(4,)))
     actor.net.weights[-1][:] = 0.0
     actor.net.biases[-1][:] = 0.5
-    loss = actor.mono_penalty(np.array([1.0, 2.0, 3.0]), np.zeros((3, FEAT)))
+    loss, dY, dYdot = _penalties(actor, np.array([1.0, 2.0, 3.0]),
+                                 np.zeros((3, FEAT)), kappa=0.7)
     assert loss == 0.0
+    assert not dY.any() and not dYdot.any()
 
 
 def _slope(actor, b):
@@ -229,7 +229,7 @@ def _slope(actor, b):
 def test_mono_penalty_hinge_arithmetic():
     # engineer a decreasing single-layer actor, then bisect for the bid
     # where d(b*pi)/db = -0.5; a batch with that point plus two safe ones
-    # must score exactly 0.5
+    # must score a mean hinge of exactly 0.5 / 3
     actor = _identity_norm(BidMultiplierNet(FEAT, hidden=()))
     actor.net.weights[0][0, :] = 0.0
     actor.net.weights[0][0, 0] = -12.0
@@ -246,20 +246,17 @@ def test_mono_penalty_hinge_arithmetic():
     b_star = 0.5 * (lo + hi)
     batch = np.array([0.0, 1e-3, b_star])
     assert _slope(actor, 1e-3) > 0
-    loss = actor.mono_penalty(batch, np.zeros((3, FEAT)))
-    assert loss == pytest.approx(0.5, abs=1e-9)
-
-
-class _KeepGrads:
-    """An optimizer stand-in that records the gradient and leaves params."""
-
-    def step(self, params, grads):
-        self.grads = grads
+    loss, _, _ = _penalties(actor, batch, np.zeros((3, FEAT)))
+    assert loss == pytest.approx(0.5 / 3, abs=1e-9)
+    # the sensitivity term alone: kappa * mean((b * dpi/db / pi)^2)
+    pi, dpi_db, _ = actor.forward_with_grad(batch, np.zeros((3, FEAT)))
+    loss, _, _ = _penalties(actor, batch, np.zeros((3, FEAT)), 0.0, 0.4)
+    assert loss == pytest.approx(0.4 * np.mean((batch * dpi_db / pi) ** 2))
 
 
 def test_mono_penalty_gradient_matches_finite_differences():
-    # the penalty's θ-gradient is the one actor_update applies: with a
-    # zero critic and gamma = batch size, its gradient is d(sum hinge)/dθ
+    # actor_penalties' dY/dYdot, taken through backward_jvp, must be the
+    # parameter gradient of the loss it returns
     rng = np.random.default_rng(6)
     actor = _identity_norm(BidMultiplierNet(FEAT, hidden=(4,)))
     # steer the net into a regime with active hinges
@@ -268,31 +265,29 @@ def test_mono_penalty_gradient_matches_finite_differences():
     actor.net.biases[-1][:] = 1.0
     bids = np.linspace(0.2, 1.5, 6)
     feats = rng.uniform(0, 1, (6, FEAT))
-    assert actor.mono_penalty(bids, feats) > 0
-
-    critic = _identity_norm(CriticNet(FEAT, hidden=(3,)))
-    critic.net.weights[-1][:] = 0.0
-    critic.net.biases[-1][:] = 0.0
-    states = np.column_stack([bids, feats])
-    batch = Experience(states=states, actions=np.zeros(6), rewards=np.zeros(6))
-    keep = _KeepGrads()
-    actor_update(batch, actor, critic, float(bids.size), keep)
-
-    def loss(flat):
-        actor.net.set_flat(flat)
-        return actor.mono_penalty(bids, feats)
-
+    assert _penalties(actor, bids, feats)[0] > 0
     flat0 = actor.net.get_flat()
-    analytic = np.concatenate([g.ravel() for g in keep.grads])
-    fd = _fd_param_grad(loss, flat0)
-    actor.net.set_flat(flat0)
-    assert np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-10) <= 1e-3
+
+    for gamma, kappa in ((1.0, 0.0), (0.0, 0.5), (2.0, 0.3)):
+        pi, dpi_db, (cache, jcache) = actor.forward_with_grad(bids, feats)
+        _, dY, dYdot = actor_penalties(bids, pi, dpi_db, gamma, kappa)
+        grads = actor.net.backward_jvp(cache, jcache, dY[:, None],
+                                       dYdot[:, None])
+        analytic = np.concatenate([g.ravel() for g in grads])
+
+        def loss(flat):
+            actor.net.set_flat(flat)
+            return _penalties(actor, bids, feats, gamma, kappa)[0]
+
+        fd = fd_param_grad(loss, flat0)
+        actor.net.set_flat(flat0)
+        assert grad_err(analytic, fd) <= 1e-3, (gamma, kappa)
 
 
 def test_mono_penalty_empty_batch_rejected():
-    actor = _identity_norm(BidMultiplierNet(FEAT, hidden=(4,)))
+    empty = np.array([])
     with pytest.raises(ValueError):
-        actor.mono_penalty(np.array([]), np.zeros((0, FEAT)))
+        actor_penalties(empty, empty, empty, 1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +363,59 @@ def test_checkpoint_kind_mismatch(tmp_path):
     actor = _random_actor(rng)
     path = tmp_path / "actor.ckpt"
     actor.save(path)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a CriticNet") as info:
         CriticNet.load(path)
+    assert str(path) in str(info.value)
+    critic = CriticNet(FEAT, hidden=(4,), rng=rng)
+    critic.fit_normalizer(rng.uniform(0, 1, (8, FEAT + 1)), np.arange(8.0))
+    critic.save(path)
+    with pytest.raises(ValueError, match="not a BidMultiplierNet"):
+        BidMultiplierNet.load(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("version", 2, "version 2"),
+    ("n_sizes", 0, "0 layer sizes"),
+    ("hidden_act", 7, "unknown activation id"),
+    ("output_act", 7, "unknown activation id"),
+    ("n_params", 2**61, "truncated"),   # far beyond the file's length
+    ("trailing", b"\0" * 8, "8 trailing bytes"),
+    ("trailing", b"x", "1 trailing bytes"),
+    ("scale", struct.pack("<d", 0.0), "normalizer scale <= 0"),
+    ("scale", struct.pack("<d", np.nan), "non-finite values"),
+    ("mean", struct.pack("<d", np.inf), "non-finite values"),
+    ("last_param", struct.pack("<d", np.nan), "non-finite values"),
+], ids=["version", "no-layers", "hidden-act", "output-act", "huge-count",
+        "trailing-double", "trailing-byte", "zero-scale", "nan-scale",
+        "inf-mean", "nan-param"])
+def test_malformed_checkpoint_names_file(tmp_path, field, value, message):
+    actor = _random_actor(np.random.default_rng(12), hidden=(4,))
+    path = tmp_path / "actor.ckpt"
+    actor.save(path)
+    data = bytearray(path.read_bytes())
+    magic, n_sizes = len(CHECKPOINT_MAGIC), len(actor.net.sizes)
+    params_start = len(data) - 8 * actor.net.get_flat().size
+    mean_start = magic + 20 + 4 * n_sizes
+    # (offset, width) of each field; a float field takes packed bytes
+    where = {"version": (magic, 4), "n_sizes": (magic + 8, 4),
+             "hidden_act": (magic + 12 + 4 * n_sizes, 4),
+             "output_act": (magic + 16 + 4 * n_sizes, 4),
+             "mean": (mean_start, 8),
+             "scale": (mean_start + 8 * actor.input_dim, 8),
+             "n_params": (params_start - 8, 8),
+             "last_param": (len(data) - 8, 8)}
+    if field == "trailing":
+        data += value
+    else:
+        offset, width = where[field]
+        if isinstance(value, int):
+            value = value.to_bytes(width, "little")
+        data[offset:offset + width] = value
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=message) as info:
+        BidMultiplierNet.load(bad)
+    assert str(bad) in str(info.value)
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -1,11 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
+from gsplab import trainer
 from gsplab.auction import FEATURE_DIM, DeepGspMechanism
 from gsplab.nets import Adam, BidMultiplierNet, CriticNet
-from gsplab.simulator import World, WorldConfig
+from gsplab.simulator import World, WorldConfig, scalarize
 from gsplab.trainer import (
     Experience,
     TrainConfig,
@@ -16,7 +15,10 @@ from gsplab.trainer import (
     spot_monotonicity,
     train,
     transition_penalty,
+    warm_start_actor,
 )
+
+from conftest import KeepGrads, fd_param_grad, grad_err
 
 TINY = dict(batch_rounds=10, pretrain_rounds=20, pretrain_epochs=20,
             train_iters=3, benchmark_rounds=50, eval_rounds=50,
@@ -82,8 +84,8 @@ def test_train_config_validation():
 # Experience collection
 
 
-def _fresh_actor(world, seed=0):
-    actor = BidMultiplierNet(FEATURE_DIM, hidden=(8, 4),
+def _fresh_actor(world, seed=0, hidden=(8, 4)):
+    actor = BidMultiplierNet(FEATURE_DIM, hidden=hidden,
                              rng=np.random.default_rng(seed))
     rounds = world.sample_rounds(50, np.random.default_rng(seed))
     actor.fit_normalizer(rounds.bids.reshape(-1),
@@ -173,6 +175,19 @@ def test_pretrain_linear_reward():
     assert val <= 1e-3
 
 
+def test_pretrain_nan_reward_raises():
+    # the optimizer's NaN guard aborts the first step
+    rng = np.random.default_rng(6)
+    exp = _synthetic_experience(rng, m=32)
+    exp.rewards[5] = np.nan
+    critic = CriticNet(FEATURE_DIM, hidden=(4,), rng=rng)
+    critic.fit_normalizer(exp.states, exp.actions)
+    flat0 = critic.net.get_flat()
+    with pytest.raises(FloatingPointError):
+        pretrain_critic(exp, critic, rng=rng)
+    assert np.array_equal(critic.net.get_flat(), flat0)
+
+
 def test_pretrain_empty_log_rejected():
     critic = CriticNet(FEATURE_DIM, hidden=(4,))
     empty = Experience(states=np.zeros((0, 1 + FEATURE_DIM)),
@@ -208,6 +223,8 @@ def _actor_critic_pair(rng):
 
 
 def test_actor_update_gradient_matches_finite_differences():
+    # the gradient actor_update hands to its optimizer against finite
+    # differences of the loss it descends, written out here
     rng = np.random.default_rng(3)
     actor, critic, exp = _actor_critic_pair(rng)
     bids = exp.states[:, 0]
@@ -222,35 +239,46 @@ def test_actor_update_gradient_matches_finite_differences():
         return float(np.mean(-q) + gamma * np.mean(np.maximum(0.0, -slope))
                      + kappa * np.mean(sens**2))
 
+    flat0 = actor.net.get_flat()
     for gamma, kappa in ((0.0, 0.0), (2.0, 0.0), (0.0, 0.5), (1.0, 0.3)):
-        flat0 = actor.net.get_flat()
-        frozen = actor.net.get_flat()
-        actor_update(exp, actor, critic, gamma, Adam(0.0), kappa)
-        actor.net.set_flat(frozen)
-        # recompute the analytic gradient explicitly for the check
-        pi, dpi, (cache, jcache) = actor.forward_with_grad(bids, feats)
-        m = bids.size
-        dq_da = critic.grad_action(exp.states, bids * pi)
-        slope = pi + bids * dpi
-        active = slope < 0
-        sens = bids * dpi / pi
-        dY = (-dq_da * bids / m + gamma / m * np.where(active, -1.0, 0.0)
-              - kappa / m * 2.0 * sens * bids * dpi / pi**2)
-        dYdot = (gamma / m * np.where(active, -bids, 0.0)
-                 + kappa / m * 2.0 * sens * bids / pi)
-        grads = actor.net.backward_jvp(cache, jcache, dY[:, None],
-                                       dYdot[:, None])
-        analytic = np.concatenate([g.ravel() for g in grads])
-        h = 1e-5
-        fd = np.empty_like(flat0)
-        for i in range(flat0.size):
-            up, dn = flat0.copy(), flat0.copy()
-            up[i] += h
-            dn[i] -= h
-            fd[i] = (loss(up, gamma, kappa) - loss(dn, gamma, kappa)) / (2 * h)
+        keep = KeepGrads()
+        returned = actor_update(exp, actor, critic, gamma, keep, kappa)
+        assert returned == pytest.approx(loss(flat0, gamma, kappa))
+        fd = fd_param_grad(lambda f: loss(f, gamma, kappa), flat0)
         actor.net.set_flat(flat0)
-        err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-10)
+        err = grad_err(keep.grads, fd)
         assert err <= 1e-3, (gamma, kappa, err)
+
+
+def test_warm_start_gradient_matches_finite_differences(train_world,
+                                                        monkeypatch):
+    # one warm-start step: log-imitation of the best baseline's multiplier
+    # plus the kappa term, against finite differences of that loss
+    keep = KeepGrads()
+    monkeypatch.setattr(trainer, "Adam", lambda lr: keep)
+    actor = _fresh_actor(train_world, hidden=(5,))
+    cfg = TrainConfig(kappa_price=0.4, eval_rounds=50)
+    ubar = np.zeros(train_world.n_advertisers)
+    best, _ = warm_start_actor(actor, train_world, cfg,
+                               np.random.default_rng(9), 11, ubar)
+    # the stand-in never moves the parameters, so every step's gradient
+    # is the first one
+    rounds = train_world.sample_rounds(40, np.random.default_rng(9))
+    bids = rounds.bids.reshape(-1)
+    feats = rounds.feats.reshape(-1, FEATURE_DIM)
+    scores, _, _ = best.score_batch(bids, feats)
+    log_target = np.log(np.maximum(scores / np.maximum(bids, 1e-9), 1e-6))
+
+    def loss(flat):
+        actor.net.set_flat(flat)
+        pi, dpi, _ = actor.forward_with_grad(bids, feats)
+        return float(np.mean((np.log(pi) - log_target) ** 2)
+                     + 0.4 * np.mean((bids * dpi / pi) ** 2))
+
+    flat0 = actor.net.get_flat()
+    fd = fd_param_grad(loss, flat0)
+    actor.net.set_flat(flat0)
+    assert grad_err(keep.grads, fd) <= 1e-3
 
 
 def test_actor_update_descends_on_fixed_batch():
@@ -298,17 +326,29 @@ def test_spot_monotonicity_degenerate_states_fall_back_to_one(train_world):
 # Full training loop
 
 
-def test_zero_iters_returns_initialized_actor(train_world):
-    cfg = TrainConfig(train_iters=0, warm_start=False, **{
+def test_zero_iters_returns_initialized_actor(train_world, monkeypatch):
+    # with no RL iterations train returns the actor as initialization and
+    # the warm start left it
+    seen = {}
+
+    def recording_warm_start(actor, *args):
+        seen["init"] = actor.net.get_flat()
+        out = warm_start_actor(actor, *args)
+        seen["warm"] = actor.net.get_flat()
+        return out
+
+    monkeypatch.setattr(trainer, "warm_start_actor", recording_warm_start)
+    cfg = TrainConfig(train_iters=0, **{
         k: v for k, v in TINY.items() if k != "train_iters"})
     result = train(train_world, cfg)
-    # rebuild the same initialization path and compare parameters
+    # rebuild the random-init actor directly and compare parameters
     ss = np.random.SeedSequence((train_world.config.seed, cfg.seed, 0x7EA1))
     rng_init = np.random.default_rng(ss.spawn(5)[0])
     expected = BidMultiplierNet(FEATURE_DIM, hidden=cfg.hidden, rng=rng_init)
-    assert np.array_equal(result.actor.net.get_flat(),
-                          expected.net.get_flat())
+    assert np.array_equal(seen["init"], expected.net.get_flat())
+    assert np.array_equal(result.actor.net.get_flat(), seen["warm"])
     assert len(result.report) == 1
+    assert result.final_objective == result.report[0]["objective"]
 
 
 def test_training_reproducible(train_world):
@@ -326,9 +366,14 @@ def test_training_beats_random_init(train_world):
                       benchmark_rounds=200, eval_rounds=300, eval_every=5,
                       hidden=(16, 8))
     result = train(train_world, cfg)
-    random_cfg = dataclasses.replace(cfg, train_iters=0, warm_start=False)
-    random_result = train(train_world, random_cfg)
-    assert result.final_objective >= random_result.final_objective
+    random_init = _fresh_actor(train_world, hidden=cfg.hidden)
+
+    def objective(actor):
+        metrics, _ = train_world.evaluate(DeepGspMechanism(actor),
+                                          cfg.eval_rounds, 77)
+        return scalarize(metrics, cfg.weights)
+
+    assert objective(result.actor) >= objective(random_init)
 
 
 def test_report_has_selection_trace(train_world):
