@@ -119,7 +119,7 @@ def allocate_batch(scores, bids):
     """Per-row allocation order for (R, N) score and bid arrays.
 
     Returns an (R, N) array of candidate indices, best first.  Ties break
-    by higher bid then lower index (lexicographic over zero-padded ids).
+    by higher bid, then by lower column index.
     """
     idx = np.broadcast_to(np.arange(scores.shape[-1]), scores.shape)
     return np.lexsort((idx, -bids, -scores))

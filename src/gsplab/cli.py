@@ -96,7 +96,7 @@ class SweepConfig:
 
 
 def _load_spec(path, seed_override=None):
-    """(WorldConfig, TrainConfig, SweepConfig, raw parser) from one file.
+    """(WorldConfig, TrainConfig, SweepConfig) from one experiment file.
 
     A missing [sweep] section gives the SweepConfig defaults.
     ``seed_override``, when given, replaces both seeds of the file.
@@ -125,7 +125,7 @@ def _load_spec(path, seed_override=None):
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad [{name}] section: {exc}") from exc
         configs.append(cfg)
-    return (*configs, parser)
+    return tuple(configs)
 
 
 def _build_world(world_cfg):
@@ -263,7 +263,7 @@ def cmd_gen_world(args):
 
 
 def cmd_train(args):
-    world_cfg, train_cfg, _, _ = _load_spec(args.config, args.seed)
+    world_cfg, train_cfg, _ = _load_spec(args.config, args.seed)
     out = _out_dir(args)
     _echo_config("train", world_cfg, train_cfg, {"seed": train_cfg.seed})
     world = _build_world(world_cfg)
@@ -286,19 +286,22 @@ def _load_actor(path):
 
 
 def _mechanism_from_args(args):
+    """The evaluated mechanism; an unused --sigma/--lambdas is checked too."""
+    try:
+        gsp = GspMechanism(sigma=args.sigma)
+    except ValueError as exc:
+        raise ValidationError(f"bad --sigma: {exc}") from exc
+    try:
+        ugsp = UgspMechanism(tuple(float(x) for x in args.lambdas.split(",")))
+    except ValueError as exc:
+        raise ValidationError(f"bad --lambdas: {exc}") from exc
     if args.model:
         return DeepGspMechanism(_load_actor(args.model))
-    try:
-        if args.mechanism == "gsp":
-            return GspMechanism(sigma=args.sigma)
-        return UgspMechanism(tuple(float(x) for x in args.lambdas.split(",")))
-    except ValueError as exc:
-        flag = "--sigma" if args.mechanism == "gsp" else "--lambdas"
-        raise ValidationError(f"bad {flag}: {exc}") from exc
+    return gsp if args.mechanism == "gsp" else ugsp
 
 
 def cmd_evaluate(args):
-    world_cfg, train_cfg, _, _ = _load_spec(args.config, args.seed)
+    world_cfg, train_cfg, _ = _load_spec(args.config, args.seed)
     mech = _mechanism_from_args(args)
     out = _out_dir(args)
     _echo_config("evaluate", world_cfg, train_cfg,
@@ -349,7 +352,7 @@ def _run_sweep(args, out, world_cfg, named_cfgs, eval_seed, n_eval):
 
 
 def cmd_pareto(args):
-    world_cfg, base_train, sweep, parser = _load_spec(args.config, args.seed)
+    world_cfg, base_train, sweep = _load_spec(args.config, args.seed)
     out = _out_dir(args)
     metric_name = sweep.trade_metric
     mi = _METRIC_INDEX[metric_name]
@@ -364,12 +367,8 @@ def cmd_pareto(args):
         weights = [0.0] * 5
         weights[0] = lam
         weights[mi] = 1.0 - lam
-        cfg = dataclasses.replace(base_train, weights=tuple(weights))
-        if "kappa_price" not in parser["train"]:
-            # sweep points at the frontier edges need bid-sensitive
-            # multipliers, which the pricing regularizer forbids
-            cfg = dataclasses.replace(cfg, kappa_price=0.0)
-        named_cfgs.append((f"lambda_{lam}", cfg))
+        named_cfgs.append((f"lambda_{lam}", dataclasses.replace(
+            base_train, weights=tuple(weights))))
     results = _run_sweep(args, out, world_cfg, named_cfgs, eval_seed, n_eval)
     deep_points = [(lam, m.as_vector())
                    for lam, (m, _) in zip(sweep.lambda_grid, results)]
@@ -412,7 +411,7 @@ def cmd_pareto(args):
 
 
 def cmd_transition(args):
-    world_cfg, base_train, sweep, _ = _load_spec(args.config, args.seed)
+    world_cfg, base_train, sweep = _load_spec(args.config, args.seed)
     out = _out_dir(args)
     n_eval = sweep.compare_rounds
     _echo_config("transition", world_cfg, base_train,
@@ -447,7 +446,7 @@ def cmd_transition(args):
 
 
 def cmd_audit(args):
-    world_cfg, train_cfg, _, _ = _load_spec(args.config, args.seed)
+    world_cfg, train_cfg, _ = _load_spec(args.config, args.seed)
     actor = _load_actor(args.model)
     out = _out_dir(args)
     _echo_config("audit", world_cfg, train_cfg,

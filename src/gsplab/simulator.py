@@ -340,8 +340,6 @@ def config_from_section(cls, section):
         try:
             if isinstance(default, tuple):
                 kwargs[name] = tuple(type(default[0])(x) for x in raw.split(","))
-            elif isinstance(default, bool):
-                kwargs[name] = section.getboolean(name)
             else:
                 kwargs[name] = type(default)(raw)
         except ValueError as exc:

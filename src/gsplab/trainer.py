@@ -2,8 +2,10 @@
 
 The problem is a one-shot decision per auction: the critic regresses the
 observed shaped reward directly (no bootstrapping, no target network),
-and the actor ascends the critic through the action with a hinge penalty
-keeping the rank score monotone in the bid.
+and the actor ascends the critic through the action.  Two penalties, the
+same in every training, regularize it: a hinge keeping the rank score
+monotone in the bid, and a bid-sensitivity term (weight KAPPA_PRICE)
+keeping the division-based payment near the exact critical bid.
 
 Rewards mix a global round objective F (scalarized normalized metrics,
 shared by every candidate in the round) with a per-advertiser smooth
@@ -29,6 +31,10 @@ from gsplab.audit import monotonicity_metric
 from gsplab.nets import Adam, BidMultiplierNet, CriticNet
 from gsplab.simulator import check_bounds, raw_metrics, scalarize
 
+# weight of the bid-sensitivity penalty in actor_penalties, for the actor
+# update and the warm start alike
+KAPPA_PRICE = 0.5
+
 
 @dataclass
 class TrainConfig:
@@ -36,10 +42,6 @@ class TrainConfig:
     eps: float = 1.0          # smooth-transition tolerance
     eta: float = 10.0         # smooth-transition penalty coefficient
     gamma_mono: float = 2.0   # monotonicity penalty coefficient
-    # penalty on the relative bid-sensitivity (b * dpi/db / pi)^2 of the
-    # multiplier; keeps the division-based payment close to the exact
-    # critical bid (0 disables)
-    kappa_price: float = 0.5
     noise_std: float = 0.25
     noise_decay: float = 0.985
     noise_floor: float = 0.02
@@ -67,7 +69,7 @@ class TrainConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         check_bounds(self, 0.0, "eta", "actor_lr", "critic_lr", strict=True)
-        check_bounds(self, 0.0, "gamma_mono", "kappa_price", "noise_std",
+        check_bounds(self, 0.0, "gamma_mono", "noise_std",
                      "noise_floor", "critic_steps", "actor_steps",
                      "pretrain_epochs", "train_iters", "seed")
         check_bounds(self, 1, "batch_rounds", "pretrain_rounds",
@@ -201,8 +203,7 @@ def actor_penalties(bids, pi, dpi_db, gamma_mono, kappa_price):
     return float(loss), dY, dYdot
 
 
-def actor_update(experience, actor, critic, gamma_mono, optimizer,
-                 kappa_price=0.0):
+def actor_update(experience, actor, critic, gamma_mono, optimizer):
     """One step on mean(-Q(s, b * pi(s))) plus the actor_penalties.
 
     The gradient flows through the action into the (frozen) critic.
@@ -212,7 +213,7 @@ def actor_update(experience, actor, critic, gamma_mono, optimizer,
     pi, dpi_db, (cache, jcache) = actor.forward_with_grad(bids, feats)
     q, dq_da = critic.q_and_grad_action(experience.states, bids * pi)
     loss, dY, dYdot = actor_penalties(bids, pi, dpi_db, gamma_mono,
-                                      kappa_price)
+                                      KAPPA_PRICE)
     dY -= dq_da * bids / bids.size
     grads = actor.net.backward_jvp(cache, jcache, dY[:, None], dYdot[:, None])
     optimizer.step(actor.net.params(), grads)
@@ -264,8 +265,7 @@ def warm_start_actor(actor, world, config, rng, eval_seed, ubar):
     for _step in range(1500):
         pi, dpi_db, (cache, jcache) = actor.forward_with_grad(bids, feats)
         pi = np.maximum(pi, 1e-12)
-        _, dY, dYdot = actor_penalties(bids, pi, dpi_db, 0.0,
-                                       config.kappa_price)
+        _, dY, dYdot = actor_penalties(bids, pi, dpi_db, 0.0, KAPPA_PRICE)
         dY += (2.0 / bids.size) * (np.log(pi) - log_target) / pi
         grads = actor.net.backward_jvp(cache, jcache, dY[:, None],
                                        dYdot[:, None])
@@ -335,8 +335,7 @@ def train(world, config):
         for _ in range(config.critic_steps):
             critic_update(batch, critic, critic_opt)
         for _ in range(config.actor_steps):
-            actor_update(batch, actor, critic, config.gamma_mono, actor_opt,
-                         config.kappa_price)
+            actor_update(batch, actor, critic, config.gamma_mono, actor_opt)
         noise_std = max(config.noise_floor, noise_std * config.noise_decay)
         if it % config.eval_every == 0 or it == config.train_iters:
             evaluate(it, noise_std)

@@ -6,6 +6,7 @@ from gsplab.auction import FEATURE_DIM, DeepGspMechanism
 from gsplab.nets import Adam, BidMultiplierNet, CriticNet
 from gsplab.simulator import World, WorldConfig, scalarize
 from gsplab.trainer import (
+    KAPPA_PRICE,
     Experience,
     TrainConfig,
     actor_update,
@@ -224,40 +225,41 @@ def _actor_critic_pair(rng):
 
 def test_actor_update_gradient_matches_finite_differences():
     # the gradient actor_update hands to its optimizer against finite
-    # differences of the loss it descends, written out here
+    # differences of the loss it descends, written out here; the kappa
+    # term always carries KAPPA_PRICE
     rng = np.random.default_rng(3)
     actor, critic, exp = _actor_critic_pair(rng)
     bids = exp.states[:, 0]
     feats = exp.states[:, 1:]
 
-    def loss(flat, gamma=0.0, kappa=0.0):
+    def loss(flat, gamma):
         actor.net.set_flat(flat)
         pi, dpi, _ = actor.forward_with_grad(bids, feats)
         q = critic.q_batch(exp.states, bids * pi)
         slope = pi + bids * dpi
         sens = bids * dpi / pi
         return float(np.mean(-q) + gamma * np.mean(np.maximum(0.0, -slope))
-                     + kappa * np.mean(sens**2))
+                     + KAPPA_PRICE * np.mean(sens**2))
 
     flat0 = actor.net.get_flat()
-    for gamma, kappa in ((0.0, 0.0), (2.0, 0.0), (0.0, 0.5), (1.0, 0.3)):
+    for gamma in (0.0, 1.0, 2.0):
         keep = KeepGrads()
-        returned = actor_update(exp, actor, critic, gamma, keep, kappa)
-        assert returned == pytest.approx(loss(flat0, gamma, kappa))
-        fd = fd_param_grad(lambda f: loss(f, gamma, kappa), flat0)
+        returned = actor_update(exp, actor, critic, gamma, keep)
+        assert returned == pytest.approx(loss(flat0, gamma))
+        fd = fd_param_grad(lambda f: loss(f, gamma), flat0)
         actor.net.set_flat(flat0)
         err = grad_err(keep.grads, fd)
-        assert err <= 1e-3, (gamma, kappa, err)
+        assert err <= 1e-3, (gamma, err)
 
 
 def test_warm_start_gradient_matches_finite_differences(train_world,
                                                         monkeypatch):
     # one warm-start step: log-imitation of the best baseline's multiplier
-    # plus the kappa term, against finite differences of that loss
+    # plus the KAPPA_PRICE term, against finite differences of that loss
     keep = KeepGrads()
     monkeypatch.setattr(trainer, "Adam", lambda lr: keep)
     actor = _fresh_actor(train_world, hidden=(5,))
-    cfg = TrainConfig(kappa_price=0.4, eval_rounds=50)
+    cfg = TrainConfig(eval_rounds=50)
     ubar = np.zeros(train_world.n_advertisers)
     best, _ = warm_start_actor(actor, train_world, cfg,
                                np.random.default_rng(9), 11, ubar)
@@ -273,7 +275,7 @@ def test_warm_start_gradient_matches_finite_differences(train_world,
         actor.net.set_flat(flat)
         pi, dpi, _ = actor.forward_with_grad(bids, feats)
         return float(np.mean((np.log(pi) - log_target) ** 2)
-                     + 0.4 * np.mean((bids * dpi / pi) ** 2))
+                     + KAPPA_PRICE * np.mean((bids * dpi / pi) ** 2))
 
     flat0 = actor.net.get_flat()
     fd = fd_param_grad(loss, flat0)
