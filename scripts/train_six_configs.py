@@ -8,10 +8,9 @@ Usage: python scripts/train_six_configs.py [out_dir]
 
 import sys
 
-import numpy as np
-
 from gsplab.audit import (
     AuditConfig,
+    audit_states,
     i_sic,
     monotonicity_metric,
     payment_error_rate,
@@ -39,11 +38,7 @@ def main(out_dir="out/six_configs"):
     world = World(WorldConfig(seed=1))
     one_slot = single_slot_world(world)
     audit_cfg = AuditConfig(alpha=0.01, isic_rounds=12_500, seed=3)
-    rng = np.random.default_rng(np.random.SeedSequence((3, 0xA0D)))
-    rounds = world.sample_rounds(audit_cfg.n_states, rng)
-    states = [(rounds.bids[i, i % world.n_advertisers],
-               rounds.feats[i, i % world.n_advertisers])
-              for i in range(audit_cfg.n_states)]
+    states = audit_states(world, audit_cfg)
 
     print("weights                     F        T_m      PER      i-SIC")
     for k, weights in enumerate(WEIGHT_CONFIGS):

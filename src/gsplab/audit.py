@@ -23,11 +23,18 @@ from gsplab.auction import (
 )
 
 
+# T_m's bid grid: BID_GRID uniform points on [BID_LO*b, BID_HI*b] around
+# the observed bid b
+BID_GRID = 20
+BID_LO = 0.1
+BID_HI = 10.0
+# PER's tolerance: the bisection stops within PER_TOL times the winner's
+# bid, and a price at or below PER_TOL counts as zero
+PER_TOL = 1e-6
+
+
 @dataclass
 class AuditConfig:
-    bid_grid: int = 20
-    bid_lo: float = 0.1   # grid spans [lo*b, hi*b] around the observed bid
-    bid_hi: float = 10.0
     alpha: float = 0.01   # i-SIC perturbation
     n_states: int = 200   # T_m test states
     per_rounds: int = 200
@@ -35,12 +42,8 @@ class AuditConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.bid_grid < 2:
-            raise ValueError("bid grid needs at least two points")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not self.bid_lo < 1.0 < self.bid_hi:
-            raise ValueError("bid grid must bracket the observed bid")
+        if not 0.0 < self.alpha <= 0.05:
+            raise ValueError("alpha must lie in (0, 0.05]")
 
 
 def _average_ranks(xs):
@@ -78,19 +81,31 @@ class MonotonicityResult:
     n_degenerate: int
 
 
+def audit_states(world, config):
+    """The T_m test states: config.n_states (bid, features) pairs.
+
+    State i is advertiser i mod N of sampled round i, drawn from the
+    config's seed.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xA0D)))
+    rounds = world.sample_rounds(config.n_states, rng)
+    n = world.n_advertisers
+    return [(rounds.bids[i, i % n], rounds.feats[i, i % n])
+            for i in range(config.n_states)]
+
+
 def monotonicity_metric(actor, states, config=AuditConfig()):
     """Mean Spearman rho of rank score vs bid over a per-state bid grid.
 
     ``states`` is an iterable of (bid, features); the grid spans
-    [lo*bid, hi*bid] with config.bid_grid uniform points.
+    [BID_LO*bid, BID_HI*bid] with BID_GRID uniform points.
     """
     states = list(states)
     if not states:
         raise ValueError("empty test set")
     rhos, degenerate = [], 0
     for b, x in states:
-        bids = np.linspace(config.bid_lo * b, config.bid_hi * b,
-                           config.bid_grid)
+        bids = np.linspace(BID_LO * b, BID_HI * b, BID_GRID)
         pi = actor.multiplier_batch(bids, np.tile(np.asarray(x), (bids.size, 1)))
         rho = spearman_rho(bids, bids * pi)
         if rho is None:
@@ -111,7 +126,7 @@ class PaymentErrorResult:
     n_excluded: int
 
 
-def payment_error_rate(world, mechanism, config=AuditConfig(), tol=1e-6):
+def payment_error_rate(world, mechanism, config=AuditConfig()):
     """PER = approximate price / exact bisection price across winners.
 
     The approximate price is the market's own, ``price_batch``.  Winners
@@ -137,11 +152,11 @@ def payment_error_rate(world, mechanism, config=AuditConfig(), tol=1e-6):
     bid_hi = np.maximum(rounds.bids[rows, win][ok], 1e-9)
     exact = price_exact_binary_search(
         lambda z: mechanism.score_batch(z, feats)[0], target, bid_hi,
-        tol_bid=tol * bid_hi)
+        tol_bid=PER_TOL * bid_hi)
     # a critical bid at zero counts as exact when both payments are ~zero
-    keep = np.isfinite(exact) & ((exact > tol) | (approx <= tol))
+    keep = np.isfinite(exact) & ((exact > PER_TOL) | (approx <= PER_TOL))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(exact <= tol, 1.0, approx / exact)[keep]
+        ratios = np.where(exact <= PER_TOL, 1.0, approx / exact)[keep]
     if not ratios.size:
         raise ValueError("no auditable winners")
     return PaymentErrorResult(
@@ -174,8 +189,6 @@ def i_sic(mechanism, world, config=AuditConfig()):
     """
     if world.slots != 1:
         raise ValueError("i-SIC is defined on single-slot worlds (K = 1)")
-    if config.alpha > 0.05:
-        raise ValueError("alpha must be <= 0.05")
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x151C)))
     rounds = world.sample_rounds(config.isic_rounds, rng)
     values = rounds.values

@@ -24,6 +24,7 @@ import numpy as np
 
 from gsplab.audit import (
     AuditConfig,
+    audit_states,
     i_sic,
     monotonicity_metric,
     payment_error_rate,
@@ -453,13 +454,8 @@ def cmd_audit(args):
                  {"model": args.model, "seed": train_cfg.seed})
     world = _build_world(world_cfg)
     cfg = AuditConfig(seed=train_cfg.seed)
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA0D)))
-    rounds = world.sample_rounds(cfg.n_states, rng)
-    states = [(rounds.bids[i, i % world.n_advertisers],
-               rounds.feats[i, i % world.n_advertisers])
-              for i in range(cfg.n_states)]
     mech = DeepGspMechanism(actor)
-    mono = monotonicity_metric(actor, states, cfg)
+    mono = monotonicity_metric(actor, audit_states(world, cfg), cfg)
     per = payment_error_rate(world, mech, cfg)
     isic = i_sic(mech, single_slot_world(world), cfg)
     weights = ",".join(str(w) for w in train_cfg.weights)
@@ -530,6 +526,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # sweeps alone run workers, but every command refuses a bad count
+        if getattr(args, "workers", 1) < 1:
+            raise ValidationError(f"bad --workers: {args.workers} is below 1")
         code = args.func(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

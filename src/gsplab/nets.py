@@ -201,14 +201,17 @@ class Mlp:
 # Optimizers
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adaptive-moment estimation, deterministic given its state."""
 
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = None
         self.v = None
@@ -219,14 +222,14 @@ class Adam:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 def _guard_nan(grads):

@@ -7,6 +7,12 @@ same in every training, regularize it: a hinge keeping the rank score
 monotone in the bid, and a bid-sensitivity term (weight KAPPA_PRICE)
 keeping the division-based payment near the exact critical bid.
 
+The loop's tuning values are module constants, not configuration: the
+exploration schedule (NOISE_STD decayed by NOISE_DECAY per iteration down
+to NOISE_FLOOR), BATCH_ROUNDS auctions per rollout, the Adam rates
+ACTOR_LR and CRITIC_LR, CRITIC_STEPS critic steps per actor step, and
+SPOT_STATES states for the in-loop T_m.
+
 Rewards mix a global round objective F (scalarized normalized metrics,
 shared by every candidate in the round) with a per-advertiser smooth
 transition penalty that fires when an advertiser's period utility drops
@@ -16,7 +22,7 @@ below (1 - eps) of its benchmark-mechanism utility.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +41,16 @@ from gsplab.simulator import check_bounds, raw_metrics, scalarize
 # update and the warm start alike
 KAPPA_PRICE = 0.5
 
+# the actor-critic loop's tuning values (see the module docstring)
+NOISE_STD = 0.25
+NOISE_DECAY = 0.985
+NOISE_FLOOR = 0.02
+BATCH_ROUNDS = 100
+ACTOR_LR = 2e-3
+CRITIC_LR = 5e-3
+CRITIC_STEPS = 5
+SPOT_STATES = 50
+
 
 @dataclass
 class TrainConfig:
@@ -42,14 +58,6 @@ class TrainConfig:
     eps: float = 1.0          # smooth-transition tolerance
     eta: float = 10.0         # smooth-transition penalty coefficient
     gamma_mono: float = 2.0   # monotonicity penalty coefficient
-    noise_std: float = 0.25
-    noise_decay: float = 0.985
-    noise_floor: float = 0.02
-    batch_rounds: int = 100
-    actor_lr: float = 2e-3
-    critic_lr: float = 5e-3
-    critic_steps: int = 5
-    actor_steps: int = 1
     hidden: tuple = (64, 32)
     pretrain_rounds: int = 400
     pretrain_epochs: int = 300
@@ -57,7 +65,6 @@ class TrainConfig:
     benchmark_rounds: int = 2000
     eval_rounds: int = 2000
     eval_every: int = 10
-    spot_states: int = 50
     seed: int = 0
 
     def __post_init__(self):
@@ -65,16 +72,13 @@ class TrainConfig:
         if (len(w) != 5 or not all(x >= 0 for x in w)
                 or abs(sum(w) - 1.0) > 1e-9):
             raise ValueError("weights must be five values on the simplex")
-        for name in ("eps", "noise_decay"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        check_bounds(self, 0.0, "eta", "actor_lr", "critic_lr", strict=True)
-        check_bounds(self, 0.0, "gamma_mono", "noise_std",
-                     "noise_floor", "critic_steps", "actor_steps",
-                     "pretrain_epochs", "train_iters", "seed")
-        check_bounds(self, 1, "batch_rounds", "pretrain_rounds",
-                     "benchmark_rounds", "eval_rounds", "eval_every",
-                     "spot_states")
+        if not 0.0 <= self.eps <= 1.0:
+            raise ValueError("eps must lie in [0, 1]")
+        check_bounds(self, 0.0, "eta", strict=True)
+        check_bounds(self, 0.0, "gamma_mono", "pretrain_epochs",
+                     "train_iters", "seed")
+        check_bounds(self, 1, "pretrain_rounds", "benchmark_rounds",
+                     "eval_rounds", "eval_every")
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden layer widths must be at least 1")
         object.__setattr__(self, "weights", w)
@@ -106,14 +110,14 @@ def transition_penalty(config, ubar, u):
     return config.eta * np.maximum(0.0, (1.0 - config.eps) * ubar - u)
 
 
-def collect_batch(world, actor, noise_std, rng, config, ubar):
-    """Exploratory on-policy rollout of config.batch_rounds auctions.
+def collect_batch(world, actor, n_rounds, noise_std, rng, config, ubar):
+    """Exploratory on-policy rollout of n_rounds auctions.
 
     Multipliers are perturbed multiplicatively in log space (keeps them
     positive); every candidate of every round yields one experience with
     the round's shared objective minus its advertiser's ST penalty.
     """
-    rounds = world.sample_rounds(config.batch_rounds, rng)
+    rounds = world.sample_rounds(n_rounds, rng)
     n = world.n_advertisers
     flat_bids = rounds.bids.reshape(-1)
     flat_feats = rounds.feats.reshape(-1, rounds.feats.shape[-1])
@@ -132,15 +136,15 @@ def collect_batch(world, actor, noise_std, rng, config, ubar):
     # benchmark average; only advertisers that won at least once in the
     # period are exposed to the penalty
     penalty = transition_penalty(config, ubar,
-                                 played["utility"] / config.batch_rounds)
+                                 played["utility"] / n_rounds)
     penalty = np.where(played["wins"] > 0, penalty, 0.0)
-    rewards = np.repeat(F, n) - np.tile(penalty, config.batch_rounds)
+    rewards = np.repeat(F, n) - np.tile(penalty, n_rounds)
     states = np.column_stack([flat_bids, flat_feats])
     return Experience(states=states, actions=scores.reshape(-1),
                       rewards=rewards)
 
 
-def pretrain_critic(experience, critic, lr=5e-3, max_epochs=300,
+def pretrain_critic(experience, critic, lr=CRITIC_LR, max_epochs=300,
                     patience=20, val_frac=0.1, rng=None):
     """Fit the critic to observed rewards by plain regression.
 
@@ -292,24 +296,24 @@ def train(world, config):
     warm_start_actor(actor, world, config, rng_fit, eval_seed, ubar)
 
     critic = CriticNet(feature_dim, hidden=config.hidden, rng=rng_init)
-    pre_cfg = replace(config, batch_rounds=config.pretrain_rounds)
-    pre_batch = collect_batch(world, actor, config.noise_std, rng_pre,
-                              pre_cfg, ubar)
+    pre_batch = collect_batch(world, actor, config.pretrain_rounds, NOISE_STD,
+                              rng_pre, config, ubar)
     critic.fit_normalizer(pre_batch.states, pre_batch.actions)
-    pretrain_critic(pre_batch, critic, lr=config.critic_lr,
-                    max_epochs=config.pretrain_epochs, rng=rng_pre)
+    pretrain_critic(pre_batch, critic, max_epochs=config.pretrain_epochs,
+                    rng=rng_pre)
 
-    actor_opt = Adam(config.actor_lr)
-    critic_opt = Adam(config.critic_lr)
-    spot = [(norm_rounds.bids[i % 200, i % world.n_advertisers],
-             norm_rounds.feats[i % 200, i % world.n_advertisers])
-            for i in range(config.spot_states)]
+    actor_opt = Adam(ACTOR_LR)
+    critic_opt = Adam(CRITIC_LR)
+    spot = [(norm_rounds.bids[i, i % world.n_advertisers],
+             norm_rounds.feats[i, i % world.n_advertisers])
+            for i in range(SPOT_STATES)]
 
     # the report's mono_loss is the mean hinge on these states
     mono_states = pre_batch.states[:256]
     mono_bids = mono_states[:, 0]
     report = []
-    best = {"f": -np.inf, "flat": actor.net.get_flat()}
+    # the selected iterate: its parameters and its row of the report
+    best = {"f": -np.inf, "flat": actor.net.get_flat(), "row": 0}
 
     def evaluate(iteration, noise_std):
         metrics, f, f_pen = penalized_objective(
@@ -325,28 +329,26 @@ def train(world, config):
         # model selection is on the constrained objective; a spot T_m gate
         # keeps clearly non-monotone iterates out
         if f_pen > best["f"] and tm >= 0.97:
-            best["f"] = f_pen
-            best["flat"] = actor.net.get_flat()
+            best.update(f=f_pen, flat=actor.net.get_flat(),
+                        row=len(report) - 1)
 
-    noise_std = config.noise_std
+    noise_std = NOISE_STD
     evaluate(0, noise_std)
     for it in range(1, config.train_iters + 1):
-        batch = collect_batch(world, actor, noise_std, rng_expl, config, ubar)
-        for _ in range(config.critic_steps):
+        batch = collect_batch(world, actor, BATCH_ROUNDS, noise_std, rng_expl,
+                              config, ubar)
+        for _ in range(CRITIC_STEPS):
             critic_update(batch, critic, critic_opt)
-        for _ in range(config.actor_steps):
-            actor_update(batch, actor, critic, config.gamma_mono, actor_opt)
-        noise_std = max(config.noise_floor, noise_std * config.noise_decay)
+        actor_update(batch, actor, critic, config.gamma_mono, actor_opt)
+        noise_std = max(NOISE_FLOOR, noise_std * NOISE_DECAY)
         if it % config.eval_every == 0 or it == config.train_iters:
             evaluate(it, noise_std)
 
     if config.train_iters > 0:
         actor.net.set_flat(best["flat"])
-    final_metrics, _ = world.evaluate(DeepGspMechanism(actor),
-                                      config.eval_rounds, eval_seed)
-    final_f = scalarize(final_metrics, config.weights)
+    # the selected iterate's F on the selection episode, as evaluated there
     return TrainResult(actor=actor, critic=critic, report=report,
-                       final_objective=final_f)
+                       final_objective=report[best["row"]]["objective"])
 
 
 REPORT_COLUMNS = ("iter", "objective", "penalized_objective", "mono_loss",

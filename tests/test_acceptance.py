@@ -22,6 +22,7 @@ import pytest
 
 from gsplab.audit import (
     AuditConfig,
+    audit_states,
     i_sic,
     monotonicity_metric,
     payment_error_rate,
@@ -74,17 +75,8 @@ def _trained(world, **overrides):
     return _MODEL_CACHE[key]
 
 
-def _audit_states(world, config):
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xA0D)))
-    rounds = world.sample_rounds(config.n_states, rng)
-    return [(rounds.bids[i, i % world.n_advertisers],
-             rounds.feats[i, i % world.n_advertisers])
-            for i in range(config.n_states)]
-
-
 def _per(world, actor):
-    return payment_error_rate(world, DeepGspMechanism(actor), AUDIT,
-                              tol=1e-6)
+    return payment_error_rate(world, DeepGspMechanism(actor), AUDIT)
 
 
 def _isic(one_slot, actor):
@@ -109,7 +101,7 @@ def test_criterion_1_golden_example():
 
 
 def test_criterion_2_monotonicity(world):
-    states = _audit_states(world, AUDIT)
+    states = audit_states(world, AUDIT)
     tms = {}
     for weights in WEIGHT_CONFIGS:
         result = _trained(world, weights=weights)

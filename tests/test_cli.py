@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import dataclasses
 import hashlib
@@ -12,6 +13,8 @@ from gsplab import cli
 from gsplab.simulator import WorldConfig
 from gsplab.trainer import TrainConfig
 
+from test_bench_spec import perfbench  # noqa: F401 - fixture
+
 TINY_SPEC = """\
 [world]
 n_advertisers = 4
@@ -22,14 +25,12 @@ seed = 1
 
 [train]
 weights = 1,0,0,0,0
-batch_rounds = 10
 pretrain_rounds = 20
 pretrain_epochs = 20
 train_iters = 2
 benchmark_rounds = 50
 eval_rounds = 50
 eval_every = 1
-spot_states = 5
 hidden = 8,4
 
 [sweep]
@@ -131,6 +132,16 @@ def _edited_spec(tmp_path, section, line):
     ("train", "replay_size = 100", "replay_size"),
     ("sweep", "lamda_grid = 0,1", "lamda_grid"),
     ("train", "kappa_price = 0.5", "kappa_price"),
+    # the actor-critic loop's tuning values are trainer constants
+    ("train", "noise_std = -1", "noise_std"),
+    ("train", "noise_decay = 0.985", "noise_decay"),
+    ("train", "noise_floor = 0.02", "noise_floor"),
+    ("train", "batch_rounds = 0", "batch_rounds"),
+    ("train", "actor_lr = 2e-3", "actor_lr"),
+    ("train", "critic_lr = 5e-3", "critic_lr"),
+    ("train", "critic_steps = 5", "critic_steps"),
+    ("train", "actor_steps = 1", "actor_steps"),
+    ("train", "spot_states = 0", "spot_states"),
 ])
 def test_unknown_key_is_validation_error(tmp_path, capsys, section, line, key):
     path = _edited_spec(tmp_path, section, line)
@@ -184,11 +195,8 @@ def test_zero_calibration_metric_is_validation_error(tmp_path, capsys, edits,
 @pytest.mark.parametrize("command,line", [
     ("train", "eval_rounds = 0"),
     ("train", "benchmark_rounds = 0"),
-    ("train", "batch_rounds = 0"),
     ("train", "eval_every = 0"),
-    ("train", "spot_states = 0"),
     ("train", "train_iters = -1"),
-    ("train", "noise_std = -1"),
     ("evaluate", "eval_rounds = 0"),
 ])
 def test_bad_train_value_is_validation_error(tmp_path, capsys, command, line):
@@ -277,14 +285,6 @@ _OUT_OF_RANGE = {
     ("train", "eps"): _OUTSIDE_UNIT,
     ("train", "eta"): _NOT_POSITIVE,
     ("train", "gamma_mono"): _NEGATIVE,
-    ("train", "noise_std"): _NEGATIVE,
-    ("train", "noise_decay"): _OUTSIDE_UNIT,
-    ("train", "noise_floor"): _NEGATIVE,
-    ("train", "batch_rounds"): _INT_BELOW_1,
-    ("train", "actor_lr"): _NOT_POSITIVE,
-    ("train", "critic_lr"): _NOT_POSITIVE,
-    ("train", "critic_steps"): _INT_BELOW_0,
-    ("train", "actor_steps"): _INT_BELOW_0,
     ("train", "hidden"): st.sampled_from(["0", "8,0", "-1,4"]),
     ("train", "pretrain_rounds"): _INT_BELOW_1,
     ("train", "pretrain_epochs"): _INT_BELOW_0,
@@ -292,7 +292,6 @@ _OUT_OF_RANGE = {
     ("train", "benchmark_rounds"): _INT_BELOW_1,
     ("train", "eval_rounds"): _INT_BELOW_1,
     ("train", "eval_every"): _INT_BELOW_1,
-    ("train", "spot_states"): _INT_BELOW_1,
     ("train", "seed"): _INT_BELOW_0,
 }
 _UNPARSABLE = st.sampled_from(["abc", "", "1,x", "50%", "1.5.2"])
@@ -302,6 +301,28 @@ def test_fuzz_table_covers_every_key():
     keys = {("world", f.name) for f in dataclasses.fields(WorldConfig)}
     keys |= {("train", f.name) for f in dataclasses.fields(TrainConfig)}
     assert set(_OUT_OF_RANGE) == keys
+
+
+# The [train] key each sweep varies between its points (checked in
+# test_sweep_retrains_on_every_run), and the keys no caller sets, each
+# with the reason it stays a key.
+_SWEPT = {"pareto": "weights", "transition": "eps"}
+_SET_BY_NO_CALLER = {
+    "hidden": "the tests shrink the nets with it; the default 64x32 warm "
+              "start costs seconds per training",
+}
+
+
+def test_every_train_key_has_a_caller(perfbench):
+    # a key that only its default uses is a constant, not an option
+    bench, bench_tests = perfbench
+    default = configparser.ConfigParser()
+    default.read(Path(__file__).parents[1] / "configs" / "default.ini")
+    set_keys = (set(default["train"]) | set(bench.DEFAULT_SPEC["train"])
+                | set(bench_tests.TINY.train_overrides) | set(_SWEPT.values()))
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert set_keys <= fields
+    assert fields - set_keys == set(_SET_BY_NO_CALLER)
 
 
 @pytest.fixture(scope="module")
@@ -502,9 +523,23 @@ def test_sweep_retrains_on_every_run(spec_file, tmp_path, monkeypatch,
     assert cli.main(args) == 0
     first = len(calls)
     assert first == 2
+    varied = {f.name for f in dataclasses.fields(TrainConfig)
+              if getattr(calls[0], f.name) != getattr(calls[1], f.name)}
+    assert varied == {_SWEPT[command]}
     assert cli.main(args) == 0
     assert len(calls) == 2 * first
     assert len(list((tmp_path / "models").glob("actor_*.ckpt"))) == first
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_validation_error(spec_file, tmp_path, capsys,
+                                               workers):
+    out = tmp_path / "pareto"
+    code = cli.main(["pareto", "--config", str(spec_file), "--out", str(out),
+                     "--workers", workers])
+    assert code == 1
+    assert "bad --workers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_transition_sweep(spec_file, tmp_path, capsys):

@@ -21,9 +21,8 @@ from gsplab.trainer import (
 
 from conftest import KeepGrads, fd_param_grad, grad_err
 
-TINY = dict(batch_rounds=10, pretrain_rounds=20, pretrain_epochs=20,
-            train_iters=3, benchmark_rounds=50, eval_rounds=50,
-            eval_every=1, spot_states=5, hidden=(8, 4))
+TINY = dict(pretrain_rounds=20, pretrain_epochs=20, train_iters=3,
+            benchmark_rounds=50, eval_rounds=50, eval_every=1, hidden=(8, 4))
 
 
 @pytest.fixture(scope="module")
@@ -70,11 +69,9 @@ def test_train_config_validation():
         TrainConfig(eps=1.5)
     with pytest.raises(ValueError):
         TrainConfig(eta=-1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(actor_lr=0.0)
     for bad in (dict(eval_rounds=0), dict(benchmark_rounds=0),
-                dict(batch_rounds=0), dict(eval_every=0), dict(spot_states=0),
-                dict(train_iters=-1), dict(noise_std=-1.0),
+                dict(pretrain_rounds=0), dict(eval_every=0),
+                dict(train_iters=-1), dict(pretrain_epochs=-1),
                 dict(eta=float("nan")), dict(hidden=(8, 0)),
                 dict(weights=(1.5, -0.5, 0, 0, 0))):
         with pytest.raises(ValueError):
@@ -96,10 +93,9 @@ def _fresh_actor(world, seed=0, hidden=(8, 4)):
 
 def test_collect_batch_cardinality(train_world):
     actor = _fresh_actor(train_world)
-    cfg = TrainConfig(batch_rounds=12)
     ubar = np.zeros(train_world.n_advertisers)
-    batch = collect_batch(train_world, actor, 0.1, np.random.default_rng(0),
-                          cfg, ubar)
+    batch = collect_batch(train_world, actor, 12, 0.1,
+                          np.random.default_rng(0), TrainConfig(), ubar)
     m = 12 * train_world.n_advertisers
     assert batch.states.shape == (m, 1 + FEATURE_DIM)
     assert batch.actions.shape == (m,)
@@ -108,11 +104,11 @@ def test_collect_batch_cardinality(train_world):
 
 def test_collect_batch_deterministic_without_noise(train_world):
     actor = _fresh_actor(train_world)
-    cfg = TrainConfig(batch_rounds=8)
+    cfg = TrainConfig()
     ubar = np.zeros(train_world.n_advertisers)
-    a = collect_batch(train_world, actor, 0.0, np.random.default_rng(3),
+    a = collect_batch(train_world, actor, 8, 0.0, np.random.default_rng(3),
                       cfg, ubar)
-    b = collect_batch(train_world, actor, 0.0, np.random.default_rng(3),
+    b = collect_batch(train_world, actor, 8, 0.0, np.random.default_rng(3),
                       cfg, ubar)
     assert np.array_equal(a.actions, b.actions)
     assert np.array_equal(a.rewards, b.rewards)
@@ -122,10 +118,10 @@ def test_reward_shared_within_round(train_world):
     # with the transition penalty disabled every candidate in a round
     # carries the same objective
     actor = _fresh_actor(train_world)
-    cfg = TrainConfig(batch_rounds=10, eps=1.0)
+    cfg = TrainConfig(eps=1.0)
     ubar = np.ones(train_world.n_advertisers)
-    batch = collect_batch(train_world, actor, 0.2, np.random.default_rng(4),
-                          cfg, ubar)
+    batch = collect_batch(train_world, actor, 10, 0.2,
+                          np.random.default_rng(4), cfg, ubar)
     # rows are round-major: one row per candidate of each round
     per_round = batch.rewards.reshape(10, train_world.n_advertisers)
     assert np.allclose(per_round, per_round[:, :1])
@@ -133,10 +129,10 @@ def test_reward_shared_within_round(train_world):
 
 def test_penalty_only_for_winners(train_world):
     actor = _fresh_actor(train_world)
-    cfg = TrainConfig(batch_rounds=10, eps=0.0, eta=100.0)
+    cfg = TrainConfig(eps=0.0, eta=100.0)
     ubar = np.full(train_world.n_advertisers, 1e6)  # unreachable benchmark
-    batch = collect_batch(train_world, actor, 0.0, np.random.default_rng(4),
-                          cfg, ubar)
+    batch = collect_batch(train_world, actor, 10, 0.0,
+                          np.random.default_rng(4), cfg, ubar)
     per_ad = batch.rewards.reshape(10, train_world.n_advertisers)
     # all advertisers win at least one of 10 rounds here, so every column
     # is penalized; the shared objective alone can never be this negative
@@ -353,6 +349,24 @@ def test_zero_iters_returns_initialized_actor(train_world, monkeypatch):
     assert result.final_objective == result.report[0]["objective"]
 
 
+def test_final_objective_is_the_selected_iterate(train_world):
+    # the selected row is the first best penalized objective among the
+    # rows that pass the spot T_m gate, or row 0 when none does; its F is
+    # the returned actor's F on the selection episode
+    cfg = TrainConfig(**TINY)
+    result = train(train_world, cfg)
+    assert len(result.report) == cfg.train_iters + 1
+    passing = [r for r in result.report if r["t_m"] >= 0.97]
+    selected = (max(passing, key=lambda r: r["penalized_objective"])
+                if passing else result.report[0])
+    assert result.final_objective == selected["objective"]
+    ss = np.random.SeedSequence((train_world.config.seed, cfg.seed, 0x7EA1))
+    eval_seed = int(ss.generate_state(1)[0] % (2**31))
+    metrics, _ = train_world.evaluate(DeepGspMechanism(result.actor),
+                                      cfg.eval_rounds, eval_seed)
+    assert result.final_objective == scalarize(metrics, cfg.weights)
+
+
 def test_training_reproducible(train_world):
     cfg = TrainConfig(**TINY)
     r1 = train(train_world, cfg)
@@ -363,7 +377,7 @@ def test_training_reproducible(train_world):
 
 
 def test_training_beats_random_init(train_world):
-    cfg = TrainConfig(weights=(1, 0, 0, 0, 0), batch_rounds=40,
+    cfg = TrainConfig(weights=(1, 0, 0, 0, 0),
                       pretrain_rounds=100, train_iters=30,
                       benchmark_rounds=200, eval_rounds=300, eval_every=5,
                       hidden=(16, 8))
