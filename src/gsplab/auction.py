@@ -125,11 +125,11 @@ def allocate_batch(scores, bids):
     return np.lexsort((idx, -bids, -scores))
 
 
-def price_batch(order, scores, multipliers, offsets, slots, reserve_price=0.0):
+def price_batch(order, scores, multipliers, offsets, slots):
     """Division-based prices for the top-``slots`` entries of each row.
 
     p_j = max(0, (r_{j+1} - offset_j) / pi_j); a winner ranked last overall
-    pays the reserve.  Returns an (R, slots) array aligned with
+    pays 0.  Returns an (R, slots) array aligned with
     order[:, :slots]; a winner's multiplier at or below EPS_DIV raises
     DegenerateMultiplierError.
     """
@@ -145,7 +145,7 @@ def price_batch(order, scores, multipliers, offsets, slots, reserve_price=0.0):
             nxt = scores[rows, order[:, j + 1]]
             prices[:, j] = np.maximum(0.0, (nxt - offsets[rows, win]) / pi)
         else:
-            prices[:, j] = reserve_price
+            prices[:, j] = 0.0
     return prices
 
 

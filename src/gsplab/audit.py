@@ -137,7 +137,7 @@ def payment_error_rate(world, mechanism, config=AuditConfig()):
     rounds = world.sample_rounds(config.per_rounds, rng)
     scores, pi, off = mechanism.score_batch(rounds.bids, rounds.feats)
     order = allocate_batch(scores, rounds.bids)
-    # winners without a next score pay the reserve under both rules
+    # winners without a next score pay 0 under both rules
     k = min(world.slots, world.n_advertisers - 1)
     rows = np.arange(rounds.n_rounds)[:, None]
     win = order[:, :k]

@@ -1,9 +1,8 @@
 """Command-line front end.
 
-Subcommands: golden, train, evaluate, pareto, transition, audit,
-gen-world.  Every command echoes its fully-resolved configuration and
-seed before running, and drops its outputs plus a manifest of file
-hashes under --out.
+Subcommands: golden, train, evaluate, pareto, transition, audit.  Every
+command echoes its fully-resolved configuration and seed before running,
+and drops its outputs plus a manifest of file hashes under --out.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure,
 3 golden-test mismatch.
@@ -147,14 +146,12 @@ def _build_world(world_cfg):
     return world
 
 
-def _echo_config(name, world_cfg, train_cfg=None, extra=None):
+def _echo_config(name, world_cfg, train_cfg, extra):
     print(f"# gsplab {name}: resolved configuration")
     print(f"world = {world_cfg}")
-    if train_cfg is not None:
-        print(f"train = {train_cfg}")
-    if extra:
-        for k, v in extra.items():
-            print(f"{k} = {v}")
+    print(f"train = {train_cfg}")
+    for k, v in extra.items():
+        print(f"{k} = {v}")
 
 
 def _write_manifest(out_dir):
@@ -238,24 +235,6 @@ def cmd_golden(args):
     if failures:
         return EXIT_GOLDEN_MISMATCH
     print("golden worked-example check passed")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# gen-world
-
-
-def cmd_gen_world(args):
-    try:
-        cfg = WorldConfig(seed=args.seed or 0)
-    except ValueError as exc:
-        raise ValidationError(f"bad --seed: {exc}") from exc
-    out = _out_dir(args)
-    _echo_config("gen-world", cfg)
-    path = out / "world.ini"
-    save_world_config(cfg, path)
-    print(f"wrote {path}")
-    _write_manifest(out)
     return EXIT_OK
 
 
@@ -478,24 +457,23 @@ def build_parser():
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="experiment file")
+    def common(p, workers=False):
+        p.add_argument("--config", required=True, help="experiment file")
         p.add_argument("--seed", type=int, default=None,
                        help="replaces both seeds of the config file "
-                            "(default: keep them; gen-world: 0)")
+                            "(default: keep them)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--workers", type=int, default=1)
+        if workers:
+            p.add_argument("--workers", type=int, default=1,
+                           help="processes that train the sweep points")
 
     p = sub.add_parser("golden", help="run the golden worked-example check")
     p.set_defaults(func=cmd_golden)
 
-    p = sub.add_parser("gen-world", help="write a default world config")
-    common(p, needs_config=False)
-    p.set_defaults(func=cmd_gen_world)
-
     p = sub.add_parser("train", help="train a rank-score model")
-    common(p)
+    # train reads no --workers; it accepts the flag because the benchmark's
+    # train_cli (perfbench/bench.py) passes --workers 1
+    common(p, workers=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a mechanism on a world")
@@ -507,11 +485,11 @@ def build_parser():
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("pareto", help="lambda-sweep Pareto curves")
-    common(p)
+    common(p, workers=True)
     p.set_defaults(func=cmd_pareto)
 
     p = sub.add_parser("transition", help="epsilon-sweep smooth transition")
-    common(p)
+    common(p, workers=True)
     p.set_defaults(func=cmd_transition)
 
     p = sub.add_parser("audit", help="monotonicity / PER / i-SIC report")
@@ -526,7 +504,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # sweeps alone run workers, but every command refuses a bad count
+        # sweeps alone run workers, but train refuses a bad count too
         if getattr(args, "workers", 1) < 1:
             raise ValidationError(f"bad --workers: {args.workers} is below 1")
         code = args.func(args)

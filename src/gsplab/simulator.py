@@ -3,10 +3,16 @@
 Replaces proprietary auction logs with a seeded generative world:
 advertisers carry ground-truth response rates (click, add-to-cart,
 order), valuations are drawn per round from log-normal distributions,
-and predicted rates are noisy versions of the truth.  User behavior is
-realized with a click-gated funnel, and the five platform metrics (RPM,
-CTR, ACR, CVR, GPM) are aggregated from the realized feedback and scaled
-to [0,1] by normalizers calibrated on a benchmark-mechanism run.
+every advertiser bids its valuation, and predicted rates are noisy
+versions of the truth.  User behavior is realized with a click-gated
+funnel, and the five platform metrics (RPM, CTR, ACR, CVR, GPM) are
+aggregated from the realized feedback and scaled to [0,1] by normalizers
+calibrated on a benchmark-mechanism run.
+
+The generative parameters are the module constants below; a
+``WorldConfig`` sets only the market's shape (advertisers, slots and
+their click factors), the prediction noise, the calibration length and
+the seed.
 """
 
 from __future__ import annotations
@@ -34,6 +40,26 @@ from gsplab.auction import (
 
 # normalizer of a metric whose calibration episode reads 0
 NORMALIZER_FLOOR = 1e-9
+# headroom multiplier applied to the calibration episode's metrics to get
+# the [0,1] normalizers
+NORMALIZER_MARGIN = 4.0
+
+# per-round valuation draw: lognormal(value_mu_i, VALUE_SIGMA), where
+# value_mu_i is advertiser-specific, VALUE_MU + VALUE_MU_SPREAD * N(0, 1)
+VALUE_MU = 0.5
+VALUE_SIGMA = 0.4
+VALUE_MU_SPREAD = 0.35
+# ground-truth response model: Beta-distributed CTR per advertiser, and
+# Beta-distributed cart and order rates given a click
+CTR_ALPHA = 4.0
+CTR_BETA = 16.0
+CART_GIVEN_CLICK_ALPHA = 3.0
+CART_GIVEN_CLICK_BETA = 7.0
+ORDER_GIVEN_CLICK_ALPHA = 2.0
+ORDER_GIVEN_CLICK_BETA = 8.0
+# item price per advertiser: lognormal(PRICE_MU, PRICE_SIGMA)
+PRICE_MU = 3.0
+PRICE_SIGMA = 0.5
 
 
 def check_bounds(config, low, *names, strict=False):
@@ -48,45 +74,20 @@ def check_bounds(config, low, *names, strict=False):
 
 @dataclass
 class WorldConfig:
-    """Synthetic market description; fully determines a World given a seed."""
+    """Synthetic market shape; with the module constants and the seed it
+    fully determines a World."""
 
     n_advertisers: int = 8
     slots: int = 3
     slot_ctr_factors: tuple = (1.0, 0.65, 0.45)
-    # per-round valuation draw: lognormal(value_mu_i, value_sigma), where
-    # value_mu_i is advertiser-specific around value_mu
-    value_mu: float = 0.5
-    value_sigma: float = 0.4
-    value_mu_spread: float = 0.35
-    # ground-truth response model
-    ctr_alpha: float = 4.0
-    ctr_beta: float = 16.0
-    cart_given_click_alpha: float = 3.0
-    cart_given_click_beta: float = 7.0
-    order_given_click_alpha: float = 2.0
-    order_given_click_beta: float = 8.0
-    price_mu: float = 3.0
-    price_sigma: float = 0.5
     # multiplicative log-normal noise on predicted rates
     prediction_noise: float = 0.15
-    # every advertiser bids shade_factor times its valuation
-    shade_factor: float = 1.0
-    reserve_price: float = 0.0
-    # headroom multiplier applied to benchmark metrics when calibrating
-    # the [0,1] normalizers
-    normalizer_margin: float = 4.0
     calibration_rounds: int = 500
     seed: int = 0
 
     def __post_init__(self):
         check_bounds(self, 1, "n_advertisers", "calibration_rounds")
-        check_bounds(self, -math.inf, "value_mu", "price_mu", strict=True)
-        check_bounds(self, 0.0, "value_sigma", "value_mu_spread", "price_sigma",
-                     "prediction_noise", "reserve_price", "seed")
-        check_bounds(self, 0.0, "ctr_alpha", "ctr_beta",
-                     "cart_given_click_alpha", "cart_given_click_beta",
-                     "order_given_click_alpha", "order_given_click_beta",
-                     "shade_factor", "normalizer_margin", strict=True)
+        check_bounds(self, 0.0, "prediction_noise", "seed")
         if not 1 <= self.slots <= self.n_advertisers:
             raise ValueError(f"slots must lie in [1, n_advertisers], "
                              f"got {self.slots}")
@@ -102,7 +103,11 @@ class WorldConfig:
 
 @dataclass
 class Rounds:
-    """A batch of sampled auction rounds with sealed ground truth."""
+    """A batch of sampled auction rounds with sealed ground truth.
+
+    ``sample_rounds`` makes ``bids`` the ``values`` array itself (every
+    advertiser bids its valuation): copy before writing to either.
+    """
 
     bids: np.ndarray    # (R, N)
     values: np.ndarray  # (R, N)
@@ -180,26 +185,26 @@ class World:
         self.n_advertisers = n
         self.slots = config.slots
         self.beta = np.asarray(config.slot_ctr_factors, dtype=float)
-        self.true_ctr = rng.beta(config.ctr_alpha, config.ctr_beta, size=n)
-        cart_cond = rng.beta(config.cart_given_click_alpha,
-                             config.cart_given_click_beta, size=n)
-        order_cond = rng.beta(config.order_given_click_alpha,
-                              config.order_given_click_beta, size=n)
+        self.true_ctr = rng.beta(CTR_ALPHA, CTR_BETA, size=n)
+        cart_cond = rng.beta(CART_GIVEN_CLICK_ALPHA, CART_GIVEN_CLICK_BETA,
+                             size=n)
+        order_cond = rng.beta(ORDER_GIVEN_CLICK_ALPHA, ORDER_GIVEN_CLICK_BETA,
+                              size=n)
         self.true_acr = self.true_ctr * cart_cond
         self.true_cvr = self.true_ctr * order_cond
-        self.price = rng.lognormal(config.price_mu, config.price_sigma, size=n)
-        self.value_mu = config.value_mu + config.value_mu_spread * rng.standard_normal(n)
+        self.price = rng.lognormal(PRICE_MU, PRICE_SIGMA, size=n)
+        self.value_mu = VALUE_MU + VALUE_MU_SPREAD * rng.standard_normal(n)
         self.normalizers = np.ones(5)
         self._calibrate()
 
     # -- sampling -----------------------------------------------------------
 
     def sample_rounds(self, n_rounds, rng):
-        """Draw valuations, bids, and noisy predictions for n_rounds."""
+        """Draw valuations and noisy predictions for n_rounds; every
+        advertiser bids its valuation."""
         cfg = self.config
         n = self.n_advertisers
-        values = rng.lognormal(self.value_mu, cfg.value_sigma, size=(n_rounds, n))
-        bids = cfg.shade_factor * values
+        values = rng.lognormal(self.value_mu, VALUE_SIGMA, size=(n_rounds, n))
         feats = np.empty((n_rounds, n, FEATURE_DIM))
         for idx, true in ((F_PCTR, self.true_ctr), (F_PACR, self.true_acr),
                           (F_PCVR, self.true_cvr)):
@@ -213,7 +218,7 @@ class World:
         feats[:, :, F_BUDGET] = 1.0
         feats[:, :, F_CATEGORY] = np.arange(n) / max(n - 1, 1)
         feats[:, :, F_USER] = rng.standard_normal((n_rounds, 1))
-        return Rounds(bids=bids, values=values, feats=feats)
+        return Rounds(bids=values, values=values, feats=feats)
 
     # -- feedback ------------------------------------------------------------
 
@@ -240,8 +245,7 @@ class World:
         """
         scores, pi, off = mechanism.score_batch(rounds.bids, rounds.feats)
         order = allocate_batch(scores, rounds.bids)
-        prices = price_batch(order, scores, pi, off, self.slots,
-                             self.config.reserve_price)
+        prices = price_batch(order, scores, pi, off, self.slots)
         return self.settle(rounds, scores, order, prices, rng)
 
     def settle(self, rounds, scores, order, prices, rng):
@@ -268,12 +272,11 @@ class World:
 
     @property
     def bid_scale(self):
-        """Typical bid level exp(mean value_mu + value_sigma^2 / 2).
+        """Typical bid level exp(mean value_mu + VALUE_SIGMA^2 / 2).
 
         The uGSP baselines scale their bid-independent weights by it.
         """
-        return float(np.exp(self.value_mu.mean()
-                            + 0.5 * self.config.value_sigma**2))
+        return float(np.exp(self.value_mu.mean() + 0.5 * VALUE_SIGMA**2))
 
     def normalized(self, raw):
         """Raw metrics scaled by the calibrated normalizers, clipped at 1."""
@@ -305,8 +308,7 @@ class World:
         rounds = self.sample_rounds(cfg.calibration_rounds, rng)
         played = self.play(rounds, GspMechanism(sigma=1.0), rng)
         raw = raw_metrics(played)
-        self.normalizers = np.maximum(cfg.normalizer_margin * raw,
-                                      NORMALIZER_FLOOR)
+        self.normalizers = np.maximum(NORMALIZER_MARGIN * raw, NORMALIZER_FLOOR)
 
 
 # ---------------------------------------------------------------------------

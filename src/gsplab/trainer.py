@@ -127,8 +127,7 @@ def collect_batch(world, actor, n_rounds, noise_std, rng, config, ubar):
     pi = pi.reshape(rounds.bids.shape)
     scores = rounds.bids * pi
     order = allocate_batch(scores, rounds.bids)
-    prices = price_batch(order, scores, pi, np.zeros_like(pi), world.slots,
-                         world.config.reserve_price)
+    prices = price_batch(order, scores, pi, np.zeros_like(pi), world.slots)
     played = world.settle(rounds, scores, order, prices, rng)
     F = scalarize(world.normalized(raw_metrics(played, per_round=True)),
                   config.weights)

@@ -34,11 +34,11 @@ def golden_request():
     return auction_row([10.0, 2.4, 1.3], [0.1, 0.2, 0.3])
 
 
-def run_engine(mech, bids, feats, slots, reserve_price=0.0):
+def run_engine(mech, bids, feats, slots):
     """score_batch -> allocate_batch -> price_batch: (order, prices)."""
     scores, pi, off = mech.score_batch(bids, feats)
     order = allocate_batch(scores, bids)
-    return order, price_batch(order, scores, pi, off, slots, reserve_price)
+    return order, price_batch(order, scores, pi, off, slots)
 
 
 def rel_err(got, want):

@@ -292,8 +292,7 @@ def _payment_violations(world, mechanism, n_rounds=1_000_000,
         rounds = world.sample_rounds(r, rng)
         scores, pi, off = mechanism.score_batch(rounds.bids, rounds.feats)
         order = allocate_batch(scores, rounds.bids)
-        prices = price_batch(order, scores, pi, off, world.slots,
-                             world.config.reserve_price)
+        prices = price_batch(order, scores, pi, off, world.slots)
         win_bids = rounds.bids[np.arange(r)[:, None],
                                order[:, :world.slots]]
         violations += int(np.sum(prices > win_bids + 1e-9))

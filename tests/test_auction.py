@@ -78,10 +78,9 @@ def test_allocate_fixed_score_ranking():
 
 
 def test_allocate_single_candidate():
-    order, prices = run_engine(GspMechanism(), *auction_row([2.0], [0.4]), 1,
-                               reserve_price=0.1)
+    order, prices = run_engine(GspMechanism(), *auction_row([2.0], [0.4]), 1)
     assert order.tolist() == [[0]]
-    assert prices.tolist() == [[0.1]]
+    assert prices.tolist() == [[0.0]]
 
 
 def test_allocate_tie_breaks_by_bid_then_id():
@@ -105,16 +104,15 @@ def test_price_division_classic_example():
     assert prices[0] == pytest.approx([0.48 / 0.1, 0.39 / 0.2])
 
 
-def test_last_ranked_pays_reserve():
+def test_last_ranked_pays_zero():
     bids, feats = auction_row([3.0, 1.0], [0.3, 0.2])
-    _, prices = run_engine(GspMechanism(1.0), bids, feats, 2,
-                           reserve_price=0.25)
-    assert prices[0, 1] == pytest.approx(0.25)
+    _, prices = run_engine(GspMechanism(1.0), bids, feats, 2)
+    assert prices[0, 1] == 0.0
 
 
 def test_price_degenerate_multiplier_rejected():
     # zero pCTR is a zero GSP multiplier: that winner is rejected whether a
-    # candidate ranks below it or it ranks last and would pay the reserve
+    # candidate ranks below it or it ranks last and would pay 0
     bids, feats = auction_row([1.0, 5.0, 1.0], [0.5, 0.0, 0.0])
     for n in (3, 2):
         with pytest.raises(DegenerateMultiplierError):
@@ -221,7 +219,7 @@ def test_run_auction_all_slots_filled():
     bids, feats = auction_row([3.0, 2.0, 1.0], [0.3, 0.2, 0.1])
     order, prices = run_engine(GspMechanism(1.0), bids, feats, 3)
     assert order[0].tolist() == [0, 1, 2]
-    assert prices[0, 2] == 0.0  # reserve defaults to zero
+    assert prices[0, 2] == 0.0  # the last ranked pays 0
 
 
 # ---------------------------------------------------------------------------

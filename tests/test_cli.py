@@ -142,6 +142,22 @@ def _edited_spec(tmp_path, section, line):
     ("train", "critic_steps = 5", "critic_steps"),
     ("train", "actor_steps = 1", "actor_steps"),
     ("train", "spot_states = 0", "spot_states"),
+    # the market's generative parameters are simulator constants; bids
+    # equal valuations and the last ranked pays 0
+    ("world", "value_mu = 0.5", "value_mu"),
+    ("world", "value_sigma = 0.4", "value_sigma"),
+    ("world", "value_mu_spread = 0.35", "value_mu_spread"),
+    ("world", "ctr_alpha = 4.0", "ctr_alpha"),
+    ("world", "ctr_beta = 16.0", "ctr_beta"),
+    ("world", "cart_given_click_alpha = 3.0", "cart_given_click_alpha"),
+    ("world", "cart_given_click_beta = 7.0", "cart_given_click_beta"),
+    ("world", "order_given_click_alpha = 2.0", "order_given_click_alpha"),
+    ("world", "order_given_click_beta = 8.0", "order_given_click_beta"),
+    ("world", "price_mu = 3.0", "price_mu"),
+    ("world", "price_sigma = 0.5", "price_sigma"),
+    ("world", "shade_factor = 0.7", "shade_factor"),
+    ("world", "reserve_price = 0.1", "reserve_price"),
+    ("world", "normalizer_margin = 4.0", "normalizer_margin"),
 ])
 def test_unknown_key_is_validation_error(tmp_path, capsys, section, line, key):
     path = _edited_spec(tmp_path, section, line)
@@ -170,7 +186,7 @@ def test_bad_world_value_is_validation_error(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize("edits,seed,zero", [
-    # one bidder pays the zero reserve: no revenue
+    # one bidder ranks last and pays 0: no revenue
     ({"n_advertisers = 4": "n_advertisers = 1", "slots = 2": "slots = 1",
       "slot_ctr_factors = 1.0,0.6": "slot_ctr_factors = 1.0"}, "1", "rpm"),
     # one calibration round has clicks but no cart or order
@@ -262,21 +278,7 @@ _OUT_OF_RANGE = {
                          | st.integers(min_value=5)).map(str),
     ("world", "slot_ctr_factors"): st.sampled_from(
         ["1.0", "1.0,0.6,0.4", "0.5,0.6", "1.5,0.6", "1.0,0", "nan,0.5"]),
-    ("world", "value_mu"): _NONFINITE,
-    ("world", "value_sigma"): _NEGATIVE,
-    ("world", "value_mu_spread"): _NEGATIVE,
-    ("world", "ctr_alpha"): _NOT_POSITIVE,
-    ("world", "ctr_beta"): _NOT_POSITIVE,
-    ("world", "cart_given_click_alpha"): _NOT_POSITIVE,
-    ("world", "cart_given_click_beta"): _NOT_POSITIVE,
-    ("world", "order_given_click_alpha"): _NOT_POSITIVE,
-    ("world", "order_given_click_beta"): _NOT_POSITIVE,
-    ("world", "price_mu"): _NONFINITE,
-    ("world", "price_sigma"): _NEGATIVE,
     ("world", "prediction_noise"): _NEGATIVE,
-    ("world", "shade_factor"): _NOT_POSITIVE,
-    ("world", "reserve_price"): _NEGATIVE,
-    ("world", "normalizer_margin"): _NOT_POSITIVE,
     ("world", "calibration_rounds"): _INT_BELOW_1,
     ("world", "seed"): _INT_BELOW_0,
     ("train", "weights"): st.sampled_from(
@@ -304,25 +306,36 @@ def test_fuzz_table_covers_every_key():
 
 
 # The [train] key each sweep varies between its points (checked in
-# test_sweep_retrains_on_every_run), and the keys no caller sets, each
-# with the reason it stays a key.
+# test_sweep_retrains_on_every_run), and per section the keys no caller
+# sets, each with the reason it stays a key.
 _SWEPT = {"pareto": "weights", "transition": "eps"}
 _SET_BY_NO_CALLER = {
-    "hidden": "the tests shrink the nets with it; the default 64x32 warm "
-              "start costs seconds per training",
+    "train": {
+        "hidden": "the tests shrink the nets with it; the default 64x32 "
+                  "warm start costs seconds per training",
+    },
+    "world": {},
 }
 
 
-def test_every_train_key_has_a_caller(perfbench):
+@pytest.mark.parametrize("section,cls", [("train", TrainConfig),
+                                         ("world", WorldConfig)],
+                         ids=["train", "world"])
+def test_every_key_has_a_caller(perfbench, section, cls):
     # a key that only its default uses is a constant, not an option
     bench, bench_tests = perfbench
     default = configparser.ConfigParser()
     default.read(Path(__file__).parents[1] / "configs" / "default.ini")
-    set_keys = (set(default["train"]) | set(bench.DEFAULT_SPEC["train"])
-                | set(bench_tests.TINY.train_overrides) | set(_SWEPT.values()))
-    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    # --seed sets both seeds; the benchmark's tests shrink [train] and the
+    # sweeps vary one [train] key each
+    set_keys = (set(default[section]) | set(bench.DEFAULT_SPEC[section])
+                | {"seed"})
+    if section == "train":
+        set_keys |= (set(bench_tests.TINY.train_overrides)
+                     | set(_SWEPT.values()))
+    fields = {f.name for f in dataclasses.fields(cls)}
     assert set_keys <= fields
-    assert fields - set_keys == set(_SET_BY_NO_CALLER)
+    assert fields - set_keys == set(_SET_BY_NO_CALLER[section])
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +367,14 @@ def test_unparsable_file_is_validation_error(tmp_path, capsys):
     assert "slots" in capsys.readouterr().err
 
 
+def test_negative_seed_is_validation_error(spec_file, tmp_path, capsys):
+    out = tmp_path / "neg"
+    assert cli.main(["train", "--config", str(spec_file), "--out", str(out),
+                     "--seed", "-1"]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_defaults_to_the_file_seeds(tmp_path, capsys):
     path = _edited_spec(tmp_path, "train", "seed = 3")
     args = ["evaluate", "--config", str(path), "--out", str(tmp_path / "e")]
@@ -368,32 +389,15 @@ def test_seed_defaults_to_the_file_seeds(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# gen-world
-
-
-def test_gen_world_outputs(tmp_path):
-    out = tmp_path / "w"
-    assert cli.main(["gen-world", "--out", str(out), "--seed", "9"]) == 0
-    assert (out / "world.ini").exists()
-    manifest = (out / "manifest.txt").read_text()
-    assert "world.ini" in manifest
-    assert _sha(out / "world.ini") in manifest
-    assert "seed = 9" in (out / "world.ini").read_text()
-    assert cli.main(["gen-world", "--out", str(tmp_path / "w0")]) == 0
-    assert "seed = 0" in (tmp_path / "w0" / "world.ini").read_text()
-    assert cli.main(["gen-world", "--out", str(tmp_path / "neg"),
-                     "--seed", "-1"]) == 1
-    assert not (tmp_path / "neg").exists()
-
-
-# ---------------------------------------------------------------------------
 # train / evaluate
 
 
 def test_train_outputs(trained_dir):
-    for name in ("actor.ckpt", "critic.ckpt", "report.csv", "world.ini",
-                 "manifest.txt"):
-        assert (trained_dir / name).exists(), name
+    manifest = (trained_dir / "manifest.txt").read_text().splitlines()
+    names = ("actor.ckpt", "critic.ckpt", "report.csv", "world.ini")
+    assert sorted(manifest) == sorted(f"{_sha(trained_dir / name)}  {name}"
+                                      for name in names)
+    assert "seed = 1" in (trained_dir / "world.ini").read_text()
     report = (trained_dir / "report.csv").read_text().splitlines()
     assert report[0].startswith("iter,objective")
     assert len(report) >= 2
@@ -529,6 +533,24 @@ def test_sweep_retrains_on_every_run(spec_file, tmp_path, monkeypatch,
     assert cli.main(args) == 0
     assert len(calls) == 2 * first
     assert len(list((tmp_path / "models").glob("actor_*.ckpt"))) == first
+
+
+@pytest.mark.parametrize("argv,message", [
+    # --workers exists only where a command reads it, and on train, which
+    # the benchmark calls with --workers 1
+    (["evaluate", "--workers", "2"], "unrecognized arguments: --workers 2"),
+    (["audit", "--model", "actor.ckpt", "--workers", "2"],
+     "unrecognized arguments: --workers 2"),
+    (["gen-world", "--seed", "1"], "invalid choice: 'gen-world'"),
+], ids=["evaluate-workers", "audit-workers", "gen-world"])
+def test_unknown_argument_is_usage_error(spec_file, tmp_path, capsys, argv,
+                                         message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--config", str(spec_file), "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

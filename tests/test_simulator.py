@@ -27,8 +27,6 @@ def test_world_config_validation():
     with pytest.raises(ValueError):
         WorldConfig(slots=1, slot_ctr_factors=(1.5,))
     with pytest.raises(ValueError):
-        WorldConfig(shade_factor=0.0)
-    with pytest.raises(ValueError):
         WorldConfig(n_advertisers=2)  # three slots
     with pytest.raises(ValueError):
         WorldConfig(n_advertisers=0, slots=1, slot_ctr_factors=(1.0,))
@@ -37,8 +35,7 @@ def test_world_config_validation():
             WorldConfig(prediction_noise=noise)
     with pytest.raises(ValueError):
         WorldConfig(calibration_rounds=0)
-    for bad in (dict(value_sigma=-1.0), dict(ctr_alpha=0.0), dict(seed=-1),
-                dict(value_mu=float("nan")), dict(normalizer_margin=0.0),
+    for bad in (dict(seed=-1),
                 dict(slots=2, slot_ctr_factors=(float("nan"), 0.5))):
         with pytest.raises(ValueError):
             WorldConfig(**bad)
@@ -67,14 +64,6 @@ def test_truthful_bids_equal_values():
     world = World(WorldConfig(calibration_rounds=10, seed=3))
     rounds = world.sample_rounds(5, np.random.default_rng(0))
     assert np.array_equal(rounds.bids, rounds.values)
-
-
-def test_shaded_bids():
-    # shade_factor alone sets the bids; there is no mode to switch it on
-    cfg = WorldConfig(shade_factor=0.7, calibration_rounds=10, seed=3)
-    world = World(cfg)
-    rounds = world.sample_rounds(5, np.random.default_rng(0))
-    assert np.array_equal(rounds.bids, 0.7 * rounds.values)
 
 
 def test_sampling_deterministic():
@@ -280,8 +269,7 @@ def test_benchmark_reproducible():
 
 
 def test_benchmark_symmetry_for_identical_advertisers():
-    world = World(WorldConfig(value_sigma=0.25, value_mu_spread=0.0,
-                              calibration_rounds=10, seed=3))
+    world = World(WorldConfig(calibration_rounds=10, seed=3))
     world.true_ctr[:] = 0.25
     world.true_acr[:] = 0.1
     world.true_cvr[:] = 0.05
