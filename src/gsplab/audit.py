@@ -191,18 +191,17 @@ def i_sic(mechanism, world, config=AuditConfig()):
         raise ValueError("i-SIC is defined on single-slot worlds (K = 1)")
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x151C)))
     rounds = world.sample_rounds(config.isic_rounds, rng)
-    values = rounds.values
     a = config.alpha
     base = mechanism.score_batch(rounds.bids, rounds.feats)
 
     def replay(mult):
         """(R, N) utilities and wins when advertiser i alone bids mult * v_i."""
-        u = np.zeros(values.shape)
-        won = np.zeros(values.shape, dtype=bool)
+        u = np.zeros(rounds.bids.shape)
+        won = np.zeros(rounds.bids.shape, dtype=bool)
         sampled = (rounds.bids, *base)
         bids, sc, pi, off = (m.copy() for m in sampled)
         for i in range(world.n_advertisers):
-            b = mult * values[:, i]
+            b = mult * rounds.bids[:, i]
             bids[:, i] = b
             sc[:, i], pi[:, i], off[:, i] = mechanism.score_batch(
                 b, rounds.feats[:, i, :])
@@ -217,7 +216,7 @@ def i_sic(mechanism, world, config=AuditConfig()):
     u_up, _ = replay(1.0 + a)
     _, win_v = replay(1.0)
     u_down, _ = replay(1.0 - a)
-    denom = float(np.mean(values * win_v) * 2.0 * a)
+    denom = float(np.mean(rounds.bids * win_v) * 2.0 * a)
     if abs(denom) < 1e-9:
         raise ZeroDivisionError("i-SIC denominator below 1e-9 (no wins?)")
     return IsicResult(value=float(np.mean(u_up - u_down) / denom))

@@ -41,8 +41,8 @@ from gsplab.auction import (
 )
 from gsplab.nets import BidMultiplierNet
 from gsplab.simulator import (
+    METRICS,
     NORMALIZER_FLOOR,
-    MetricsRecord,
     World,
     WorldConfig,
     check_bounds,
@@ -66,9 +66,6 @@ class ValidationError(ValueError):
 # Config plumbing
 
 
-_METRIC_INDEX = {"ctr": 1, "acr": 2, "cvr": 3, "gpm": 4}
-
-
 @dataclasses.dataclass
 class SweepConfig:
     """The optional [sweep] section of the pareto and transition sweeps."""
@@ -89,9 +86,8 @@ class SweepConfig:
             grid = list(getattr(self, name))
             if grid != sorted(grid) or grid[-1] > 1.0:
                 raise ValueError(f"{name} must be sorted and lie in [0, 1]")
-        if self.trade_metric not in _METRIC_INDEX:
-            raise ValueError(f"trade_metric must be one of "
-                             f"{sorted(_METRIC_INDEX)}")
+        if self.trade_metric not in METRICS[1:]:
+            raise ValueError(f"trade_metric must be one of {METRICS[1:]}")
         check_bounds(self, 1, "compare_rounds")
 
 
@@ -135,8 +131,7 @@ def _build_world(world_cfg):
     mechanism would score it as exactly 0 or 1.
     """
     world = World(world_cfg)
-    zero = [f.name for f, norm in zip(dataclasses.fields(MetricsRecord),
-                                      world.normalizers)
+    zero = [name for name, norm in zip(METRICS, world.normalizers)
             if norm <= NORMALIZER_FLOOR]
     if zero:
         raise ValidationError(
@@ -260,9 +255,13 @@ def cmd_train(args):
 def _load_actor(path):
     """The --model actor; a file that is not one is a validation error."""
     try:
-        return BidMultiplierNet.load(path)
+        actor = BidMultiplierNet.load(path)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"bad --model: {exc}") from exc
+    if actor.feature_dim != FEATURE_DIM:
+        raise ValidationError(f"bad --model: {path}: {actor.feature_dim} "
+                              f"features, the market has {FEATURE_DIM}")
+    return actor
 
 
 def _mechanism_from_args(args):
@@ -290,13 +289,12 @@ def cmd_evaluate(args):
     metrics, utility = world.evaluate(mech, train_cfg.eval_rounds,
                                       train_cfg.seed)
     f = scalarize(metrics, train_cfg.weights)
-    print(f"metrics (normalized): rpm={metrics.rpm:.4f} ctr={metrics.ctr:.4f} "
-          f"acr={metrics.acr:.4f} cvr={metrics.cvr:.4f} gpm={metrics.gpm:.4f}")
+    print("metrics (normalized): " + " ".join(
+        f"{name}={m:.4f}" for name, m in zip(METRICS, metrics)))
     print(f"objective F = {f:.6f}; total advertiser utility = {utility.sum():.4f}")
     with open(out / "metrics.csv", "w") as fh:
-        fh.write("rpm,ctr,acr,cvr,gpm,objective\n")
-        fh.write(f"{metrics.rpm},{metrics.ctr},{metrics.acr},"
-                 f"{metrics.cvr},{metrics.gpm},{f}\n")
+        fh.write(",".join(METRICS) + ",objective\n")
+        fh.write(",".join(str(m) for m in (*metrics, f)) + "\n")
     _write_manifest(out)
     return EXIT_OK
 
@@ -335,7 +333,7 @@ def cmd_pareto(args):
     world_cfg, base_train, sweep = _load_spec(args.config, args.seed)
     out = _out_dir(args)
     metric_name = sweep.trade_metric
-    mi = _METRIC_INDEX[metric_name]
+    mi = METRICS.index(metric_name)
     n_eval = sweep.compare_rounds
     _echo_config("pareto", world_cfg, base_train,
                  {"sweep": sweep, "seed": base_train.seed})
@@ -350,8 +348,7 @@ def cmd_pareto(args):
         named_cfgs.append((f"lambda_{lam}", dataclasses.replace(
             base_train, weights=tuple(weights))))
     results = _run_sweep(args, out, world_cfg, named_cfgs, eval_seed, n_eval)
-    deep_points = [(lam, m.as_vector())
-                   for lam, (m, _) in zip(sweep.lambda_grid, results)]
+    deep_points = [(lam, m) for lam, (m, _) in zip(sweep.lambda_grid, results)]
 
     rows = []
     for lam, vec in deep_points:
@@ -359,12 +356,12 @@ def cmd_pareto(args):
     baselines = {}
     for sig in sweep.sigma_grid:
         m, _ = world.evaluate(GspMechanism(sigma=sig), n_eval, eval_seed)
-        baselines.setdefault("gsp", []).append((f"sigma={sig}", m.as_vector()))
+        baselines.setdefault("gsp", []).append((f"sigma={sig}", m))
     for c in sweep.ugsp_grid:
         lambdas = (1.0, c * world.bid_scale, 0.0) \
             if metric_name in ("ctr", "acr") else (1.0, 0.0, c * world.bid_scale)
         m, _ = world.evaluate(UgspMechanism(lambdas), n_eval, eval_seed)
-        baselines.setdefault("ugsp", []).append((f"c={c}", m.as_vector()))
+        baselines.setdefault("ugsp", []).append((f"c={c}", m))
     for name, pts in baselines.items():
         for label, vec in pts:
             rows.append((name, label, "", vec[mi], vec[0]))

@@ -242,9 +242,6 @@ def _guard_nan(grads):
 # Actor and critic
 
 
-DEFAULT_HIDDEN = (64, 32)
-
-
 class _NormalizedNet:
     """One-output Mlp over standardized inputs, with its checkpoint I/O.
 
@@ -254,7 +251,7 @@ class _NormalizedNet:
 
     KIND = EXTRA_INPUTS = OUTPUT = None  # set by each subclass
 
-    def __init__(self, feature_dim, hidden=DEFAULT_HIDDEN, rng=None):
+    def __init__(self, feature_dim, hidden, rng=None):
         self.feature_dim = feature_dim
         self.input_dim = self.EXTRA_INPUTS + feature_dim
         self.norm = Normalizer(self.input_dim)
@@ -283,8 +280,15 @@ class _NormalizedNet:
         if kind != cls.KIND:
             raise ValueError(f"{path}: checkpoint kind {kind} is not a "
                              f"{cls.__name__}")
+        if sizes[-1] != 1 or output != cls.OUTPUT:
+            raise ValueError(f"{path}: a {cls.__name__} has one {cls.OUTPUT} "
+                             f"output, not {sizes[-1]} {output}")
         obj = cls(sizes[0] - cls.EXTRA_INPUTS, hidden=tuple(sizes[1:-1]))
-        obj.net = Mlp(sizes, hidden=hidden, output=output)
+        obj.net.hidden = hidden
+        n_params = sum(p.size for p in obj.net.params())
+        if flat.size != n_params:
+            raise ValueError(f"{path}: {flat.size} parameters, but layer "
+                             f"sizes {sizes} take {n_params}")
         obj.net.set_flat(flat)
         obj.norm.mean, obj.norm.scale = mean, scale
         return obj

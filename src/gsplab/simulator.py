@@ -1,13 +1,14 @@
 """Synthetic ad market and feedback oracle.
 
-Replaces proprietary auction logs with a seeded generative world:
+Replaces proprietary auction logs with a seeded generative ``World``:
 advertisers carry ground-truth response rates (click, add-to-cart,
 order), valuations are drawn per round from log-normal distributions,
 every advertiser bids its valuation, and predicted rates are noisy
-versions of the truth.  User behavior is realized with a click-gated
-funnel, and the five platform metrics (RPM, CTR, ACR, CVR, GPM) are
-aggregated from the realized feedback and scaled to [0,1] by normalizers
-calibrated on a benchmark-mechanism run.
+versions of the truth (``World.sample_rounds`` gives ``Rounds``).  User
+behavior is realized with a click-gated funnel, and the five platform
+metrics ``METRICS`` (RPM, CTR, ACR, CVR, GPM) are aggregated from the
+realized feedback and scaled to [0,1] by normalizers calibrated on a
+benchmark-mechanism run; ``scalarize`` weighs them into F.
 
 The generative parameters are the module constants below; a
 ``WorldConfig`` sets only the market's shape (advertisers, slots and
@@ -38,6 +39,8 @@ from gsplab.auction import (
     price_batch,
 )
 
+# the five platform metrics, in the order of every metric vector
+METRICS = ("rpm", "ctr", "acr", "cvr", "gpm")
 # normalizer of a metric whose calibration episode reads 0
 NORMALIZER_FLOOR = 1e-9
 # headroom multiplier applied to the calibration episode's metrics to get
@@ -103,33 +106,14 @@ class WorldConfig:
 
 @dataclass
 class Rounds:
-    """A batch of sampled auction rounds with sealed ground truth.
-
-    ``sample_rounds`` makes ``bids`` the ``values`` array itself (every
-    advertiser bids its valuation): copy before writing to either.
-    """
+    """A batch of sampled auction rounds; the bids are the valuations."""
 
     bids: np.ndarray    # (R, N)
-    values: np.ndarray  # (R, N)
     feats: np.ndarray   # (R, N, FEATURE_DIM)
 
     @property
     def n_rounds(self):
         return self.bids.shape[0]
-
-
-@dataclass
-class MetricsRecord:
-    """The five normalized metrics of one episode, each in [0,1]."""
-
-    rpm: float
-    ctr: float
-    acr: float
-    cvr: float
-    gpm: float
-
-    def as_vector(self):
-        return np.array([self.rpm, self.ctr, self.acr, self.cvr, self.gpm])
 
 
 def raw_metrics(played, per_round=False):
@@ -155,8 +139,8 @@ def raw_metrics(played, per_round=False):
 def scalarize(metrics, weights):
     """F = sum_j w_j f_j over the five normalized metrics.
 
-    ``metrics`` is a MetricsRecord or 5-vector (returns a float) or an
-    (R, 5) array of per-round metrics (returns one F per round).
+    ``metrics`` is a 5-vector ordered as ``METRICS`` (returns a float) or
+    an (R, 5) array of per-round metrics (returns one F per round).
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (5,):
@@ -165,8 +149,7 @@ def scalarize(metrics, weights):
         raise ValueError("weights must be finite")
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {w.sum()}")
-    vec = metrics.as_vector() if isinstance(metrics, MetricsRecord) else np.asarray(metrics)
-    f = vec @ w
+    f = np.asarray(metrics) @ w
     return float(f) if f.ndim == 0 else f
 
 
@@ -186,12 +169,12 @@ class World:
         self.slots = config.slots
         self.beta = np.asarray(config.slot_ctr_factors, dtype=float)
         self.true_ctr = rng.beta(CTR_ALPHA, CTR_BETA, size=n)
-        cart_cond = rng.beta(CART_GIVEN_CLICK_ALPHA, CART_GIVEN_CLICK_BETA,
-                             size=n)
-        order_cond = rng.beta(ORDER_GIVEN_CLICK_ALPHA, ORDER_GIVEN_CLICK_BETA,
-                              size=n)
-        self.true_acr = self.true_ctr * cart_cond
-        self.true_cvr = self.true_ctr * order_cond
+        self.cart_given_click = rng.beta(CART_GIVEN_CLICK_ALPHA,
+                                         CART_GIVEN_CLICK_BETA, size=n)
+        self.order_given_click = rng.beta(ORDER_GIVEN_CLICK_ALPHA,
+                                          ORDER_GIVEN_CLICK_BETA, size=n)
+        self.true_acr = self.true_ctr * self.cart_given_click
+        self.true_cvr = self.true_ctr * self.order_given_click
         self.price = rng.lognormal(PRICE_MU, PRICE_SIGMA, size=n)
         self.value_mu = VALUE_MU + VALUE_MU_SPREAD * rng.standard_normal(n)
         self.normalizers = np.ones(5)
@@ -218,7 +201,7 @@ class World:
         feats[:, :, F_BUDGET] = 1.0
         feats[:, :, F_CATEGORY] = np.arange(n) / max(n - 1, 1)
         feats[:, :, F_USER] = rng.standard_normal((n_rounds, 1))
-        return Rounds(bids=values, values=values, feats=feats)
+        return Rounds(bids=values, feats=feats)
 
     # -- feedback ------------------------------------------------------------
 
@@ -226,13 +209,10 @@ class World:
         """Draw click/cart/order bits for (R, K) winner index array."""
         click_p = self.beta[None, :] * self.true_ctr[winners]
         clicks = rng.random(winners.shape) < click_p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cart_cond = np.minimum(
-                np.where(self.true_ctr > 0, self.true_acr / np.maximum(self.true_ctr, 1e-300), 0.0), 1.0)
-            order_cond = np.minimum(
-                np.where(self.true_ctr > 0, self.true_cvr / np.maximum(self.true_ctr, 1e-300), 0.0), 1.0)
-        carts = clicks & (rng.random(winners.shape) < cart_cond[winners])
-        orders = clicks & (rng.random(winners.shape) < order_cond[winners])
+        carts = clicks & (rng.random(winners.shape)
+                          < self.cart_given_click[winners])
+        orders = clicks & (rng.random(winners.shape)
+                           < self.order_given_click[winners])
         return clicks, carts, orders
 
     # -- vectorized episode runner -------------------------------------------
@@ -246,18 +226,18 @@ class World:
         scores, pi, off = mechanism.score_batch(rounds.bids, rounds.feats)
         order = allocate_batch(scores, rounds.bids)
         prices = price_batch(order, scores, pi, off, self.slots)
-        return self.settle(rounds, scores, order, prices, rng)
+        return self.settle(rounds, order, prices, rng)
 
-    def settle(self, rounds, scores, order, prices, rng):
-        """Realize feedback for precomputed allocations and aggregate.
+    def settle(self, rounds, order, prices, rng):
+        """Realize feedback for a precomputed allocation and aggregate.
 
-        The (R, K) ``clicks``, ``carts``, ``orders``, ``prices`` and
-        ``gmv`` arrays of the result feed ``raw_metrics``.
+        Returns ``utility`` and ``wins`` per advertiser, ``order``, and the
+        (R, K) ``clicks``, ``carts``, ``orders``, ``prices`` and ``gmv``.
         """
         winners = order[:, :self.slots]
         clicks, carts, orders_ = self.realize_batch(winners, rng)
         rows = np.arange(rounds.n_rounds)[:, None]
-        win_values = rounds.values[rows, winners]
+        win_values = rounds.bids[rows, winners]
         gmv = orders_ * self.price[winners]
         utility = np.zeros(self.n_advertisers)
         wins = np.zeros(self.n_advertisers, dtype=int)
@@ -266,7 +246,7 @@ class World:
         np.add.at(wins, winners.ravel(), 1)
         return {
             "utility": utility, "wins": wins,
-            "scores": scores, "order": order, "prices": prices,
+            "order": order, "prices": prices,
             "clicks": clicks, "carts": carts, "orders": orders_, "gmv": gmv,
         }
 
@@ -283,14 +263,14 @@ class World:
         return np.minimum(raw / self.normalizers, 1.0)
 
     def evaluate(self, mechanism, n_rounds, seed):
-        """Metrics and per-advertiser utilities over a fresh seeded episode."""
+        """(normalized metric 5-vector ordered as ``METRICS``, utility per
+        advertiser) over a fresh seeded episode."""
         if n_rounds < 1:
             raise ValueError("need at least one evaluation round")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         rounds = self.sample_rounds(n_rounds, rng)
         played = self.play(rounds, mechanism, rng)
-        metrics = MetricsRecord(*self.normalized(raw_metrics(played)))
-        return metrics, played["utility"]
+        return self.normalized(raw_metrics(played)), played["utility"]
 
     def benchmark_utilities(self, mechanism, n_rounds, rng):
         """Mean per-round utility vector over n_rounds of the benchmark."""

@@ -128,7 +128,7 @@ def collect_batch(world, actor, n_rounds, noise_std, rng, config, ubar):
     scores = rounds.bids * pi
     order = allocate_batch(scores, rounds.bids)
     prices = price_batch(order, scores, pi, np.zeros_like(pi), world.slots)
-    played = world.settle(rounds, scores, order, prices, rng)
+    played = world.settle(rounds, order, prices, rng)
     F = scalarize(world.normalized(raw_metrics(played, per_round=True)),
                   config.weights)
     # per-period utility, averaged per round, compared against the
@@ -320,7 +320,7 @@ def train(world, config):
         tm = spot_monotonicity(actor, spot)
         pi, dpi_db, _ = actor.forward_with_grad(mono_bids, mono_states[:, 1:])
         mono_loss, _, _ = actor_penalties(mono_bids, pi, dpi_db, 1.0, 0.0)
-        mean_pay = (metrics.rpm * world.normalizers[0] / 1000.0)
+        mean_pay = (metrics[0] * world.normalizers[0] / 1000.0)
         report.append({"iter": iteration, "objective": f,
                        "penalized_objective": f_pen, "mono_loss": mono_loss,
                        "t_m": tm, "mean_payment": mean_pay,

@@ -146,11 +146,11 @@ def test_criterion_5_objective_competitiveness(world):
     baselines = []
     for sigma in np.arange(0.5, 2.01, 0.25):
         m, _ = world.evaluate(GspMechanism(sigma=sigma), n_eval, eval_seed)
-        baselines.append(("gsp", m.as_vector()))
+        baselines.append(("gsp", m))
     for c in (0.2, 0.5, 1.0, 2.0, 5.0, 10.0):
         m, _ = world.evaluate(UgspMechanism((1.0, c * world.bid_scale, 0.0)),
                               n_eval, eval_seed)
-        baselines.append(("ugsp", m.as_vector()))
+        baselines.append(("ugsp", m))
     best_gsp_rpm = max(v[0] for name, v in baselines if name == "gsp")
 
     one_slot = single_slot_world(world)
@@ -163,9 +163,8 @@ def test_criterion_5_objective_competitiveness(world):
         # a model only counts if it passes the gates of criteria 3 and 4
         pers.append(_per(world, result.actor).mean)
         scores.append(_isic(one_slot, result.actor))
-        m, _ = world.evaluate(DeepGspMechanism(result.actor), n_eval,
-                              eval_seed)
-        vec = m.as_vector()
+        vec, _ = world.evaluate(DeepGspMechanism(result.actor), n_eval,
+                                eval_seed)
         f_deep = lam * vec[0] + (1.0 - lam) * vec[1]
         f_base = max(lam * v[0] + (1.0 - lam) * v[1] for _n, v in baselines)
         if f_deep >= 0.99 * f_base:

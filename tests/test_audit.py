@@ -174,7 +174,7 @@ class _FixedRoundsWorld:
         feats = np.zeros(bids.shape + (FEATURE_DIM,))
         # round 0: the zero-pCTR ad wins slot 2 on the bid tie-break
         feats[..., F_PCTR] = [[0.5, 0.0, 0.0], [0.3, 0.4, 0.1]]
-        return Rounds(bids=bids, values=bids.copy(), feats=feats)
+        return Rounds(bids=bids, feats=feats)
 
 
 def test_per_excludes_degenerate_winners():

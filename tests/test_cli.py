@@ -3,14 +3,19 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import re
+import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsplab import cli
-from gsplab.simulator import WorldConfig
+from gsplab.auction import FEATURE_DIM
+from gsplab.nets import BidMultiplierNet, Mlp
+from gsplab.simulator import METRICS, WorldConfig
 from gsplab.trainer import TrainConfig
 
 from test_bench_spec import perfbench  # noqa: F401 - fixture
@@ -417,10 +422,16 @@ def test_evaluate_gsp(spec_file, tmp_path, capsys):
                      "--out", str(out), "--mechanism", "gsp",
                      "--sigma", "0.8"])
     assert code == 0
-    assert "objective F" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "objective F" in printed
     lines = (out / "metrics.csv").read_text().splitlines()
     assert lines[0] == "rpm,ctr,acr,cvr,gpm,objective"
     assert len(lines) == 2
+    # the printed metrics are the file's, rounded to 4 places
+    shown = re.search(r"^metrics \(normalized\): (.*)$", printed, re.M)
+    assert shown.group(1) == " ".join(
+        f"{name}={float(v):.4f}"
+        for name, v in zip(METRICS, lines[1].split(",")))
 
 
 def test_evaluate_ugsp(spec_file, tmp_path):
@@ -469,8 +480,15 @@ def test_bad_mechanism_flag_is_validation_error(spec_file, trained_dir,
     assert not out.exists()
 
 
+def _fitted_actor(feature_dim):
+    rng = np.random.default_rng(0)
+    actor = BidMultiplierNet(feature_dim, hidden=(4,), rng=rng)
+    return actor.fit_normalizer(rng.uniform(0.5, 5.0, 16),
+                                rng.uniform(0.0, 1.0, (16, feature_dim)))
+
+
 def _bad_model(kind, trained_dir, tmp_path):
-    """A --model path that is not an actor checkpoint."""
+    """A --model path that is not an actor checkpoint for this market."""
     path = tmp_path / f"{kind}.ckpt"
     if kind == "foreign":
         path.write_text("[world]\nseed = 1\n")
@@ -480,12 +498,23 @@ def _bad_model(kind, trained_dir, tmp_path):
         return trained_dir / "critic.ckpt"
     elif kind == "directory":
         path.mkdir()
+    elif kind == "four-features":
+        _fitted_actor(4).save(path)
+    elif kind == "identity-output":
+        actor = _fitted_actor(FEATURE_DIM)
+        actor.net.output = "identity"
+        actor.save(path)
+    elif kind == "two-outputs":
+        actor = _fitted_actor(FEATURE_DIM)
+        actor.net = Mlp([actor.input_dim, 4, 2], output="softplus")
+        actor.save(path)
     return path
 
 
 @pytest.mark.parametrize("command", ["evaluate", "audit"])
 @pytest.mark.parametrize("kind", ["missing", "foreign", "truncated", "critic",
-                                  "directory"])
+                                  "directory", "four-features",
+                                  "identity-output", "two-outputs"])
 def test_bad_model_is_validation_error(spec_file, trained_dir, tmp_path,
                                        capsys, command, kind):
     model = _bad_model(kind, trained_dir, tmp_path)
@@ -584,3 +613,27 @@ def test_audit_trained_model(spec_file, trained_dir, tmp_path, capsys):
     lines = (out / "audit.csv").read_text().splitlines()
     assert lines[0] == "weights,t_m,per_mean,per_p05,per_p95,isic"
     assert len(lines) == 2
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+REPO = Path(__file__).parents[1]
+
+
+def test_readme_commands_parse():
+    # every gsplab line of the README's sh blocks parses (nothing runs),
+    # and every script it runs exists
+    blocks = re.findall(r"^```sh\n(.*?)^```", (REPO / "README.md").read_text(),
+                        re.M | re.S)
+    lines = [shlex.split(line, comments=True)
+             for block in blocks for line in block.splitlines()]
+    gsplab = [argv[1:] for argv in lines if argv[:1] == ["gsplab"]]
+    scripts = [argv[1] for argv in lines if argv[:1] == ["python"]]
+    assert gsplab and scripts
+    parser = cli.build_parser()
+    for argv in gsplab:
+        assert callable(parser.parse_args(argv).func), argv
+    for script in scripts:
+        assert script.startswith("scripts/") and (REPO / script).is_file()

@@ -385,9 +385,13 @@ def test_checkpoint_kind_mismatch(tmp_path):
     ("scale", struct.pack("<d", np.nan), "non-finite values"),
     ("mean", struct.pack("<d", np.inf), "non-finite values"),
     ("last_param", struct.pack("<d", np.nan), "non-finite values"),
+    ("output_act", 2, "one softplus output, not 1 identity"),
+    ("output_size", 2, "one softplus output, not 2 softplus"),
+    ("hidden_size", 5, "parameters, but layer sizes"),
 ], ids=["version", "no-layers", "hidden-act", "output-act", "huge-count",
         "trailing-double", "trailing-byte", "zero-scale", "nan-scale",
-        "inf-mean", "nan-param"])
+        "inf-mean", "nan-param", "identity-output", "two-outputs",
+        "param-count"])
 def test_malformed_checkpoint_names_file(tmp_path, field, value, message):
     actor = _random_actor(np.random.default_rng(12), hidden=(4,))
     path = tmp_path / "actor.ckpt"
@@ -398,6 +402,8 @@ def test_malformed_checkpoint_names_file(tmp_path, field, value, message):
     mean_start = magic + 20 + 4 * n_sizes
     # (offset, width) of each field; a float field takes packed bytes
     where = {"version": (magic, 4), "n_sizes": (magic + 8, 4),
+             "hidden_size": (magic + 16, 4),
+             "output_size": (magic + 12 + 4 * (n_sizes - 1), 4),
              "hidden_act": (magic + 12 + 4 * n_sizes, 4),
              "output_act": (magic + 16 + 4 * n_sizes, 4),
              "mean": (mean_start, 8),

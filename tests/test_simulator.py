@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gsplab.auction import FEATURE_DIM, F_PCTR, GspMechanism
 from gsplab.simulator import (
+    METRICS,
     Rounds,
     World,
     WorldConfig,
@@ -60,12 +61,6 @@ def test_zero_noise_predictions_equal_truth():
     assert np.allclose(rounds.feats[:, :, F_PCTR], world.true_ctr[None, :])
 
 
-def test_truthful_bids_equal_values():
-    world = World(WorldConfig(calibration_rounds=10, seed=3))
-    rounds = world.sample_rounds(5, np.random.default_rng(0))
-    assert np.array_equal(rounds.bids, rounds.values)
-
-
 def test_sampling_deterministic():
     world = World(WorldConfig(calibration_rounds=10, seed=3))
     a = world.sample_rounds(7, np.random.default_rng(42))
@@ -99,8 +94,8 @@ def test_certain_funnel_converts_every_impression():
                       calibration_rounds=10, seed=3)
     world = World(cfg)
     world.true_ctr[:] = 1.0
-    world.true_acr[:] = 1.0
-    world.true_cvr[:] = 1.0
+    world.cart_given_click[:] = 1.0
+    world.order_given_click[:] = 1.0
     winners = np.zeros((200, 1), dtype=int)
     clicks, carts, orders = world.realize_batch(winners,
                                                 np.random.default_rng(0))
@@ -225,10 +220,9 @@ def _settle_one(ctr, value, ppc):
                               calibration_rounds=10, seed=3))
     world.true_ctr[:] = ctr
     rounds = Rounds(bids=np.array([[value, 1.0]]),
-                    values=np.array([[value, 1.0]]),
                     feats=np.zeros((1, 2, FEATURE_DIM)))
-    played = world.settle(rounds, rounds.bids, np.array([[0, 1]]),
-                          np.array([[ppc]]), np.random.default_rng(0))
+    played = world.settle(rounds, np.array([[0, 1]]), np.array([[ppc]]),
+                          np.random.default_rng(0))
     assert played["wins"].tolist() == [1, 0]
     return played["utility"]
 
@@ -300,5 +294,16 @@ def test_evaluate_requires_rounds(small_world):
 def test_evaluate_deterministic(small_world):
     m1, u1 = small_world.evaluate(GspMechanism(1.0), 200, seed=4)
     m2, u2 = small_world.evaluate(GspMechanism(1.0), 200, seed=4)
-    assert m1 == m2
+    assert np.array_equal(m1, m2)
     assert np.array_equal(u1, u2)
+
+
+def test_evaluate_is_normalized_raw_metrics_of_its_episode(small_world):
+    # evaluate's vector is the one metric formula on the same seeded episode
+    mech = GspMechanism(1.0)
+    metrics, _ = small_world.evaluate(mech, 300, seed=8)
+    rng = np.random.default_rng(np.random.SeedSequence(8))
+    played = small_world.play(small_world.sample_rounds(300, rng), mech, rng)
+    assert metrics.shape == (len(METRICS),)
+    assert np.array_equal(metrics,
+                          small_world.normalized(raw_metrics(played)))
