@@ -125,6 +125,17 @@ def allocate_batch(scores, bids):
     return np.lexsort((idx, -bids, -scores))
 
 
+def ranks_before(score_a, bid_a, col_a, score_b, bid_b, col_b):
+    """Whether candidate a comes before candidate b in ``allocate_batch``'s
+    order: higher score, then higher bid, then lower column index.
+
+    Elementwise over arrays of one shape, for scores and bids that are not
+    NaN.
+    """
+    return (score_a > score_b) | ((score_a == score_b) & (
+        (bid_a > bid_b) | ((bid_a == bid_b) & (col_a < col_b))))
+
+
 def price_batch(order, scores, multipliers, offsets, slots):
     """Division-based prices for the top-``slots`` entries of each row.
 

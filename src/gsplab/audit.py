@@ -17,9 +17,11 @@ import numpy as np
 
 from gsplab.auction import (
     EPS_DIV,
+    DegenerateMultiplierError,
     allocate_batch,
     price_batch,
     price_exact_binary_search,
+    ranks_before,
 )
 
 
@@ -178,39 +180,55 @@ def i_sic(mechanism, world, config=AuditConfig()):
 
     For every (round, advertiser), the auction is replayed three times
     with that advertiser bidding v, (1+a)v, (1-a)v while everyone else is
-    held fixed (common random numbers), and priced by ``price_batch``.
-    With u(b) = win(b) * (b - p(b)),
+    held fixed (common random numbers).  With u(b) = win(b) * (b - p(b)),
 
         i-SIC = E[u((1+a)v) - u((1-a)v)] / (2a * E[v * win(v)]).
 
+    A replay re-scores the one column and ranks nothing: the others keep
+    their order among themselves, so the sampled matrix is ordered once
+    (``allocate_batch``) and each row keeps its two best columns.  The
+    replayed entry wins when it ``ranks_before`` the best of the others,
+    and then pays what ``price_batch`` charges a single slot,
+    max(0, (r_other - offset) / pi).  Values are those of full replays
+    with ``allocate_batch`` and ``price_batch``, bit for bit.
+
     A truthful (critical-bid-priced, monotone) mechanism scores 1 up to
-    Monte-Carlo error.  A degenerate winning multiplier raises
-    DegenerateMultiplierError.
+    Monte-Carlo error.  A winning multiplier at or below EPS_DIV, the
+    replayed column's or another's, raises DegenerateMultiplierError.
     """
     if world.slots != 1:
         raise ValueError("i-SIC is defined on single-slot worlds (K = 1)")
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x151C)))
     rounds = world.sample_rounds(config.isic_rounds, rng)
     a = config.alpha
-    base = mechanism.score_batch(rounds.bids, rounds.feats)
+    n = world.n_advertisers
+    scores, pi, _ = mechanism.score_batch(rounds.bids, rounds.feats)
+    rows = np.arange(rounds.n_rounds)
+    top = allocate_batch(scores, rounds.bids)[:, :2]
 
     def replay(mult):
         """(R, N) utilities and wins when advertiser i alone bids mult * v_i."""
         u = np.zeros(rounds.bids.shape)
-        won = np.zeros(rounds.bids.shape, dtype=bool)
-        sampled = (rounds.bids, *base)
-        bids, sc, pi, off = (m.copy() for m in sampled)
-        for i in range(world.n_advertisers):
+        won = np.ones(rounds.bids.shape, dtype=bool)
+        for i in range(n):
             b = mult * rounds.bids[:, i]
-            bids[:, i] = b
-            sc[:, i], pi[:, i], off[:, i] = mechanism.score_batch(
-                b, rounds.feats[:, i, :])
-            order = allocate_batch(sc, bids)
-            price = price_batch(order, sc, pi, off, 1)[:, 0]
-            won[:, i] = order[:, 0] == i
-            u[:, i] = np.where(won[:, i], b - price, 0.0)
-            for replayed, orig in zip((bids, sc, pi, off), sampled):
-                replayed[:, i] = orig[:, i]
+            sc_i, pi_i, off_i = mechanism.score_batch(b, rounds.feats[:, i, :])
+            winner_pi = pi_i
+            if n > 1:
+                # the best of the others, and whether column i beats it
+                other = np.where(top[:, 0] == i, top[:, 1], top[:, 0])
+                other_sc = scores[rows, other]
+                won[:, i] = ranks_before(sc_i, b, i, other_sc,
+                                         rounds.bids[rows, other], other)
+                winner_pi = np.where(won[:, i], pi_i, pi[rows, other])
+            if np.any(winner_pi <= EPS_DIV):
+                raise DegenerateMultiplierError(
+                    "degenerate multiplier among winners")
+            w = won[:, i]
+            # a lone candidate is ranked last overall and pays 0
+            price = (np.maximum(0.0, (other_sc[w] - off_i[w]) / pi_i[w])
+                     if n > 1 else 0.0)
+            u[w, i] = b[w] - price
         return u, won
 
     u_up, _ = replay(1.0 + a)

@@ -149,13 +149,21 @@ def _echo_config(name, world_cfg, train_cfg, extra):
         print(f"{k} = {v}")
 
 
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _model_echo(path):
+    """The echoed identity of a --model actor: its path and file sha256."""
+    return {"model": path, "model_sha256": _sha256(path)}
+
+
 def _write_manifest(out_dir):
     out_dir = Path(out_dir)
     lines = []
     for p in sorted(out_dir.rglob("*")):
         if p.is_file() and p.name != "manifest.txt":
-            digest = hashlib.sha256(p.read_bytes()).hexdigest()
-            lines.append(f"{digest}  {p.relative_to(out_dir)}")
+            lines.append(f"{_sha256(p)}  {p.relative_to(out_dir)}")
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -283,8 +291,9 @@ def cmd_evaluate(args):
     world_cfg, train_cfg, _ = _load_spec(args.config, args.seed)
     mech = _mechanism_from_args(args)
     out = _out_dir(args)
+    shown = _model_echo(args.model) if args.model else {"mechanism": mech}
     _echo_config("evaluate", world_cfg, train_cfg,
-                 {"mechanism": mech, "seed": train_cfg.seed})
+                 {**shown, "seed": train_cfg.seed})
     world = _build_world(world_cfg)
     metrics, utility = world.evaluate(mech, train_cfg.eval_rounds,
                                       train_cfg.seed)
@@ -427,7 +436,7 @@ def cmd_audit(args):
     actor = _load_actor(args.model)
     out = _out_dir(args)
     _echo_config("audit", world_cfg, train_cfg,
-                 {"model": args.model, "seed": train_cfg.seed})
+                 {**_model_echo(args.model), "seed": train_cfg.seed})
     world = _build_world(world_cfg)
     cfg = AuditConfig(seed=train_cfg.seed)
     mech = DeepGspMechanism(actor)

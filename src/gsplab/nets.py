@@ -8,6 +8,13 @@ the *unnormalized* bid input (needed by the monotonicity penalty and its
 parameter gradient), implemented as a forward-mode tangent pass plus a
 reverse pass over the combined graph.
 
+Inference (``multiplier_batch``, ``q_batch``) runs ``Mlp.predict``, a
+value-only pass: per layer one product, an in-place bias add and, for
+tanh, an in-place activation, with no derivative arrays kept.  Only the
+gradient callers run ``Mlp.forward``, which also keeps every layer's
+activations and first and second derivatives; both passes give the same
+output bits.
+
 Checkpoints are a self-describing little-endian binary format (magic
 string, version, architecture dims, normalization stats, row-major
 float64 parameter blocks).
@@ -47,18 +54,29 @@ def _softplus(z):
     return np.where(z > 30, z, np.log1p(np.exp(np.minimum(z, 30))))
 
 
-def _act(name, z):
-    """Returns (value, first derivative, second derivative) at z."""
-    if name == "tanh":
-        a = np.tanh(z)
-        d1 = 1.0 - a * a
-        return a, d1, -2.0 * a * d1
-    if name == "softplus":
-        s = _sigmoid(z)
-        return _softplus(z), s, s * (1.0 - s)
-    if name == "identity":
-        return z, np.ones_like(z), np.zeros_like(z)
-    raise ValueError(f"unknown activation {name!r}")
+def _tanh_derivatives(z, a):
+    d1 = 1.0 - a * a
+    return d1, -2.0 * a * d1
+
+
+def _softplus_derivatives(z, a):
+    s = _sigmoid(z)
+    return s, s * (1.0 - s)
+
+
+def _identity_derivatives(z, a):
+    return np.ones_like(z), np.zeros_like(z)
+
+
+# name -> (value, derivatives), shared by both forward passes.  value(z)
+# may overwrite z (tanh works in place); derivatives(z, a) returns the
+# first and second derivative at z given a = value(z), and reads only a
+# when value overwrites z.
+_ACTIVATIONS = {
+    "tanh": (lambda z: np.tanh(z, out=z), _tanh_derivatives),
+    "softplus": (_softplus, _softplus_derivatives),
+    "identity": (lambda z: z, _identity_derivatives),
+}
 
 
 class Normalizer:
@@ -90,14 +108,22 @@ class Normalizer:
 class Mlp:
     """Fully connected net with one output unit per default usage.
 
-    forward/backward use ordinary reverse-mode; jvp propagates an input
-    tangent, and backward_jvp differentiates a loss of (output, output
-    tangent) with respect to the parameters.
+    predict is the value-only pass for callers that only read the output:
+    it keeps no derivatives and no cache, and drops each layer's array
+    once the next one exists.  forward computes the same output, bit for
+    bit, plus the cache of activations and first and second activation
+    derivatives that the gradient passes read: backward is ordinary
+    reverse mode, jvp propagates an input tangent, and backward_jvp
+    differentiates a loss of (output, output tangent) with respect to the
+    parameters.
     """
 
     def __init__(self, sizes, hidden="tanh", output="identity", rng=None):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
+        for name in (hidden, output):
+            if name not in _ACTIVATIONS:
+                raise ValueError(f"unknown activation {name!r}")
         self.sizes = list(sizes)
         self.hidden = hidden
         self.output = output
@@ -113,8 +139,10 @@ class Mlp:
     def n_layers(self):
         return len(self.weights)
 
-    def _act_name(self, layer):
-        return self.output if layer == self.n_layers - 1 else self.hidden
+    def _activation(self, layer):
+        """(value, derivatives) of the layer's activation."""
+        return _ACTIVATIONS[self.output if layer == self.n_layers - 1
+                            else self.hidden]
 
     def params(self):
         return [p for pair in zip(self.weights, self.biases) for p in pair]
@@ -130,13 +158,25 @@ class Mlp:
         if pos != flat.size:
             raise ValueError("flat parameter vector has wrong length")
 
+    def predict(self, U):
+        """U: (B, n_in) -> output (B, n_out); the values only."""
+        A = np.asarray(U, dtype=float)
+        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+            Z = A @ w.T
+            Z += b
+            A = self._activation(layer)[0](Z)
+        return A
+
     def forward(self, U):
         """U: (B, n_in) -> output (B, n_out), plus cache for backward."""
         A = np.asarray(U, dtype=float)
         acts, d1s, d2s = [A], [], []
         for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            Z = A @ w.T + b
-            A, d1, d2 = _act(self._act_name(layer), Z)
+            value, derivatives = self._activation(layer)
+            Z = A @ w.T
+            Z += b
+            A = value(Z)
+            d1, d2 = derivatives(Z, A)
             acts.append(A)
             d1s.append(d1)
             d2s.append(d2)
@@ -314,8 +354,7 @@ class BidMultiplierNet(_NormalizedNet):
         return self.norm.transform(np.column_stack([bids, feats]))
 
     def multiplier_batch(self, bids, feats):
-        Y, _ = self.net.forward(self._inputs(bids, feats))
-        return Y[:, 0]
+        return self.net.predict(self._inputs(bids, feats))[:, 0]
 
     def forward_with_grad(self, bids, feats):
         """(pi, d pi/d bid, caches) for a batch; caches feed backward_jvp."""
@@ -342,8 +381,7 @@ class CriticNet(_NormalizedNet):
         return self.norm.transform(np.column_stack([states, actions]))
 
     def q_batch(self, states, actions):
-        Y, _ = self.net.forward(self._inputs(states, actions))
-        return Y[:, 0]
+        return self.net.predict(self._inputs(states, actions))[:, 0]
 
     def mse_and_grads(self, states, actions, targets):
         """Mean squared error against targets and its parameter gradient."""

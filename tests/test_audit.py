@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsplab import audit
 from gsplab.audit import (
     AuditConfig,
     _average_ranks,
@@ -14,13 +15,17 @@ from gsplab.audit import (
 )
 from gsplab.auction import (
     F_PCTR,
+    F_PCVR,
     FEATURE_DIM,
     DegenerateMultiplierError,
     DeepGspMechanism,
     FixedScoreMechanism,
     GspMechanism,
+    UgspMechanism,
+    allocate_batch,
+    price_batch,
 )
-from gsplab.simulator import Rounds
+from gsplab.simulator import Rounds, World, WorldConfig
 
 
 class ConstantActor:
@@ -163,23 +168,31 @@ def test_per_constant_multiplier_is_exact(small_world):
     assert result.n_winners == 50 * small_world.slots
 
 
-class _FixedRoundsWorld:
-    """Stands in for a World whose every sample is the same two rounds."""
+class _GivenRoundsWorld:
+    """Stands in for a World whose every sample is the given rounds."""
 
-    slots = 2
-    n_advertisers = 3
+    def __init__(self, bids, feats, slots):
+        self.bids, self.feats, self.slots = bids, feats, slots
+        self.n_advertisers = bids.shape[1]
 
     def sample_rounds(self, n_rounds, rng):
-        bids = np.array([[1.0, 5.0, 1.0], [2.0, 1.0, 3.0]])
-        feats = np.zeros(bids.shape + (FEATURE_DIM,))
-        # round 0: the zero-pCTR ad wins slot 2 on the bid tie-break
-        feats[..., F_PCTR] = [[0.5, 0.0, 0.0], [0.3, 0.4, 0.1]]
-        return Rounds(bids=bids, feats=feats)
+        return Rounds(bids=self.bids.copy(), feats=self.feats.copy())
+
+
+def _given_rounds(bids, pctr, pcvr=0.0, slots=1):
+    bids = np.asarray(bids, dtype=float)
+    feats = np.zeros(bids.shape + (FEATURE_DIM,))
+    feats[..., F_PCTR] = pctr
+    feats[..., F_PCVR] = pcvr
+    return _GivenRoundsWorld(bids, feats, slots)
 
 
 def test_per_excludes_degenerate_winners():
-    # a zero-pCTR GSP winner has a zero multiplier: no division price
-    result = payment_error_rate(_FixedRoundsWorld(), GspMechanism(1.0),
+    # a zero-pCTR GSP winner has a zero multiplier: no division price;
+    # in round 0 the zero-pCTR ad wins slot 2 on the bid tie-break
+    world = _given_rounds([[1.0, 5.0, 1.0], [2.0, 1.0, 3.0]],
+                          [[0.5, 0.0, 0.0], [0.3, 0.4, 0.1]], slots=2)
+    result = payment_error_rate(world, GspMechanism(1.0),
                                 AuditConfig(per_rounds=2))
     assert result.n_excluded == 1
     assert result.n_winners == 3
@@ -252,3 +265,146 @@ def test_isic_deterministic(one_slot):
     a = i_sic(GspMechanism(1.0), one_slot, config)
     b = i_sic(GspMechanism(1.0), one_slot, config)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# i-SIC against full replays
+
+
+def _reference_i_sic(mechanism, world, config):
+    """i-SIC with every replay a full ``allocate_batch`` + ``price_batch``."""
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x151C)))
+    rounds = world.sample_rounds(config.isic_rounds, rng)
+    a = config.alpha
+    base = mechanism.score_batch(rounds.bids, rounds.feats)
+
+    def replay(mult):
+        u = np.zeros(rounds.bids.shape)
+        won = np.zeros(rounds.bids.shape, dtype=bool)
+        sampled = (rounds.bids, *base)
+        bids, sc, pi, off = (m.copy() for m in sampled)
+        for i in range(world.n_advertisers):
+            b = mult * rounds.bids[:, i]
+            bids[:, i] = b
+            sc[:, i], pi[:, i], off[:, i] = mechanism.score_batch(
+                b, rounds.feats[:, i, :])
+            order = allocate_batch(sc, bids)
+            price = price_batch(order, sc, pi, off, 1)[:, 0]
+            won[:, i] = order[:, 0] == i
+            u[:, i] = np.where(won[:, i], b - price, 0.0)
+            for replayed, orig in zip((bids, sc, pi, off), sampled):
+                replayed[:, i] = orig[:, i]
+        return u, won
+
+    u_up, _ = replay(1.0 + a)
+    _, win_v = replay(1.0)
+    u_down, _ = replay(1.0 - a)
+    denom = float(np.mean(rounds.bids * win_v) * 2.0 * a)
+    return float(np.mean(u_up - u_down) / denom)
+
+
+def _duplicated_columns(rng):
+    """Sampled rounds with columns 4 and 6 copies of column 1."""
+    world = World(WorldConfig(slots=1, slot_ctr_factors=(1.0,), seed=1))
+    rounds = world.sample_rounds(400, rng)
+    world = _GivenRoundsWorld(rounds.bids, rounds.feats, slots=1)
+    for col in (4, 6):
+        world.bids[:, col] = world.bids[:, 1]
+        world.feats[:, col] = world.feats[:, 1]
+    return world
+
+
+def _equal_scores(rng):
+    """Bids 1, 2 and 4 with pCTR 1/(2b): every GSP(1) score is 0.5."""
+    bids = rng.choice([1.0, 2.0, 4.0], size=(300, 5))
+    return _given_rounds(bids, 0.5 / bids)
+
+
+def _bid_ladder(rng):
+    """Bids on {0.99, 1, 1.01, 2}: (1 +- 0.01) * 1 equals another's bid."""
+    bids = rng.choice([0.99, 1.0, 1.01, 2.0], size=(300, 6))
+    return _given_rounds(bids, rng.uniform(0.01, 0.2, bids.shape))
+
+
+def _top_two_tie(world, mechanism):
+    scores = mechanism.score_batch(world.bids, world.feats)[0]
+    order = allocate_batch(scores, world.bids)
+    rows = np.arange(world.bids.shape[0])
+    return np.mean(scores[rows, order[:, 0]] == scores[rows, order[:, 1]])
+
+
+TIE_CASES = {
+    "duplicated-gsp": (_duplicated_columns, GspMechanism(1.0)),
+    "duplicated-ugsp": (_duplicated_columns, UgspMechanism((1.0, 0.5, 0.2))),
+    "duplicated-fixed": (_duplicated_columns, FixedScoreMechanism()),
+    "equal-scores-gsp": (_equal_scores, GspMechanism(1.0)),
+    "bid-ladder-gsp0": (_bid_ladder, GspMechanism(0.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIE_CASES))
+def test_isic_equals_full_replays_on_ties(case):
+    make, mechanism = TIE_CASES[case]
+    world = make(np.random.default_rng(6))
+    assert _top_two_tie(world, mechanism) > 0.05   # the tie rule decides
+    config = AuditConfig(alpha=0.01, isic_rounds=world.bids.shape[0])
+    assert i_sic(mechanism, world, config).value == \
+        _reference_i_sic(mechanism, world, config)
+
+
+@pytest.mark.parametrize("n_advertisers", [1, 2, 3])
+@pytest.mark.parametrize("mechanism", [
+    GspMechanism(1.0), UgspMechanism((1.0, 0.5, 0.2)), FixedScoreMechanism(),
+], ids=["gsp", "ugsp", "fixed"])
+def test_isic_equals_full_replays_on_small_worlds(n_advertisers, mechanism):
+    world = World(WorldConfig(n_advertisers=n_advertisers, slots=1,
+                              slot_ctr_factors=(1.0,), seed=4,
+                              calibration_rounds=50))
+    config = AuditConfig(alpha=0.02, isic_rounds=500, seed=2)
+    assert i_sic(mechanism, world, config).value == \
+        _reference_i_sic(mechanism, world, config)
+
+
+def test_isic_equals_full_replays_for_a_learned_score(one_slot):
+    config = AuditConfig(alpha=0.01, isic_rounds=500, seed=4)
+    mechanism = DeepGspMechanism(DecayActor())
+    assert i_sic(mechanism, one_slot, config).value == \
+        _reference_i_sic(mechanism, one_slot, config)
+
+
+class _ScoreCalls:
+    """A mechanism that records the bid shape of every score_batch call."""
+
+    def __init__(self, mechanism):
+        self.mechanism, self.calls = mechanism, []
+
+    def score_batch(self, bids, feats):
+        self.calls.append(bids.shape)
+        return self.mechanism.score_batch(bids, feats)
+
+
+def test_isic_degenerate_winner_that_is_not_replayed_raises():
+    # the last column wins every round on its offset with multiplier 0, so
+    # the replay of column 0 finds a degenerate winner in another column
+    world = _given_rounds([[1.0, 2.0, 1.0]] * 4, [0.1, 0.1, 0.0],
+                          pcvr=[0.0, 0.0, 1.0])
+    mechanism = UgspMechanism((1.0, 0.0, 1.0))
+    config = AuditConfig(isic_rounds=4)
+    spy = _ScoreCalls(mechanism)
+    with pytest.raises(DegenerateMultiplierError):
+        i_sic(spy, world, config)
+    assert spy.calls == [(4, 3), (4,)]   # raised at the replay of column 0
+    with pytest.raises(DegenerateMultiplierError):
+        _reference_i_sic(mechanism, world, config)
+
+
+def test_isic_orders_the_sampled_matrix_once(one_slot, monkeypatch):
+    calls = []
+
+    def counted(scores, bids):
+        calls.append(scores.shape)
+        return allocate_batch(scores, bids)
+
+    monkeypatch.setattr(audit, "allocate_batch", counted)
+    i_sic(GspMechanism(1.0), one_slot, AuditConfig(isic_rounds=100))
+    assert calls == [(100, one_slot.n_advertisers)]

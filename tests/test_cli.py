@@ -452,6 +452,22 @@ def test_evaluate_trained_model(spec_file, trained_dir, tmp_path):
     assert (out / "metrics.csv").exists()
 
 
+def test_evaluate_model_echo_is_reproducible(spec_file, trained_dir, tmp_path,
+                                             capsys):
+    # the echo names the model by path and file hash, not by object address
+    model = trained_dir / "actor.ckpt"
+    stdouts = []
+    for _ in range(2):
+        assert cli.main(["evaluate", "--config", str(spec_file),
+                         "--out", str(tmp_path / "eval"),
+                         "--model", str(model)]) == 0
+        stdouts.append(capsys.readouterr().out)
+    assert stdouts[0] == stdouts[1]
+    assert f"model = {model}\n" in stdouts[0]
+    assert f"model_sha256 = {_sha(model)}\n" in stdouts[0]
+    assert " at 0x" not in stdouts[0]
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--sigma", "nan"], "--sigma"),
     (["--sigma", "-1"], "--sigma"),
@@ -606,10 +622,13 @@ def test_transition_sweep(spec_file, tmp_path, capsys):
 
 def test_audit_trained_model(spec_file, trained_dir, tmp_path, capsys):
     out = tmp_path / "audit"
+    model = trained_dir / "actor.ckpt"
     code = cli.main(["audit", "--config", str(spec_file), "--out", str(out),
-                     "--model", str(trained_dir / "actor.ckpt")])
+                     "--model", str(model)])
     assert code == 0
-    assert "T_m" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "T_m" in stdout
+    assert f"model_sha256 = {_sha(model)}\n" in stdout
     lines = (out / "audit.csv").read_text().splitlines()
     assert lines[0] == "weights,t_m,per_mean,per_p05,per_p95,isic"
     assert len(lines) == 2

@@ -104,6 +104,96 @@ def test_single_layer_bid_derivative_closed_form():
 
 
 # ---------------------------------------------------------------------------
+# The value-only pass
+
+
+def _fitted_model(kind, rng):
+    """An actor (tanh hidden, softplus output) or critic (identity output)
+    of the trained models' hidden sizes, with fitted normalization."""
+    cls = BidMultiplierNet if kind == "actor" else CriticNet
+    model = cls(FEAT, hidden=(64, 32),
+                rng=np.random.default_rng(rng.integers(2**31)))
+    X = rng.uniform(0.0, 5.0, size=(256, model.input_dim))
+    model.norm.fit(X)
+    for b in model.net.biases:  # nonzero biases, as after training
+        b[:] = rng.normal(0.0, 0.5, size=b.shape)
+    return model
+
+
+def _out_of_place_forward(net, U):
+    """The output as ``A @ w.T + b`` and a fresh activation array per layer."""
+    A = U
+    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+        Z = A @ w.T + b
+        name = net.output if layer == net.n_layers - 1 else net.hidden
+        A = {"tanh": np.tanh, "softplus": _softplus,
+             "identity": lambda z: z}[name](Z)
+    return A
+
+
+@pytest.mark.parametrize("kind", ["actor", "critic"])
+@pytest.mark.parametrize("rows", [1, 2, 17, 16_000])
+def test_predict_equals_forward_bit_for_bit(kind, rows):
+    rng = np.random.default_rng(rows)
+    model = _fitted_model(kind, rng)
+    U = model.norm.transform(rng.uniform(0.0, 5.0, (rows, model.input_dim)))
+    Y = model.net.predict(U)
+    assert Y.shape == (rows, 1)
+    assert np.array_equal(Y, model.net.forward(U)[0])
+    assert np.array_equal(Y, _out_of_place_forward(model.net, U))
+
+
+@pytest.mark.parametrize("kind", ["actor", "critic"])
+def test_predict_after_reload_equals_forward(kind, tmp_path):
+    rng = np.random.default_rng(21)
+    model = _fitted_model(kind, rng)
+    path = tmp_path / f"{kind}.ckpt"
+    model.save(path)
+    clone = type(model).load(path)
+    U = clone.norm.transform(rng.uniform(0.0, 5.0, (500, clone.input_dim)))
+    assert np.array_equal(clone.net.predict(U), clone.net.forward(U)[0])
+    assert np.array_equal(clone.net.predict(U), model.net.predict(U))
+
+
+def test_inference_runs_the_value_pass(monkeypatch):
+    rng = np.random.default_rng(22)
+    actor, critic = _fitted_model("actor", rng), _fitted_model("critic", rng)
+    bids, feats = rng.uniform(0.1, 5.0, 40), rng.uniform(0.0, 1.0, (40, FEAT))
+    want_pi = actor.net.forward(actor._inputs(bids, feats))[0][:, 0]
+    states = np.column_stack([bids, feats])
+    want_q = critic.net.forward(critic._inputs(states, want_pi))[0][:, 0]
+
+    def no_forward(self, U):
+        raise AssertionError("inference ran the training forward")
+
+    monkeypatch.setattr(Mlp, "forward", no_forward)
+    pi = actor.multiplier_batch(bids, feats)
+    q = critic.q_batch(states, pi)
+    assert type(pi) is np.ndarray and type(q) is np.ndarray
+    assert np.array_equal(pi, want_pi) and np.array_equal(q, want_q)
+
+
+def test_predict_keeps_no_cache():
+    rng = np.random.default_rng(23)
+    net = _fitted_model("actor", rng).net
+    before = dict(vars(net))
+    U = rng.normal(size=(300, net.sizes[0]))
+    U_copy = U.copy()
+    Y = net.predict(U)
+    assert type(Y) is np.ndarray and Y.base is None
+    assert vars(net).keys() == before.keys()
+    assert all(vars(net)[k] is v for k, v in before.items())
+    assert np.array_equal(U, U_copy)   # the input is not overwritten
+
+
+def test_unknown_activation_rejected():
+    with pytest.raises(ValueError, match="unknown activation 'relu'"):
+        Mlp([2, 3, 1], hidden="relu")
+    with pytest.raises(ValueError, match="unknown activation 'sigmoid'"):
+        Mlp([2, 1], output="sigmoid")
+
+
+# ---------------------------------------------------------------------------
 # Gradient checks against finite differences
 
 

@@ -1,6 +1,7 @@
 """The scripts under scripts/, loaded by path (they are not a package)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,57 @@ def test_train_six_configs_imports():
     assert callable(module.main)
     assert len(module.WEIGHT_CONFIGS) == 6
     assert all(abs(sum(w) - 1.0) < 1e-12 for w in module.WEIGHT_CONFIGS)
+
+
+def _canned_stdout(op_ref, rss, heldout=1.01, sha="ab" * 32):
+    """The two lines perfbench/run.py prints last, with given metric values."""
+    record = {"record": {"actor_sha256": sha, "heldout_F": 0.25,
+                         "environment": {"git_commit": None,
+                                         "src_sha256": "cd" * 32}}}
+    values = {"setup_s": 20.0, "peak_rss_mb": rss, "op_ref_ratio": op_ref,
+              "heldout_F_ratio": heldout}
+    result = {"correct": True, "attempted": 3, "failed": 0,
+              "metrics": {k: {"value": v, "unit": "x"}
+                          for k, v in values.items()}}
+    return f"progress\n{json.dumps(record)}\n{json.dumps(result)}\n"
+
+
+def test_bench_pairs_aggregation():
+    module = _load("bench_pairs")
+    specs = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    # three market pairs; the change is faster in two and uses less memory
+    canned = {"parent": [(2.3, 500.0), (2.2, 510.0), (2.4, 505.0)],
+              "change": [(1.2, 250.0), (2.5, 240.0), (1.3, 245.0)]}
+    runs = []
+    for side, values in canned.items():
+        for pair, (op_ref, rss) in enumerate(values):
+            entry = module.run_entry(
+                *module.parse_run(_canned_stdout(op_ref, rss)))
+            entry.update(workload="market", seed=7, pair=pair, side=side)
+            runs.append(entry)
+    assert runs[0]["metrics"]["op_ref_ratio"] == 2.3
+    assert runs[0]["actor_sha256"] == "ab" * 32
+    summary = module.summarize(runs, specs["end_to_end"])["market"]
+    op_ref = summary["op_ref_ratio"]
+    assert op_ref["pairs"] == 3
+    assert op_ref["change_wins"] == 2
+    assert op_ref["parent"] == pytest.approx(
+        {"median": 2.3, "q1": 2.25, "q3": 2.35})
+    assert op_ref["change"]["median"] == 1.3
+    assert op_ref["median_change"] == pytest.approx(1.3 / 2.3 - 1.0)
+    assert op_ref["beyond_parent_iqr"]
+    assert summary["peak_rss_mb"]["change_wins"] == 3
+    # equal values are not a win, in either direction of "better"
+    assert summary["heldout_F_ratio"]["change_wins"] == 0
+    assert not summary["heldout_F_ratio"]["beyond_parent_iqr"]
+    assert summary["setup_s"]["change_wins"] == 0
+
+
+def test_bench_pairs_skips_unpaired_runs():
+    module = _load("bench_pairs")
+    specs = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    entry = module.run_entry(*module.parse_run(_canned_stdout(2.0, 300.0)))
+    entry.update(workload="audit", seed=1, pair=0, side="parent")
+    assert module.summarize([entry], specs["end_to_end"]) == {}
+    with pytest.raises(ValueError, match="record and a result"):
+        module.parse_run("only one line\n")
