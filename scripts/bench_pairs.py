@@ -2,12 +2,12 @@
 
 Usage:
     python scripts/bench_pairs.py PARENT_CHECKOUT CHANGE_CHECKOUT \\
-        --seeds 7 --pairs 10 --out BENCH_<pr>.json
+        --seeds 7 --out BENCH_<pr>.json
 
-For every workload of BENCHMARK.json and every seed, each pair runs
-``perfbench/run.py --trace 0`` once in each checkout, one run at a time;
-which side goes first alternates from pair to pair, so a slow phase of a
-shared host falls on both sides alike.  The output file holds every run's
+For every workload of BENCHMARK.json and every seed, each of ``PAIRS``
+pairs runs ``perfbench/run.py --trace 0`` once in each checkout, one run
+at a time; which side goes first alternates from pair to pair, so a slow
+phase of a shared host falls on both sides alike.  The output file holds every run's
 end-to-end metrics and, per workload and metric, each side's median and
 quartiles, the number of pairs the change wins, and whether the medians
 differ by more than the interquartile range of the parent's runs.
@@ -21,6 +21,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# pairs per workload and seed: the fewest that can back a claimed gain
+PAIRS = 10
 
 
 def parse_run(stdout):
@@ -112,7 +114,6 @@ def main(argv=None):
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--pairs", type=int, default=3)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -121,7 +122,7 @@ def main(argv=None):
     runs, n = [], 0
     for workload in (w["name"] for w in spec["workloads"]):
         for seed in args.seeds:
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 order = SIDES if n % 2 == 0 else SIDES[::-1]
                 n += 1
                 for position, side in enumerate(order):
@@ -130,7 +131,7 @@ def main(argv=None):
                                  side=side, position=position)
                     runs.append(entry)
                     print(json.dumps(entry), flush=True)
-    out = {"seconds": seconds, "seeds": args.seeds, "pairs": args.pairs,
+    out = {"seconds": seconds, "seeds": args.seeds, "pairs": PAIRS,
            "runs": runs, "summary": summarize(runs, spec["end_to_end"])}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0

@@ -97,3 +97,11 @@ def test_bench_pairs_skips_unpaired_runs():
     assert module.summarize([entry], specs["end_to_end"]) == {}
     with pytest.raises(ValueError, match="record and a result"):
         module.parse_run("only one line\n")
+
+
+def test_bench_pairs_runs_ten_pairs_without_a_flag():
+    module = _load("bench_pairs")
+    assert module.PAIRS == 10
+    with pytest.raises(SystemExit):
+        module.main(["parent", "change", "--seeds", "7", "--pairs", "3",
+                     "--out", "unused.json"])
