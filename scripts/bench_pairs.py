@@ -7,10 +7,13 @@ Usage:
 For every workload of BENCHMARK.json and every seed, each of ``PAIRS``
 pairs runs ``perfbench/run.py --trace 0`` once in each checkout, one run
 at a time; which side goes first alternates from pair to pair, so a slow
-phase of a shared host falls on both sides alike.  The output file holds every run's
-end-to-end metrics and, per workload and metric, each side's median and
-quartiles, the number of pairs the change wins, and whether the medians
-differ by more than the interquartile range of the parent's runs.
+phase of a shared host falls on both sides alike.  The output file holds
+every run's end-to-end metrics, with the two factors of ``op_ref_ratio``
+in seconds (the fastest operation ``op_s_min`` and the fastest host
+reference pass ``ref_s_min``), and, per workload and metric, each side's
+median and quartiles, the number of pairs the change wins, and whether
+the medians differ by more than the interquartile range of the parent's
+runs.
 """
 
 import argparse
@@ -48,12 +51,15 @@ def run_once(checkout, workload, seed, seconds):
 
 
 def run_entry(result, record):
-    """The stored form of one run: its metric values and identifying keys."""
+    """The stored form of one run: its metric values, the two factors of
+    ``op_ref_ratio`` in seconds, and identifying keys."""
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: m["value"] for k, m in result["metrics"].items()},
+        "op_s_min": record["op_s_min"],
+        "ref_s_min": min(record["ref_s"]),
         "actor_sha256": record.get("actor_sha256"),
         "heldout_F": record.get("heldout_F"),
         "git_commit": record.get("environment", {}).get("git_commit"),

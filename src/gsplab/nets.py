@@ -8,12 +8,17 @@ the *unnormalized* bid input (needed by the monotonicity penalty and its
 parameter gradient), implemented as a forward-mode tangent pass plus a
 reverse pass over the combined graph.
 
+Each ``Mlp`` keeps its parameters in one flat vector that ``weights`` and
+``biases`` view, and its gradient passes write one flat gradient, so an
+Adam step updates one array.
+
 Inference (``multiplier_batch``, ``q_batch``) runs ``Mlp.predict``, a
-value-only pass: per layer one product, an in-place bias add and, for
-tanh, an in-place activation, with no derivative arrays kept.  Only the
-gradient callers run ``Mlp.forward``, which also keeps every layer's
-activations and first and second derivatives; both passes give the same
-output bits.
+value-only pass in blocks of ``PREDICT_ROWS`` rows: per layer one
+product, an in-place bias add and, for tanh, an in-place activation,
+with no derivative arrays kept.  Only the gradient callers run
+``Mlp.forward``, which also keeps every layer's activations and first
+derivatives (``backward_jvp`` derives the second ones from them); both
+passes give the same output bits.
 
 Checkpoints are a self-describing little-endian binary format (magic
 string, version, architecture dims, normalization stats, row-major
@@ -31,6 +36,9 @@ CHECKPOINT_VERSION = 1
 
 _ACT_NAMES = {"tanh": 0, "softplus": 1, "identity": 2}
 _ACT_BY_ID = {v: k for k, v in _ACT_NAMES.items()}
+
+# rows per block of Mlp.predict (see there)
+PREDICT_ROWS = 2048
 
 
 class NanGradientError(FloatingPointError):
@@ -54,28 +62,29 @@ def _softplus(z):
     return np.where(z > 30, z, np.log1p(np.exp(np.minimum(z, 30))))
 
 
-def _tanh_derivatives(z, a):
-    d1 = 1.0 - a * a
-    return d1, -2.0 * a * d1
+def _tanh_first(z, a):
+    d1 = a * a
+    return np.subtract(1.0, d1, out=d1)
 
 
-def _softplus_derivatives(z, a):
-    s = _sigmoid(z)
-    return s, s * (1.0 - s)
+def _tanh_second(a, d1):
+    d2 = -2.0 * a
+    d2 *= d1
+    return d2
 
 
-def _identity_derivatives(z, a):
-    return np.ones_like(z), np.zeros_like(z)
-
-
-# name -> (value, derivatives), shared by both forward passes.  value(z)
-# may overwrite z (tanh works in place); derivatives(z, a) returns the
-# first and second derivative at z given a = value(z), and reads only a
-# when value overwrites z.
+# name -> (value, first, second), shared by both forward passes and
+# backward_jvp.  value(z) may overwrite z (tanh works in place); first(z, a)
+# is the first derivative at z given a = value(z), and reads only a when
+# value overwrites z; second(a, d1) is the second derivative from a and
+# the first derivative, so forward need not keep it.  first and second
+# return fresh arrays.
 _ACTIVATIONS = {
-    "tanh": (lambda z: np.tanh(z, out=z), _tanh_derivatives),
-    "softplus": (_softplus, _softplus_derivatives),
-    "identity": (lambda z: z, _identity_derivatives),
+    "tanh": (lambda z: np.tanh(z, out=z), _tanh_first, _tanh_second),
+    "softplus": (_softplus, lambda z, a: _sigmoid(z),
+                 lambda a, d1: d1 * (1.0 - d1)),
+    "identity": (lambda z: z, lambda z, a: np.ones_like(z),
+                 lambda a, d1: np.zeros_like(a)),
 }
 
 
@@ -108,14 +117,18 @@ class Normalizer:
 class Mlp:
     """Fully connected net with one output unit per default usage.
 
+    The parameters are one flat vector laid out as w0, b0, w1, b1, ...,
+    which ``weights`` and ``biases`` view; params() is that vector, and
+    the gradient passes return one flat gradient in its layout.
+
     predict is the value-only pass for callers that only read the output:
-    it keeps no derivatives and no cache, and drops each layer's array
-    once the next one exists.  forward computes the same output, bit for
-    bit, plus the cache of activations and first and second activation
-    derivatives that the gradient passes read: backward is ordinary
-    reverse mode, jvp propagates an input tangent, and backward_jvp
-    differentiates a loss of (output, output tangent) with respect to the
-    parameters.
+    it keeps no derivatives and no cache, and runs in blocks of
+    PREDICT_ROWS rows.  forward computes the same output, bit for bit,
+    plus the cache of activations and first activation derivatives that
+    the gradient passes read: backward is ordinary reverse mode, jvp
+    propagates an input tangent, and backward_jvp differentiates a loss
+    of (output, output tangent) with respect to the parameters, taking
+    second derivatives from the cached activations.
     """
 
     def __init__(self, sizes, hidden="tanh", output="identity", rng=None):
@@ -127,61 +140,88 @@ class Mlp:
         self.sizes = list(sizes)
         self.hidden = hidden
         self.output = output
-        self.weights = []
-        self.biases = []
+        self.flat = np.zeros(sum(n_out * (n_in + 1) for n_in, n_out
+                                 in zip(sizes[:-1], sizes[1:])))
+        self.weights, self.biases = self._views(self.flat)
         rng = rng if rng is not None else np.random.default_rng(0)
-        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        for w in self.weights:
+            n_out, n_in = w.shape
             limit = np.sqrt(6.0 / (n_in + n_out))
-            self.weights.append(rng.uniform(-limit, limit, size=(n_out, n_in)))
-            self.biases.append(np.zeros(n_out))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
 
     @property
     def n_layers(self):
-        return len(self.weights)
+        return len(self.sizes) - 1
+
+    def _views(self, flat):
+        """(weights, biases): per-layer views into a vector like flat."""
+        weights, biases, pos = [], [], 0
+        for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:]):
+            weights.append(flat[pos:pos + n_out * n_in].reshape(n_out, n_in))
+            pos += n_out * n_in
+            biases.append(flat[pos:pos + n_out])
+            pos += n_out
+        return weights, biases
 
     def _activation(self, layer):
-        """(value, derivatives) of the layer's activation."""
+        """(value, first, second) of the layer's activation.
+
+        forward caches the first derivative only; backward_jvp computes
+        the second from the cached activation and first derivative.
+        """
         return _ACTIVATIONS[self.output if layer == self.n_layers - 1
                             else self.hidden]
 
+    def _to_input(self, dZ, layer):
+        """dZ @ weights[layer]; with one output unit each entry is one
+        product, which a broadcast gives without the matmul's overhead."""
+        w = self.weights[layer]
+        return dZ * w if w.shape[0] == 1 else dZ @ w
+
     def params(self):
-        return [p for pair in zip(self.weights, self.biases) for p in pair]
+        return [self.flat]
 
     def get_flat(self):
-        return np.concatenate([p.ravel() for p in self.params()])
+        return self.flat.copy()
 
     def set_flat(self, flat):
-        pos = 0
-        for p in self.params():
-            p[...] = flat[pos:pos + p.size].reshape(p.shape)
-            pos += p.size
-        if pos != flat.size:
+        if np.shape(flat) != self.flat.shape:
             raise ValueError("flat parameter vector has wrong length")
+        self.flat[...] = flat
 
     def predict(self, U):
-        """U: (B, n_in) -> output (B, n_out); the values only."""
-        A = np.asarray(U, dtype=float)
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            Z = A @ w.T
-            Z += b
-            A = self._activation(layer)[0](Z)
-        return A
+        """U: (B, n_in) -> output (B, n_out); the values only.
+
+        Rows run in blocks of PREDICT_ROWS written into one output, so the
+        hidden arrays stay small.  The remainder joins the last block, as
+        BLAS may round a shorter block unlike one pass over all rows.
+        """
+        U = np.asarray(U, dtype=float)
+        Y = np.empty((U.shape[0], self.sizes[-1]))
+        start = 0
+        for stop in [*range(PREDICT_ROWS, U.shape[0] - PREDICT_ROWS + 1,
+                            PREDICT_ROWS), U.shape[0]]:
+            A = U[start:stop]
+            for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+                Z = A @ w.T
+                Z += b
+                A = self._activation(layer)[0](Z)
+            Y[start:stop] = A
+            start = stop
+        return Y
 
     def forward(self, U):
         """U: (B, n_in) -> output (B, n_out), plus cache for backward."""
         A = np.asarray(U, dtype=float)
-        acts, d1s, d2s = [A], [], []
+        acts, d1s = [A], []
         for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            value, derivatives = self._activation(layer)
+            value, first, _ = self._activation(layer)
             Z = A @ w.T
             Z += b
             A = value(Z)
-            d1, d2 = derivatives(Z, A)
             acts.append(A)
-            d1s.append(d1)
-            d2s.append(d2)
-        cache = {"acts": acts, "d1s": d1s, "d2s": d2s}
-        return A, cache
+            d1s.append(first(Z, A))
+        return A, {"acts": acts, "d1s": d1s}
 
     def backward(self, cache, dY):
         """Gradients of sum(dY * Y) wrt params and input.
@@ -189,16 +229,17 @@ class Mlp:
         Returns (grads, dU) where grads matches params() order.
         """
         acts, d1s = cache["acts"], cache["d1s"]
+        grad = np.empty_like(self.flat)
+        gws, gbs = self._views(grad)
         dZ = dY * d1s[-1]
-        dws = [None] * self.n_layers
-        dbs = [None] * self.n_layers
         for layer in range(self.n_layers - 1, -1, -1):
-            dws[layer] = dZ.T @ acts[layer]
-            dbs[layer] = dZ.sum(axis=0)
-            dA = dZ @ self.weights[layer]
+            np.matmul(dZ.T, acts[layer], out=gws[layer])
+            dZ.sum(axis=0, out=gbs[layer])
+            dA = self._to_input(dZ, layer)
             if layer > 0:
-                dZ = dA * d1s[layer - 1]
-        return [g for pair in zip(dws, dbs) for g in pair], dA
+                dA *= d1s[layer - 1]
+                dZ = dA
+        return [grad], dA
 
     def jvp(self, cache, V):
         """Directional derivative of the output along input tangent V."""
@@ -210,8 +251,7 @@ class Mlp:
             S = d1s[layer] * T
             ts.append(T)
             ss.append(S)
-        jcache = {"ts": ts, "ss": ss}
-        return d1s[-1] * ts[-1], jcache
+        return S, {"ts": ts, "ss": ss}
 
     def backward_jvp(self, cache, jcache, dY, dYdot):
         """Parameter gradients of a loss depending on (Y, Ydot).
@@ -219,22 +259,28 @@ class Mlp:
         dY and dYdot are the loss derivatives wrt the output and the
         output tangent respectively.
         """
-        acts, d1s, d2s = cache["acts"], cache["d1s"], cache["d2s"]
+        acts, d1s = cache["acts"], cache["d1s"]
         ts, ss = jcache["ts"], jcache["ss"]
-        L = self.n_layers
-        dZ = dY * d1s[-1] + dYdot * d2s[-1] * ts[-1]
-        dT = dYdot * d1s[-1]
-        dws = [None] * L
-        dbs = [None] * L
-        for layer in range(L - 1, -1, -1):
-            dws[layer] = dZ.T @ acts[layer] + dT.T @ ss[layer]
-            dbs[layer] = dZ.sum(axis=0)
-            dA = dZ @ self.weights[layer]
-            dS = dT @ self.weights[layer]
+        grad = np.empty_like(self.flat)
+        gws, gbs = self._views(grad)
+        # per layer dZ = dA * d1 + dS * d2 * T and dT = dS * d1, with
+        # (dA, dS) = (dY, dYdot) at the output
+        dA, dS = dY, dYdot
+        for layer in range(self.n_layers - 1, -1, -1):
+            d1 = d1s[layer]
+            d2 = self._activation(layer)[2](acts[layer + 1], d1)
+            d2 *= dS
+            d2 *= ts[layer]
+            dZ = dA * d1
+            dZ += d2
+            dT = dS * d1
+            np.matmul(dZ.T, acts[layer], out=gws[layer])
+            gws[layer] += dT.T @ ss[layer]
+            dZ.sum(axis=0, out=gbs[layer])
             if layer > 0:
-                dZ = dA * d1s[layer - 1] + dS * d2s[layer - 1] * ts[layer - 1]
-                dT = dS * d1s[layer - 1]
-        return [g for pair in zip(dws, dbs) for g in pair]
+                dA = self._to_input(dZ, layer)
+                dS = self._to_input(dT, layer)
+        return [grad]
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gsplab.auction import (
+    FEATURE_DIM,
     DeepGspMechanism,
     GspMechanism,
     UgspMechanism,
@@ -261,7 +262,7 @@ def warm_start_actor(actor, world, config, rng, eval_seed, ubar):
     rounds = world.sample_rounds(40, rng)
     bids = rounds.bids.reshape(-1)
     feats = rounds.feats.reshape(-1, rounds.feats.shape[-1])
-    scores, pi_t, off = best_mech.score_batch(bids, feats)
+    scores = best_mech.score_batch(bids, feats)[0]
     target = np.maximum(scores / np.maximum(bids, 1e-9), 1e-6)
     log_target = np.log(target)
     opt = Adam(1e-2)
@@ -287,14 +288,13 @@ def train(world, config):
     ubar = world.benchmark_utilities(benchmark, config.benchmark_rounds,
                                      rng_bench)
 
-    feature_dim = world.sample_rounds(1, np.random.default_rng(0)).feats.shape[-1]
-    actor = BidMultiplierNet(feature_dim, hidden=config.hidden, rng=rng_init)
+    actor = BidMultiplierNet(FEATURE_DIM, hidden=config.hidden, rng=rng_init)
     norm_rounds = world.sample_rounds(200, rng_init)
     actor.fit_normalizer(norm_rounds.bids.reshape(-1),
-                         norm_rounds.feats.reshape(-1, feature_dim))
+                         norm_rounds.feats.reshape(-1, FEATURE_DIM))
     warm_start_actor(actor, world, config, rng_fit, eval_seed, ubar)
 
-    critic = CriticNet(feature_dim, hidden=config.hidden, rng=rng_init)
+    critic = CriticNet(FEATURE_DIM, hidden=config.hidden, rng=rng_init)
     pre_batch = collect_batch(world, actor, config.pretrain_rounds, NOISE_STD,
                               rng_pre, config, ubar)
     critic.fit_normalizer(pre_batch.states, pre_batch.actions)

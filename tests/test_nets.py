@@ -5,6 +5,7 @@ import pytest
 
 from gsplab.nets import (
     CHECKPOINT_MAGIC,
+    PREDICT_ROWS,
     Adam,
     BidMultiplierNet,
     CriticNet,
@@ -12,6 +13,7 @@ from gsplab.nets import (
     NanGradientError,
     Normalizer,
     UnfittedNormalizerError,
+    _sigmoid,
     _softplus,
 )
 from gsplab.trainer import actor_penalties
@@ -120,27 +122,153 @@ def _fitted_model(kind, rng):
     return model
 
 
-def _out_of_place_forward(net, U):
-    """The output as ``A @ w.T + b`` and a fresh activation array per layer."""
-    A = U
-    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-        Z = A @ w.T + b
-        name = net.output if layer == net.n_layers - 1 else net.hidden
-        A = {"tanh": np.tanh, "softplus": _softplus,
-             "identity": lambda z: z}[name](Z)
-    return A
+class _ReferenceMlp:
+    """The plain MLP that Mlp must match bit for bit: list parameters, one
+    unblocked pass, cached first and second derivatives, ``@`` for every
+    product and a fresh array for every step."""
+
+    def __init__(self, net):
+        self.weights = [w.copy() for w in net.weights]
+        self.biases = [b.copy() for b in net.biases]
+        self.names = [net.hidden] * (net.n_layers - 1) + [net.output]
+
+    def params(self):
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
+
+    def forward(self, U):
+        A = U
+        acts, d1s, d2s = [A], [], []
+        for w, b, name in zip(self.weights, self.biases, self.names):
+            Z = A @ w.T + b
+            if name == "tanh":
+                A = np.tanh(Z)
+                d1 = 1.0 - A * A
+                d2 = -2.0 * A * d1
+            elif name == "softplus":
+                A = _softplus(Z)
+                d1 = _sigmoid(Z)
+                d2 = d1 * (1.0 - d1)
+            else:
+                A, d1, d2 = Z, np.ones_like(Z), np.zeros_like(Z)
+            acts.append(A)
+            d1s.append(d1)
+            d2s.append(d2)
+        return A, (acts, d1s, d2s)
+
+    def backward(self, cache, dY):
+        acts, d1s, _ = cache
+        dZ = dY * d1s[-1]
+        grads = []
+        for layer in reversed(range(len(self.weights))):
+            grads[:0] = [dZ.T @ acts[layer], dZ.sum(axis=0)]
+            dA = dZ @ self.weights[layer]
+            if layer > 0:
+                dZ = dA * d1s[layer - 1]
+        return grads, dA
+
+    def jvp(self, cache, V):
+        _, d1s, _ = cache
+        S = V
+        ts, ss = [], [S]
+        for w, d1 in zip(self.weights, d1s):
+            T = S @ w.T
+            S = d1 * T
+            ts.append(T)
+            ss.append(S)
+        return d1s[-1] * ts[-1], (ts, ss)
+
+    def backward_jvp(self, cache, jcache, dY, dYdot):
+        (acts, d1s, d2s), (ts, ss) = cache, jcache
+        dZ = dY * d1s[-1] + dYdot * d2s[-1] * ts[-1]
+        dT = dYdot * d1s[-1]
+        grads = []
+        for layer in reversed(range(len(self.weights))):
+            grads[:0] = [dZ.T @ acts[layer] + dT.T @ ss[layer],
+                         dZ.sum(axis=0)]
+            dA = dZ @ self.weights[layer]
+            dS = dT @ self.weights[layer]
+            if layer > 0:
+                dZ = dA * d1s[layer - 1] + dS * d2s[layer - 1] * ts[layer - 1]
+                dT = dS * d1s[layer - 1]
+        return grads
+
+
+def _flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 @pytest.mark.parametrize("kind", ["actor", "critic"])
-@pytest.mark.parametrize("rows", [1, 2, 17, 16_000])
+@pytest.mark.parametrize("rows", [
+    1, 2, 17, 37, PREDICT_ROWS - 1, PREDICT_ROWS, 2 * PREDICT_ROWS + 5,
+    3 * PREDICT_ROWS + 5, 16_000])
 def test_predict_equals_forward_bit_for_bit(kind, rows):
+    # the blocked pass against one unblocked pass over all rows
     rng = np.random.default_rng(rows)
     model = _fitted_model(kind, rng)
     U = model.norm.transform(rng.uniform(0.0, 5.0, (rows, model.input_dim)))
     Y = model.net.predict(U)
     assert Y.shape == (rows, 1)
     assert np.array_equal(Y, model.net.forward(U)[0])
-    assert np.array_equal(Y, _out_of_place_forward(model.net, U))
+    assert np.array_equal(Y, _ReferenceMlp(model.net).forward(U)[0])
+
+
+@pytest.mark.parametrize("kind", ["actor", "critic"])
+@pytest.mark.parametrize("rows", [1, 37, 800])
+def test_gradient_passes_equal_the_reference(kind, rows):
+    rng = np.random.default_rng(100 + rows)
+    model = _fitted_model(kind, rng)
+    net, ref = model.net, _ReferenceMlp(model.net)
+    U = model.norm.transform(rng.uniform(0.0, 5.0, (rows, model.input_dim)))
+    dY = rng.normal(size=(rows, 1))
+    Y, cache = net.forward(U)
+    Y_ref, cache_ref = ref.forward(U)
+    assert np.array_equal(Y, Y_ref)
+    grads, dU = net.backward(cache, dY)
+    grads_ref, dU_ref = ref.backward(cache_ref, dY)
+    assert len(grads) == 1 and grads[0].shape == net.flat.shape
+    assert np.array_equal(grads[0], _flat(grads_ref))
+    assert np.array_equal(dU, dU_ref)
+    if kind == "actor":
+        V = np.zeros_like(U)
+        V[:, 0] = 1.0 / model.norm.scale[0]
+        Ydot, jcache = net.jvp(cache, V)
+        Ydot_ref, jcache_ref = ref.jvp(cache_ref, V)
+        assert np.array_equal(Ydot, Ydot_ref)
+        dYdot = rng.normal(size=(rows, 1))
+        grads = net.backward_jvp(cache, jcache, dY, dYdot)
+        grads_ref = ref.backward_jvp(cache_ref, jcache_ref, dY, dYdot)
+        assert len(grads) == 1
+        assert np.array_equal(grads[0], _flat(grads_ref))
+
+
+def test_adam_on_the_flat_vector_equals_per_array_steps():
+    rng = np.random.default_rng(24)
+    net = _fitted_model("actor", rng).net
+    arrays = _ReferenceMlp(net).params()
+    assert len(arrays) == 6
+    flat_opt, array_opt = Adam(1e-2), Adam(1e-2)
+    for _ in range(5):
+        grads = [rng.normal(size=p.shape) for p in arrays]
+        flat_opt.step(net.params(), [_flat(grads)])
+        array_opt.step(arrays, grads)
+    assert np.array_equal(net.get_flat(), _flat(arrays))
+
+
+def test_weights_and_biases_view_the_flat_vector():
+    net = Mlp([3, 4, 1])                # layout: w0 (4, 3), b0, w1 (1, 4), b1
+    net.weights[1][0, 2] = 7.5
+    net.biases[0][3] = -2.0
+    flat = net.get_flat()
+    assert flat[12 + 4 + 2] == 7.5 and flat[12 + 3] == -2.0
+    flat[0] = 99.0                      # get_flat returns a copy
+    assert net.weights[0][0, 0] != 99.0
+    new = np.arange(flat.size, dtype=float)
+    net.set_flat(new)
+    assert np.array_equal(net.weights[0], new[:12].reshape(4, 3))
+    assert np.array_equal(net.biases[0], new[12:16])
+    assert np.array_equal(net.weights[1], new[16:20].reshape(1, 4))
+    assert np.array_equal(net.biases[1], new[20:])
+    assert len(net.params()) == 1 and net.params()[0] is net.flat
 
 
 @pytest.mark.parametrize("kind", ["actor", "critic"])

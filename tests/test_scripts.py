@@ -45,9 +45,11 @@ def test_train_six_configs_imports():
     assert all(abs(sum(w) - 1.0) < 1e-12 for w in module.WEIGHT_CONFIGS)
 
 
-def _canned_stdout(op_ref, rss, heldout=1.01, sha="ab" * 32):
+def _canned_stdout(op_ref, rss, heldout=1.01, sha="ab" * 32,
+                   op_s_min=0.5, ref_s=(0.3, 0.2, 0.25)):
     """The two lines perfbench/run.py prints last, with given metric values."""
     record = {"record": {"actor_sha256": sha, "heldout_F": 0.25,
+                         "op_s_min": op_s_min, "ref_s": list(ref_s),
                          "environment": {"git_commit": None,
                                          "src_sha256": "cd" * 32}}}
     values = {"setup_s": 20.0, "peak_rss_mb": rss, "op_ref_ratio": op_ref,
@@ -87,6 +89,17 @@ def test_bench_pairs_aggregation():
     assert summary["heldout_F_ratio"]["change_wins"] == 0
     assert not summary["heldout_F_ratio"]["beyond_parent_iqr"]
     assert summary["setup_s"]["change_wins"] == 0
+
+
+def test_bench_pairs_keeps_both_factors_of_the_ratio():
+    # op_ref_ratio = fastest operation / fastest host reference pass
+    module = _load("bench_pairs")
+    entry = module.run_entry(*module.parse_run(_canned_stdout(
+        0.173 / 0.18, 128.0, op_s_min=0.173, ref_s=(0.21, 0.18, 0.19))))
+    assert entry["op_s_min"] == 0.173
+    assert entry["ref_s_min"] == 0.18
+    assert entry["metrics"]["op_ref_ratio"] == (entry["op_s_min"]
+                                                / entry["ref_s_min"])
 
 
 def test_bench_pairs_skips_unpaired_runs():
