@@ -13,7 +13,7 @@ in seconds (the fastest operation ``op_s_min`` and the fastest host
 reference pass ``ref_s_min``), and, per workload and metric, each side's
 median and quartiles, the number of pairs the change wins, and whether
 the medians differ by more than the interquartile range of the parent's
-runs.
+runs, and each side's total failed and attempted operations.
 """
 
 import argparse
@@ -78,24 +78,32 @@ def quartiles(xs):
 def summarize(runs, specs):
     """Per workload and metric: each side's quartiles and the change's wins.
 
-    ``runs`` are entries with ``workload``, ``seed``, ``pair``, ``side``
-    and ``metrics``; ``specs`` are BENCHMARK.json's end-to-end metrics.
-    A pair counts as won when the change's value is strictly better.
+    ``runs`` are entries with ``workload``, ``seed``, ``pair``, ``side``,
+    ``metrics``, ``failed`` and ``attempted``; ``specs`` are
+    BENCHMARK.json's end-to-end metrics.  A pair counts as won when the
+    change's value is strictly better.  Under ``operations``, each
+    workload also holds each side's total failed and attempted operations.
     """
     better = {m["name"]: m["better"] for m in specs}
     by_pair = {}
     for run in runs:
         key = (run["workload"], run["seed"], run["pair"])
-        by_pair.setdefault(key, {})[run["side"]] = run["metrics"]
-    summary = {}
+        by_pair.setdefault(key, {})[run["side"]] = run
+    summary, operations = {}, {}
     for (workload, _, _), sides in sorted(by_pair.items()):
         if set(sides) != set(SIDES):
             continue
+        totals = operations.setdefault(workload, {
+            side: {"failed": 0, "attempted": 0} for side in SIDES})
+        for side in SIDES:
+            for count in ("failed", "attempted"):
+                totals[side][count] += sides[side][count]
         for name, direction in better.items():
             entry = summary.setdefault(workload, {}).setdefault(
                 name, {"parent": [], "change": [], "change_wins": 0,
                        "pairs": 0})
-            before, after = sides["parent"][name], sides["change"][name]
+            before = sides["parent"]["metrics"][name]
+            after = sides["change"]["metrics"][name]
             entry["parent"].append(before)
             entry["change"].append(after)
             entry["pairs"] += 1
@@ -112,6 +120,8 @@ def summarize(runs, specs):
             entry["beyond_parent_iqr"] = (abs(change["median"]
                                               - parent["median"])
                                           > parent["q3"] - parent["q1"])
+    for workload, totals in operations.items():
+        summary[workload]["operations"] = totals
     return summary
 
 

@@ -178,19 +178,22 @@ class IsicResult:
 def i_sic(mechanism, world, config=AuditConfig()):
     """Finite-alpha incentive-compatibility score on a single-slot world.
 
-    For every (round, advertiser), the auction is replayed three times
-    with that advertiser bidding v, (1+a)v, (1-a)v while everyone else is
-    held fixed (common random numbers).  With u(b) = win(b) * (b - p(b)),
+    For every (round, advertiser), the auction is replayed with that
+    advertiser bidding (1+a)v and (1-a)v while everyone else is held fixed
+    (common random numbers).  With u(b) = win(b) * (b - p(b)),
 
         i-SIC = E[u((1+a)v) - u((1-a)v)] / (2a * E[v * win(v)]).
 
-    A replay re-scores the one column and ranks nothing: the others keep
-    their order among themselves, so the sampled matrix is ordered once
-    (``allocate_batch``) and each row keeps its two best columns.  The
-    replayed entry wins when it ``ranks_before`` the best of the others,
-    and then pays what ``price_batch`` charges a single slot,
+    win(v) is the sampled allocation itself: bidding v leaves every score
+    as sampled.  A replay re-scores the one column and ranks nothing: the
+    others keep their order among themselves, so the sampled matrix is
+    ordered once (``allocate_batch``) and each column keeps the best of
+    the others.  The replayed entry wins when it ``ranks_before`` that
+    one, and then pays what ``price_batch`` charges a single slot,
     max(0, (r_other - offset) / pi).  Values are those of full replays
-    with ``allocate_batch`` and ``price_batch``, bit for bit.
+    with ``allocate_batch`` and ``price_batch``, bit for bit, and the
+    audit makes 1 + 2N ``score_batch`` calls: the sampled matrix, then
+    one per column and perturbation.
 
     A truthful (critical-bid-priced, monotone) mechanism scores 1 up to
     Monte-Carlo error.  A winning multiplier at or below EPS_DIV, the
@@ -205,35 +208,38 @@ def i_sic(mechanism, world, config=AuditConfig()):
     scores, pi, _ = mechanism.score_batch(rounds.bids, rounds.feats)
     rows = np.arange(rounds.n_rounds)
     top = allocate_batch(scores, rounds.bids)[:, :2]
+    win_v = top[:, :1] == np.arange(n)
+    if n > 1:
+        # row i: per round, the best of the others, which column i must beat
+        other = np.where(win_v.T, top[:, 1], top[:, 0])
+        others = list(zip(other, scores[rows, other], rounds.bids[rows, other],
+                          pi[rows, other]))
 
     def replay(mult):
-        """(R, N) utilities and wins when advertiser i alone bids mult * v_i."""
+        """(R, N) utilities when advertiser i alone bids mult * v_i."""
         u = np.zeros(rounds.bids.shape)
-        won = np.ones(rounds.bids.shape, dtype=bool)
         for i in range(n):
             b = mult * rounds.bids[:, i]
             sc_i, pi_i, off_i = mechanism.score_batch(b, rounds.feats[:, i, :])
-            winner_pi = pi_i
+            won, winner_pi = slice(None), pi_i
             if n > 1:
-                # the best of the others, and whether column i beats it
-                other = np.where(top[:, 0] == i, top[:, 1], top[:, 0])
-                other_sc = scores[rows, other]
-                won[:, i] = ranks_before(sc_i, b, i, other_sc,
-                                         rounds.bids[rows, other], other)
-                winner_pi = np.where(won[:, i], pi_i, pi[rows, other])
+                col, other_sc, other_bid, other_pi = others[i]
+                won = ranks_before(sc_i, b, i, other_sc, other_bid, col)
+                winner_pi = np.where(won, pi_i, other_pi)
             if np.any(winner_pi <= EPS_DIV):
                 raise DegenerateMultiplierError(
                     "degenerate multiplier among winners")
-            w = won[:, i]
             # a lone candidate is ranked last overall and pays 0
-            price = (np.maximum(0.0, (other_sc[w] - off_i[w]) / pi_i[w])
+            price = (np.maximum(0.0, (other_sc[won] - off_i[won]) / pi_i[won])
                      if n > 1 else 0.0)
-            u[w, i] = b[w] - price
-        return u, won
+            u[won, i] = b[won] - price
+        return u
 
-    u_up, _ = replay(1.0 + a)
-    _, win_v = replay(1.0)
-    u_down, _ = replay(1.0 - a)
+    u_up = replay(1.0 + a)
+    # bidding v wins as sampled, so the truthful winners are the sampled ones
+    if np.any(pi[rows, top[:, 0]] <= EPS_DIV):
+        raise DegenerateMultiplierError("degenerate multiplier among winners")
+    u_down = replay(1.0 - a)
     denom = float(np.mean(rounds.bids * win_v) * 2.0 * a)
     if abs(denom) < 1e-9:
         raise ZeroDivisionError("i-SIC denominator below 1e-9 (no wins?)")

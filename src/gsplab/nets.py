@@ -111,7 +111,9 @@ class Normalizer:
     def transform(self, X):
         if not self.fitted:
             raise UnfittedNormalizerError("normalizer statistics not fitted")
-        return (X - self.mean) / self.scale
+        Z = np.subtract(X, self.mean)
+        Z /= self.scale
+        return Z
 
 
 class Mlp:

@@ -25,7 +25,9 @@ from gsplab.auction import (
     allocate_batch,
     price_batch,
 )
+from gsplab.nets import PREDICT_ROWS, BidMultiplierNet
 from gsplab.simulator import Rounds, World, WorldConfig
+from gsplab.trainer import TrainConfig
 
 
 class ConstantActor:
@@ -372,6 +374,29 @@ def test_isic_equals_full_replays_for_a_learned_score(one_slot):
         _reference_i_sic(mechanism, one_slot, config)
 
 
+def test_isic_equals_full_replays_for_a_network(one_slot):
+    # the sampled matrix runs R * N rows through the network, a replay R
+    # rows: i-SIC takes the truthful allocation from the sampled scores, so
+    # a row's score must not depend on the rows scored with it.  A replay of
+    # R rows spans two row blocks of predict (a shorter remainder joins
+    # the last block); DecayActor, being elementwise, cannot test this
+    rng = np.random.default_rng(5)
+    actor = BidMultiplierNet(FEATURE_DIM, hidden=TrainConfig().hidden,
+                             rng=rng)
+    fit = one_slot.sample_rounds(500, rng)
+    actor.fit_normalizer(fit.bids.ravel(), fit.feats.reshape(-1, FEATURE_DIM))
+    config = AuditConfig(alpha=0.01, isic_rounds=2 * PREDICT_ROWS + 52,
+                         seed=5)
+    mechanism = DeepGspMechanism(actor)
+    rounds = one_slot.sample_rounds(config.isic_rounds, rng)
+    scores = mechanism.score_batch(rounds.bids, rounds.feats)[0]
+    for i in range(one_slot.n_advertisers):
+        assert np.array_equal(mechanism.score_batch(
+            rounds.bids[:, i], rounds.feats[:, i, :])[0], scores[:, i])
+    assert i_sic(mechanism, one_slot, config).value == \
+        _reference_i_sic(mechanism, one_slot, config)
+
+
 class _ScoreCalls:
     """A mechanism that records the bid shape of every score_batch call."""
 
@@ -398,6 +423,30 @@ def test_isic_degenerate_winner_that_is_not_replayed_raises():
         _reference_i_sic(mechanism, world, config)
 
 
+class _DegenerateAtOne:
+    """Multiplier 0 and offset 3 at a bid of exactly 1; elsewhere 3 * bid."""
+
+    def score_batch(self, bids, feats):
+        at_one = bids == 1.0
+        pi = np.where(at_one, 0.0, 3.0)
+        off = np.where(at_one, 3.0, 0.0)
+        return bids * pi + off, pi, off
+
+
+def test_isic_degenerate_truthful_winner_raises_before_the_down_replay():
+    # column 0 wins at its sampled bid 1 with multiplier 0; each column
+    # wins its up replay with multiplier 3, and only the truthful check
+    # stands between them and the down replays
+    world = _given_rounds([[1.0, 0.995]] * 4, [0.1, 0.1])
+    spy = _ScoreCalls(_DegenerateAtOne())
+    config = AuditConfig(isic_rounds=4)
+    with pytest.raises(DegenerateMultiplierError):
+        i_sic(spy, world, config)
+    assert spy.calls == [(4, 2), (4,), (4,)]
+    with pytest.raises(DegenerateMultiplierError):
+        _reference_i_sic(spy.mechanism, world, config)
+
+
 def test_isic_orders_the_sampled_matrix_once(one_slot, monkeypatch):
     calls = []
 
@@ -408,3 +457,12 @@ def test_isic_orders_the_sampled_matrix_once(one_slot, monkeypatch):
     monkeypatch.setattr(audit, "allocate_batch", counted)
     i_sic(GspMechanism(1.0), one_slot, AuditConfig(isic_rounds=100))
     assert calls == [(100, one_slot.n_advertisers)]
+
+
+def test_isic_scores_each_sampled_bid_once(one_slot):
+    # the sampled matrix, then each column at (1 + a)v and at (1 - a)v:
+    # the truthful allocation is the sampled one and is not re-scored
+    spy = _ScoreCalls(GspMechanism(1.0))
+    i_sic(spy, one_slot, AuditConfig(isic_rounds=100))
+    n = one_slot.n_advertisers
+    assert spy.calls == [(100, n)] + [(100,)] * (2 * n)

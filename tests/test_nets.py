@@ -58,6 +58,17 @@ def test_normalizer_round_trip_and_floor():
     assert norm.scale[1] == pytest.approx(1e-8)  # constant column floored
 
 
+@pytest.mark.parametrize("rows", [1, 100_000])
+def test_normalizer_transform_is_exact_and_leaves_its_input(rows):
+    rng = np.random.default_rng(rows)
+    norm = Normalizer(5).fit(rng.normal(2.0, 3.0, size=(50, 5)))
+    X = rng.normal(2.0, 3.0, size=(rows, 5))
+    before = X.copy()
+    out = norm.transform(X)
+    assert np.array_equal(X, before)
+    assert np.array_equal(out, (before - norm.mean) / norm.scale)
+
+
 def test_normalizer_unfitted_raises():
     with pytest.raises(UnfittedNormalizerError):
         Normalizer(2).transform(np.zeros((1, 2)))

@@ -46,7 +46,8 @@ def test_train_six_configs_imports():
 
 
 def _canned_stdout(op_ref, rss, heldout=1.01, sha="ab" * 32,
-                   op_s_min=0.5, ref_s=(0.3, 0.2, 0.25)):
+                   op_s_min=0.5, ref_s=(0.3, 0.2, 0.25), failed=0,
+                   attempted=3):
     """The two lines perfbench/run.py prints last, with given metric values."""
     record = {"record": {"actor_sha256": sha, "heldout_F": 0.25,
                          "op_s_min": op_s_min, "ref_s": list(ref_s),
@@ -54,7 +55,7 @@ def _canned_stdout(op_ref, rss, heldout=1.01, sha="ab" * 32,
                                          "src_sha256": "cd" * 32}}}
     values = {"setup_s": 20.0, "peak_rss_mb": rss, "op_ref_ratio": op_ref,
               "heldout_F_ratio": heldout}
-    result = {"correct": True, "attempted": 3, "failed": 0,
+    result = {"correct": True, "attempted": attempted, "failed": failed,
               "metrics": {k: {"value": v, "unit": "x"}
                           for k, v in values.items()}}
     return f"progress\n{json.dumps(record)}\n{json.dumps(result)}\n"
@@ -100,6 +101,30 @@ def test_bench_pairs_keeps_both_factors_of_the_ratio():
     assert entry["ref_s_min"] == 0.18
     assert entry["metrics"]["op_ref_ratio"] == (entry["op_s_min"]
                                                 / entry["ref_s_min"])
+
+
+def test_bench_pairs_totals_failed_operations_per_side():
+    module = _load("bench_pairs")
+    specs = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    # (workload, pair, side, failed, attempted); the last run has no pair
+    canned = [("audit", 0, "parent", 0, 40), ("audit", 0, "change", 1, 52),
+              ("audit", 1, "parent", 2, 41), ("audit", 1, "change", 0, 50),
+              ("train", 0, "parent", 0, 3), ("train", 0, "change", 0, 4),
+              ("train", 1, "parent", 5, 5)]
+    runs = []
+    for workload, pair, side, failed, attempted in canned:
+        entry = module.run_entry(*module.parse_run(_canned_stdout(
+            2.0, 100.0, failed=failed, attempted=attempted)))
+        entry.update(workload=workload, seed=7, pair=pair, side=side)
+        runs.append(entry)
+    summary = module.summarize(runs, specs["end_to_end"])
+    assert summary["audit"]["operations"] == {
+        "parent": {"failed": 2, "attempted": 81},
+        "change": {"failed": 1, "attempted": 102}}
+    assert summary["train"]["operations"] == {
+        "parent": {"failed": 0, "attempted": 3},
+        "change": {"failed": 0, "attempted": 4}}
+    assert summary["train"]["op_ref_ratio"]["pairs"] == 1
 
 
 def test_bench_pairs_skips_unpaired_runs():
