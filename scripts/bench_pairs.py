@@ -10,14 +10,17 @@ at a time; which side goes first alternates from pair to pair, so a slow
 phase of a shared host falls on both sides alike.  The output file holds
 every run's end-to-end metrics, with the two factors of ``op_ref_ratio``
 in seconds (the fastest operation ``op_s_min`` and the fastest host
-reference pass ``ref_s_min``), and, per workload and metric, each side's
-median and quartiles, the number of pairs the change wins, and whether
-the medians differ by more than the interquartile range of the parent's
-runs, and each side's total failed and attempted operations.
+reference pass ``ref_s_min``) and the run's minor page faults and system
+CPU seconds (``minor_faults``, ``sys_s``), and, per workload and metric,
+each side's median and quartiles, the number of pairs the change wins,
+and whether the medians differ by more than the interquartile range of
+the parent's runs, and each side's total failed and attempted
+operations.
 """
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -38,16 +41,26 @@ def parse_run(stdout):
 
 
 def run_once(checkout, workload, seed, seconds):
-    """One ``run.py --trace 0`` in ``checkout``; returns the run's entry."""
+    """One ``run.py --trace 0`` in ``checkout``; returns the run's entry.
+
+    The minor page faults and system CPU seconds are deltas of the
+    children's rusage totals around the run: runs are sequential, so a
+    delta is this child's own.  ``ru_maxrss`` is a maximum over all
+    children, not a total, so it is not kept.
+    """
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: run.py {workload} seed {seed} "
                            f"exited {proc.returncode}:\n{proc.stderr}")
-    result, record = parse_run(proc.stdout)
-    return run_entry(result, record)
+    entry = run_entry(*parse_run(proc.stdout))
+    entry.update(minor_faults=after.ru_minflt - before.ru_minflt,
+                 sys_s=after.ru_stime - before.ru_stime)
+    return entry
 
 
 def run_entry(result, record):

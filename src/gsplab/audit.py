@@ -100,16 +100,20 @@ def monotonicity_metric(actor, states, config=AuditConfig()):
     """Mean Spearman rho of rank score vs bid over a per-state bid grid.
 
     ``states`` is an iterable of (bid, features); the grid spans
-    [BID_LO*bid, BID_HI*bid] with BID_GRID uniform points.
+    [BID_LO*bid, BID_HI*bid] with BID_GRID uniform points.  Every state's
+    grid is scored in one multiplier_batch call.
     """
     states = list(states)
     if not states:
         raise ValueError("empty test set")
+    b = np.array([s[0] for s in states], dtype=float)
+    grid = np.linspace(BID_LO * b, BID_HI * b, BID_GRID, axis=1)
+    feats = np.repeat([np.asarray(x, dtype=float) for _, x in states],
+                      BID_GRID, axis=0)
+    pi = actor.multiplier_batch(grid.ravel(), feats).reshape(grid.shape)
     rhos, degenerate = [], 0
-    for b, x in states:
-        bids = np.linspace(BID_LO * b, BID_HI * b, BID_GRID)
-        pi = actor.multiplier_batch(bids, np.tile(np.asarray(x), (bids.size, 1)))
-        rho = spearman_rho(bids, bids * pi)
+    for bids, row_pi in zip(grid, pi):
+        rho = spearman_rho(bids, bids * row_pi)
         if rho is None:
             degenerate += 1
         else:

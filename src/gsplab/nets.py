@@ -12,11 +12,13 @@ Each ``Mlp`` keeps its parameters in one flat vector that ``weights`` and
 ``biases`` view, and its gradient passes write one flat gradient, so an
 Adam step updates one array.
 
-Inference (``multiplier_batch``, ``q_batch``) runs ``Mlp.predict``, a
-value-only pass in blocks of ``PREDICT_ROWS`` rows: per layer one
-product, an in-place bias add and, for tanh, an in-place activation,
-with no derivative arrays kept.  Only the gradient callers run
-``Mlp.forward``, which also keeps every layer's activations and first
+Inference (``multiplier_batch``, ``q_batch``) takes its raw input
+columns in blocks of ``PREDICT_ROWS`` rows: each block is stacked,
+standardized and run through ``Mlp.predict``, a value-only pass (per
+layer one product, an in-place bias add and, for tanh, an in-place
+activation, with no derivative arrays kept), into one preallocated
+output, so no full-size input array is built.  Only the gradient callers
+run ``Mlp.forward``, which also keeps every layer's activations and first
 derivatives (``backward_jvp`` derives the second ones from them); both
 passes give the same output bits.
 
@@ -37,7 +39,7 @@ CHECKPOINT_VERSION = 1
 _ACT_NAMES = {"tanh": 0, "softplus": 1, "identity": 2}
 _ACT_BY_ID = {v: k for k, v in _ACT_NAMES.items()}
 
-# rows per block of Mlp.predict (see there)
+# rows per inference block of _NormalizedNet._predict (see there)
 PREDICT_ROWS = 2048
 
 
@@ -124,13 +126,13 @@ class Mlp:
     the gradient passes return one flat gradient in its layout.
 
     predict is the value-only pass for callers that only read the output:
-    it keeps no derivatives and no cache, and runs in blocks of
-    PREDICT_ROWS rows.  forward computes the same output, bit for bit,
-    plus the cache of activations and first activation derivatives that
-    the gradient passes read: backward is ordinary reverse mode, jvp
-    propagates an input tangent, and backward_jvp differentiates a loss
-    of (output, output tangent) with respect to the parameters, taking
-    second derivatives from the cached activations.
+    it keeps no derivatives and no cache.  forward computes the same
+    output, bit for bit, plus the cache of activations and first
+    activation derivatives that the gradient passes read: backward is
+    ordinary reverse mode, jvp propagates an input tangent, and
+    backward_jvp differentiates a loss of (output, output tangent) with
+    respect to the parameters, taking second derivatives from the cached
+    activations.
     """
 
     def __init__(self, sizes, hidden="tanh", output="identity", rng=None):
@@ -192,25 +194,14 @@ class Mlp:
         self.flat[...] = flat
 
     def predict(self, U):
-        """U: (B, n_in) -> output (B, n_out); the values only.
-
-        Rows run in blocks of PREDICT_ROWS written into one output, so the
-        hidden arrays stay small.  The remainder joins the last block, as
-        BLAS may round a shorter block unlike one pass over all rows.
-        """
-        U = np.asarray(U, dtype=float)
-        Y = np.empty((U.shape[0], self.sizes[-1]))
-        start = 0
-        for stop in [*range(PREDICT_ROWS, U.shape[0] - PREDICT_ROWS + 1,
-                            PREDICT_ROWS), U.shape[0]]:
-            A = U[start:stop]
-            for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-                Z = A @ w.T
-                Z += b
-                A = self._activation(layer)[0](Z)
-            Y[start:stop] = A
-            start = stop
-        return Y
+        """U: (B, n_in) -> output (B, n_out); the values only, in one pass
+        over all rows."""
+        A = np.asarray(U, dtype=float)
+        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+            Z = A @ w.T
+            Z += b
+            A = self._activation(layer)[0](Z)
+        return A
 
     def forward(self, U):
         """U: (B, n_in) -> output (B, n_out), plus cache for backward."""
@@ -334,7 +325,8 @@ class _NormalizedNet:
     """One-output Mlp over standardized inputs, with its checkpoint I/O.
 
     The actor and the critic differ only in the inputs they take besides
-    the features, the output activation and the checkpoint kind tag.
+    the features (their ``_columns``), the output activation and the
+    checkpoint kind tag.
     """
 
     KIND = EXTRA_INPUTS = OUTPUT = None  # set by each subclass
@@ -345,6 +337,30 @@ class _NormalizedNet:
         self.norm = Normalizer(self.input_dim)
         self.net = Mlp([self.input_dim, *hidden, 1], hidden="tanh",
                        output=self.OUTPUT, rng=rng)
+
+    def _inputs(self, *raw):
+        """The standardized (B, input_dim) rows of the raw input columns."""
+        return self.norm.transform(np.column_stack(self._columns(*raw)))
+
+    def _predict(self, *raw):
+        """The output for each row of the raw input columns, block by block.
+
+        Each block of PREDICT_ROWS rows is stacked, standardized and run
+        through one Mlp.predict into a preallocated output, so only
+        block-sized arrays are built.  The remainder joins the last block,
+        so no block is short unless the whole batch is: BLAS may round a
+        few-row product unlike a long one.
+        """
+        cols = self._columns(*raw)
+        n_rows = len(cols[0])
+        out = np.empty(n_rows)
+        start = 0
+        for stop in [*range(PREDICT_ROWS, n_rows - PREDICT_ROWS + 1,
+                            PREDICT_ROWS), n_rows]:
+            U = self._inputs(*(c[start:stop] for c in cols))
+            out[start:stop] = self.net.predict(U)[:, 0]
+            start = stop
+        return out
 
     def save(self, path):
         if not self.norm.fitted:
@@ -396,13 +412,13 @@ class BidMultiplierNet(_NormalizedNet):
         self.norm.fit(np.column_stack([bids, feats]))
         return self
 
-    def _inputs(self, bids, feats):
+    def _columns(self, bids, feats):
         bids = np.asarray(bids, dtype=float).reshape(-1)
         feats = np.asarray(feats, dtype=float).reshape(bids.size, self.feature_dim)
-        return self.norm.transform(np.column_stack([bids, feats]))
+        return bids, feats
 
     def multiplier_batch(self, bids, feats):
-        return self.net.predict(self._inputs(bids, feats))[:, 0]
+        return self._predict(bids, feats)
 
     def forward_with_grad(self, bids, feats):
         """(pi, d pi/d bid, caches) for a batch; caches feed backward_jvp."""
@@ -423,13 +439,12 @@ class CriticNet(_NormalizedNet):
         self.norm.fit(np.column_stack([states, actions]))
         return self
 
-    def _inputs(self, states, actions):
-        states = np.asarray(states, dtype=float)
-        actions = np.asarray(actions, dtype=float).reshape(-1)
-        return self.norm.transform(np.column_stack([states, actions]))
+    def _columns(self, states, actions):
+        return (np.asarray(states, dtype=float),
+                np.asarray(actions, dtype=float).reshape(-1))
 
     def q_batch(self, states, actions):
-        return self.net.predict(self._inputs(states, actions))[:, 0]
+        return self._predict(states, actions)
 
     def mse_and_grads(self, states, actions, targets):
         """Mean squared error against targets and its parameter gradient."""

@@ -191,12 +191,15 @@ class World:
         feats = np.empty((n_rounds, n, FEATURE_DIM))
         for idx, true in ((F_PCTR, self.true_ctr), (F_PACR, self.true_acr),
                           (F_PCVR, self.true_cvr)):
+            # true * exp(noise * z - noise^2 / 2), clipped to [0, 1], built
+            # in the draw's own array and written once into feats
             if cfg.prediction_noise > 0:
-                noise = np.exp(cfg.prediction_noise * rng.standard_normal((n_rounds, n))
-                               - 0.5 * cfg.prediction_noise**2)
-            else:
-                noise = 1.0
-            feats[:, :, idx] = np.clip(true * noise, 0.0, 1.0)
+                z = rng.standard_normal((n_rounds, n))
+                z *= cfg.prediction_noise
+                z -= 0.5 * cfg.prediction_noise**2
+                np.exp(z, out=z)
+                true = np.multiply(true, z, out=z)
+            np.clip(true, 0.0, 1.0, out=feats[:, :, idx])
         feats[:, :, F_PRICE] = self.price
         feats[:, :, F_BUDGET] = 1.0
         feats[:, :, F_CATEGORY] = np.arange(n) / max(n - 1, 1)

@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 from gsplab import audit
 from gsplab.audit import (
+    BID_GRID,
+    BID_HI,
+    BID_LO,
     AuditConfig,
     _average_ranks,
     i_sic,
@@ -138,6 +141,29 @@ def test_monotonicity_matches_brute_force_grid():
         rhos.append(np.corrcoef(rg, rs)[0, 1])
     assert result.t_m == pytest.approx(np.mean(rhos), abs=1e-12)
     assert result.t_m < 0.5  # the humped score is far from monotone
+
+
+def test_monotonicity_scores_every_grid_in_one_call():
+    states = _states(6)
+    calls = []
+
+    class Recorder(DecayActor):
+        def multiplier_batch(self, bids, feats):
+            calls.append((np.array(bids), np.array(feats)))
+            return super().multiplier_batch(bids, feats)
+
+    result = monotonicity_metric(Recorder(), states)
+    assert len(calls) == 1
+    bids, feats = calls[0]
+    assert bids.shape == (6 * BID_GRID,) and feats.shape == (6 * BID_GRID,
+                                                            FEATURE_DIM)
+    for i, (b, x) in enumerate(states):   # state i's grid, its features
+        rows = slice(i * BID_GRID, (i + 1) * BID_GRID)
+        assert np.array_equal(bids[rows],
+                              np.linspace(BID_LO * b, BID_HI * b, BID_GRID))
+        assert np.array_equal(feats[rows], np.tile(x, (BID_GRID, 1)))
+    rhos = [spearman_rho(g, g * np.exp(-g)) for g in bids.reshape(6, -1)]
+    assert result.t_m == np.mean(rhos)
 
 
 def test_monotonicity_counts_degenerate_states():
@@ -378,7 +404,7 @@ def test_isic_equals_full_replays_for_a_network(one_slot):
     # the sampled matrix runs R * N rows through the network, a replay R
     # rows: i-SIC takes the truthful allocation from the sampled scores, so
     # a row's score must not depend on the rows scored with it.  A replay of
-    # R rows spans two row blocks of predict (a shorter remainder joins
+    # R rows spans two row blocks of inference (a shorter remainder joins
     # the last block); DecayActor, being elementwise, cannot test this
     rng = np.random.default_rng(5)
     actor = BidMultiplierNet(FEATURE_DIM, hidden=TrainConfig().hidden,

@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gsplab.auction import FEATURE_DIM
 from gsplab.nets import (
     CHECKPOINT_MAGIC,
     PREDICT_ROWS,
@@ -166,6 +168,16 @@ class _ReferenceMlp:
             d2s.append(d2)
         return A, (acts, d1s, d2s)
 
+    def predict(self, U):
+        """forward's output alone, keeping no cache: one unblocked pass
+        over row counts whose cache would be large."""
+        A = U
+        for w, b, name in zip(self.weights, self.biases, self.names):
+            Z = A @ w.T + b
+            A = np.tanh(Z) if name == "tanh" else (
+                _softplus(Z) if name == "softplus" else Z)
+        return A
+
     def backward(self, cache, dY):
         acts, d1s, _ = cache
         dZ = dY * d1s[-1]
@@ -213,7 +225,7 @@ def _flat(arrays):
     1, 2, 17, 37, PREDICT_ROWS - 1, PREDICT_ROWS, 2 * PREDICT_ROWS + 5,
     3 * PREDICT_ROWS + 5, 16_000])
 def test_predict_equals_forward_bit_for_bit(kind, rows):
-    # the blocked pass against one unblocked pass over all rows
+    # the value pass against the gradient callers' pass and the reference
     rng = np.random.default_rng(rows)
     model = _fitted_model(kind, rng)
     U = model.norm.transform(rng.uniform(0.0, 5.0, (rows, model.input_dim)))
@@ -221,6 +233,48 @@ def test_predict_equals_forward_bit_for_bit(kind, rows):
     assert Y.shape == (rows, 1)
     assert np.array_equal(Y, model.net.forward(U)[0])
     assert np.array_equal(Y, _ReferenceMlp(model.net).forward(U)[0])
+
+
+def _raw_inputs(model, rng, rows):
+    """(raw columns of model's inference call, their normalized rows)."""
+    X = rng.uniform(0.0, 5.0, (rows, model.input_dim))
+    if model.EXTRA_INPUTS == 1:                 # actor: bids, features
+        return (X[:, 0], X[:, 1:]), model.norm.transform(X)
+    return (X[:, :-1], X[:, -1]), model.norm.transform(X)  # states, actions
+
+
+@pytest.mark.parametrize("kind", ["actor", "critic"])
+@pytest.mark.parametrize("rows", [
+    1, PREDICT_ROWS - 1, PREDICT_ROWS, 2 * PREDICT_ROWS + 5,
+    3 * PREDICT_ROWS + 5, 160_000])
+def test_inference_blocks_equal_one_unblocked_pass(kind, rows):
+    # multiplier_batch and q_batch stack and normalize their raw columns
+    # block by block; the result must not differ from one reference pass
+    # over the fully normalized input
+    rng = np.random.default_rng(rows)
+    model = _fitted_model(kind, rng)
+    raw, U = _raw_inputs(model, rng, rows)
+    infer = model.multiplier_batch if kind == "actor" else model.q_batch
+    Y = infer(*raw)
+    assert Y.shape == (rows,)
+    assert np.array_equal(Y, _ReferenceMlp(model.net).predict(U)[:, 0])
+
+
+def test_multiplier_batch_builds_no_full_size_temporary():
+    # a market episode's 160,000 rows: the (B, 8) input and its normalized
+    # copy alone would take 19.5 MiB; the output takes 1.2 MiB
+    rng = np.random.default_rng(26)
+    actor = BidMultiplierNet(FEATURE_DIM, hidden=(64, 32), rng=rng)
+    bids = rng.uniform(0.1, 5.0, 160_000)
+    feats = rng.uniform(0.0, 1.0, (160_000, FEATURE_DIM))
+    actor.fit_normalizer(bids[:500], feats[:500])
+    tracemalloc.start()
+    try:
+        actor.multiplier_batch(bids, feats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("kind", ["actor", "critic"])

@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+import resource
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -135,6 +137,36 @@ def test_bench_pairs_skips_unpaired_runs():
     assert module.summarize([entry], specs["end_to_end"]) == {}
     with pytest.raises(ValueError, match="record and a result"):
         module.parse_run("only one line\n")
+
+
+def test_bench_pairs_keeps_each_runs_faults_and_system_time(monkeypatch):
+    module = _load("bench_pairs")
+    # the children's rusage totals before and after each of two runs
+    totals = iter([(100, 1.5), (4_100, 2.0), (4_100, 2.0), (4_600, 2.25)])
+    calls = []
+
+    def getrusage(who):
+        assert who == resource.RUSAGE_CHILDREN
+        minflt, stime = next(totals)
+        return SimpleNamespace(ru_minflt=minflt, ru_stime=stime,
+                               ru_maxrss=10**9)
+
+    def run(cmd, cwd, **kwargs):
+        calls.append((cmd, cwd))
+        return SimpleNamespace(returncode=0, stderr="",
+                               stdout=_canned_stdout(2.0, 100.0))
+
+    monkeypatch.setattr(module, "resource", SimpleNamespace(
+        getrusage=getrusage, RUSAGE_CHILDREN=resource.RUSAGE_CHILDREN))
+    monkeypatch.setattr(module, "subprocess", SimpleNamespace(run=run))
+    first = module.run_once("parent", "market", 7, 20)
+    second = module.run_once("change", "market", 7, 20)
+    assert (first["minor_faults"], first["sys_s"]) == (4_000, 0.5)
+    assert (second["minor_faults"], second["sys_s"]) == (500, 0.25)
+    assert not any("maxrss" in key for key in first)
+    assert first["metrics"]["peak_rss_mb"] == 100.0
+    assert [cwd for _, cwd in calls] == ["parent", "change"]
+    assert calls[0][0][-2:] == ["--trace", "0"]
 
 
 def test_bench_pairs_runs_ten_pairs_without_a_flag():

@@ -3,9 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsplab.auction import FEATURE_DIM, F_PCTR, GspMechanism
+from gsplab.auction import (
+    FEATURE_DIM,
+    F_PACR,
+    F_PCTR,
+    F_PCVR,
+    F_USER,
+    GspMechanism,
+)
 from gsplab.simulator import (
     METRICS,
+    VALUE_SIGMA,
     Rounds,
     World,
     WorldConfig,
@@ -59,6 +67,32 @@ def test_zero_noise_predictions_equal_truth():
     world = World(cfg)
     rounds = world.sample_rounds(5, np.random.default_rng(0))
     assert np.allclose(rounds.feats[:, :, F_PCTR], world.true_ctr[None, :])
+
+
+@pytest.mark.parametrize("noise", [0.15, 0.0])
+def test_sample_rounds_equals_the_out_of_place_formula(noise):
+    # the sampler builds each noisy column in its draw's array; the bits
+    # must equal the formula written out of place, one step per array
+    world = World(WorldConfig(prediction_noise=noise, calibration_rounds=10,
+                              seed=7))
+    n_rounds, n = 300, world.n_advertisers
+    rounds = world.sample_rounds(n_rounds, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    bids = rng.lognormal(world.value_mu, VALUE_SIGMA, size=(n_rounds, n))
+    assert np.array_equal(rounds.bids, bids)
+    for idx, true in ((F_PCTR, world.true_ctr), (F_PACR, world.true_acr),
+                      (F_PCVR, world.true_cvr)):
+        if noise > 0:
+            factor = np.exp(noise * rng.standard_normal((n_rounds, n))
+                            - 0.5 * noise**2)
+        else:
+            factor = 1.0
+        assert np.array_equal(rounds.feats[:, :, idx],
+                              np.broadcast_to(np.clip(true * factor, 0.0, 1.0),
+                                              (n_rounds, n)))
+    user = rng.standard_normal((n_rounds, 1))
+    assert np.array_equal(rounds.feats[:, :, F_USER],
+                          np.broadcast_to(user, (n_rounds, n)))
 
 
 def test_sampling_deterministic():
