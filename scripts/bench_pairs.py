@@ -10,8 +10,10 @@ at a time; which side goes first alternates from pair to pair, so a slow
 phase of a shared host falls on both sides alike.  The output file holds
 every run's end-to-end metrics, with the two factors of ``op_ref_ratio``
 in seconds (the fastest operation ``op_s_min`` and the fastest host
-reference pass ``ref_s_min``) and the run's minor page faults and system
-CPU seconds (``minor_faults``, ``sys_s``), and, per workload and metric,
+reference pass ``ref_s_min``), the CPU seconds of that fastest operation
+(``op_cpu_s_at_min``) and the run's usable CPUs (``cpus_usable``), and the
+run's minor page faults and system CPU seconds (``minor_faults``,
+``sys_s``), and, per workload and metric,
 each side's median and quartiles, the number of pairs the change wins,
 and whether the medians differ by more than the interquartile range of
 the parent's runs, and each side's total failed and attempted
@@ -65,7 +67,13 @@ def run_once(checkout, workload, seed, seconds):
 
 def run_entry(result, record):
     """The stored form of one run: its metric values, the two factors of
-    ``op_ref_ratio`` in seconds, and identifying keys."""
+    ``op_ref_ratio`` in seconds, the CPU seconds of the fastest untraced
+    operation and the CPUs the run could use (CPU time above wall time
+    shows work on more than one CPU), and identifying keys."""
+    untraced = [i for i, traced in enumerate(record["op_traced"])
+                if not traced]
+    fastest = min(untraced, key=record["op_s"].__getitem__)
+    environment = record.get("environment", {})
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
@@ -73,10 +81,12 @@ def run_entry(result, record):
         "metrics": {k: m["value"] for k, m in result["metrics"].items()},
         "op_s_min": record["op_s_min"],
         "ref_s_min": min(record["ref_s"]),
+        "op_cpu_s_at_min": record["op_cpu_s"][fastest],
+        "cpus_usable": environment.get("cpus_usable"),
         "actor_sha256": record.get("actor_sha256"),
         "heldout_F": record.get("heldout_F"),
-        "git_commit": record.get("environment", {}).get("git_commit"),
-        "src_sha256": record.get("environment", {}).get("src_sha256"),
+        "git_commit": environment.get("git_commit"),
+        "src_sha256": environment.get("src_sha256"),
     }
 
 

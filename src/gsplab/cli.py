@@ -332,8 +332,11 @@ def _run_sweep(args, out, world_cfg, named_cfgs, eval_seed, n_eval):
     models.mkdir(exist_ok=True)
     tasks = [(world_cfg, cfg, name, str(models), eval_seed, n_eval)
              for name, cfg in named_cfgs]
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
+    # a fork-context pool starts all its processes at once, so ask for no
+    # more than there are points
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             return list(pool.map(_sweep_point, tasks))
     return [_sweep_point(t) for t in tasks]
 

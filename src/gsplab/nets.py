@@ -17,10 +17,19 @@ columns in blocks of ``PREDICT_ROWS`` rows: each block is stacked,
 standardized and run through ``Mlp.predict``, a value-only pass (per
 layer one product, an in-place bias add and, for tanh, an in-place
 activation, with no derivative arrays kept), into one preallocated
-output, so no full-size input array is built.  Only the gradient callers
-run ``Mlp.forward``, which also keeps every layer's activations and first
-derivatives (``backward_jvp`` derives the second ones from them); both
-passes give the same output bits.
+output, so no full-size input array is built.  The blocks are split into
+one contiguous group per usable CPU: the calling thread runs the first
+group and a module-level thread pool, created on first need with one
+worker per other CPU, runs the rest.  numpy releases the GIL in the
+products and activations, and every block is computed as it would be
+alone, so the output bits do not depend on the number of threads.  A
+forked child drops the inherited pool, whose threads did not survive the
+fork, and makes its own.  Blocks are 1,024 rows: with 2,048, two blocks
+in flight at once make a 160,000-row call's transient peak exceed 4 MiB,
+and smaller blocks spend more of their time in GIL-bound Python.  Only
+the gradient callers run ``Mlp.forward``, which also keeps every layer's
+activations and first derivatives (``backward_jvp`` derives the second
+ones from them); both passes give the same output bits.
 
 Checkpoints are a self-describing little-endian binary format (magic
 string, version, architecture dims, normalization stats, row-major
@@ -29,6 +38,8 @@ float64 parameter blocks).
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
 import struct
 
 import numpy as np
@@ -40,7 +51,7 @@ _ACT_NAMES = {"tanh": 0, "softplus": 1, "identity": 2}
 _ACT_BY_ID = {v: k for k, v in _ACT_NAMES.items()}
 
 # rows per inference block of _NormalizedNet._predict (see there)
-PREDICT_ROWS = 2048
+PREDICT_ROWS = 1024
 
 
 class NanGradientError(FloatingPointError):
@@ -318,6 +329,43 @@ def _guard_nan(grads):
 
 
 # ---------------------------------------------------------------------------
+# Inference threads
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# (executor, workers) running _predict's block groups after the first, or
+# () on one usable CPU; None until _predict_pool first makes it
+_POOL = None
+
+
+def _predict_pool():
+    """_POOL, made on the first call."""
+    global _POOL
+    if _POOL is None:
+        workers = _usable_cpus() - 1
+        _POOL = ((concurrent.futures.ThreadPoolExecutor(
+            workers, thread_name_prefix="gsplab-predict"), workers)
+                 if workers else ())
+    return _POOL
+
+
+def _drop_predict_pool():
+    global _POOL
+    _POOL = None
+
+
+# a forked child inherits the executor but not its threads, so work
+# submitted to it would never run
+os.register_at_fork(after_in_child=_drop_predict_pool)
+
+
+# ---------------------------------------------------------------------------
 # Actor and critic
 
 
@@ -346,20 +394,44 @@ class _NormalizedNet:
         """The output for each row of the raw input columns, block by block.
 
         Each block of PREDICT_ROWS rows is stacked, standardized and run
-        through one Mlp.predict into a preallocated output, so only
-        block-sized arrays are built.  The remainder joins the last block,
-        so no block is short unless the whole batch is: BLAS may round a
-        few-row product unlike a long one.
+        through one Mlp.predict into its slice of a preallocated output,
+        so only block-sized arrays are built.  The remainder joins the
+        last block, so no block is short unless the whole batch is: BLAS
+        may round a few-row product unlike a long one.  With more than
+        one block and more than one usable CPU, the blocks form one
+        contiguous group per thread (see _predict_pool); the calling
+        thread runs the first group.  The workers run no traced code, so
+        a tracer's span stack sees only the calling thread.
         """
         cols = self._columns(*raw)
         n_rows = len(cols[0])
         out = np.empty(n_rows)
-        start = 0
-        for stop in [*range(PREDICT_ROWS, n_rows - PREDICT_ROWS + 1,
-                            PREDICT_ROWS), n_rows]:
-            U = self._inputs(*(c[start:stop] for c in cols))
-            out[start:stop] = self.net.predict(U)[:, 0]
-            start = stop
+        bounds = [0, *range(PREDICT_ROWS, n_rows - PREDICT_ROWS + 1,
+                            PREDICT_ROWS), n_rows]
+        blocks = list(zip(bounds[:-1], bounds[1:]))
+
+        def run(group):
+            for start, stop in group:
+                U = self._inputs(*(c[start:stop] for c in cols))
+                out[start:stop] = self.net.predict(U)[:, 0]
+
+        pool = _predict_pool() if len(blocks) > 1 else ()
+        if not pool:
+            run(blocks)
+            return out
+        executor, workers = pool
+        n_groups = min(len(blocks), workers + 1)
+        groups = [blocks[i * len(blocks) // n_groups:
+                         (i + 1) * len(blocks) // n_groups]
+                  for i in range(n_groups)]
+        futures = [executor.submit(run, group) for group in groups[1:]]
+        try:
+            run(groups[0])
+        finally:
+            # no worker may still write into out once this call has ended
+            concurrent.futures.wait(futures)
+        for future in futures:
+            future.result()
         return out
 
     def save(self, path):

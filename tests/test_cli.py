@@ -1,3 +1,4 @@
+import concurrent.futures
 import configparser
 import contextlib
 import dataclasses
@@ -555,6 +556,45 @@ def test_pareto_sweep(spec_file, tmp_path, capsys):
     assert lines[0] == "mechanism,param,lambda,ctr,rpm"
     mechs = {ln.split(",")[0] for ln in lines[1:]}
     assert mechs == {"deepgsp", "gsp", "ugsp"}
+
+
+def test_sweep_pool_starts_no_idle_process(spec_file, tmp_path, monkeypatch):
+    # a fork-context pool starts all max_workers processes at once; this
+    # stand-in records the count and runs the points in this process
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    code = cli.main(["pareto", "--config", str(spec_file), "--out",
+                     str(tmp_path / "pareto"), "--workers", "8"])
+    assert code == 0
+    assert started == [2]               # the tiny spec's two lambda points
+
+
+def test_pareto_workers_write_the_same_bytes(spec_file, tmp_path):
+    # --workers 2 runs the points in forked processes
+    written = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers-{workers}"
+        assert cli.main(["pareto", "--config", str(spec_file), "--out",
+                         str(out), "--workers", workers]) == 0
+        paths = [out / "pareto.csv", *sorted((out / "models").glob("*.ckpt"))]
+        written[workers] = {p.relative_to(out).as_posix(): p.read_bytes()
+                            for p in paths}
+    assert len(written["1"]) == 3       # the csv and one actor per point
+    assert written["2"] == written["1"]
 
 
 @pytest.mark.parametrize("command", ["pareto", "transition"])

@@ -1,9 +1,16 @@
+import concurrent.futures
+import faulthandler
+import multiprocessing
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from gsplab import nets
 from gsplab.auction import FEATURE_DIM
 from gsplab.nets import (
     CHECKPOINT_MAGIC,
@@ -222,8 +229,7 @@ def _flat(arrays):
 
 @pytest.mark.parametrize("kind", ["actor", "critic"])
 @pytest.mark.parametrize("rows", [
-    1, 2, 17, 37, PREDICT_ROWS - 1, PREDICT_ROWS, 2 * PREDICT_ROWS + 5,
-    3 * PREDICT_ROWS + 5, 16_000])
+    1, 2, 17, 37, 2047, 2048, 4101, 6149, 16_000])
 def test_predict_equals_forward_bit_for_bit(kind, rows):
     # the value pass against the gradient callers' pass and the reference
     rng = np.random.default_rng(rows)
@@ -243,14 +249,7 @@ def _raw_inputs(model, rng, rows):
     return (X[:, :-1], X[:, -1]), model.norm.transform(X)  # states, actions
 
 
-@pytest.mark.parametrize("kind", ["actor", "critic"])
-@pytest.mark.parametrize("rows", [
-    1, PREDICT_ROWS - 1, PREDICT_ROWS, 2 * PREDICT_ROWS + 5,
-    3 * PREDICT_ROWS + 5, 160_000])
-def test_inference_blocks_equal_one_unblocked_pass(kind, rows):
-    # multiplier_batch and q_batch stack and normalize their raw columns
-    # block by block; the result must not differ from one reference pass
-    # over the fully normalized input
+def _inference_equals_one_unblocked_pass(kind, rows):
     rng = np.random.default_rng(rows)
     model = _fitted_model(kind, rng)
     raw, U = _raw_inputs(model, rng, rows)
@@ -260,9 +259,122 @@ def test_inference_blocks_equal_one_unblocked_pass(kind, rows):
     assert np.array_equal(Y, _ReferenceMlp(model.net).predict(U)[:, 0])
 
 
-def test_multiplier_batch_builds_no_full_size_temporary():
+@pytest.mark.parametrize("kind", ["actor", "critic"])
+@pytest.mark.parametrize("rows", [
+    1, 2 * PREDICT_ROWS - 1, 2 * PREDICT_ROWS, 4 * PREDICT_ROWS + 5,
+    6 * PREDICT_ROWS + 5, 160_000])
+def test_inference_blocks_equal_one_unblocked_pass(kind, rows):
+    # multiplier_batch and q_batch stack and normalize their raw columns
+    # block by block, on this host's threads; the result must not differ
+    # from one reference pass over the fully normalized input.  2 * P - 1
+    # rows are the largest call of one block, 2 * P the smallest of two.
+    _inference_equals_one_unblocked_pass(kind, rows)
+
+
+@pytest.fixture
+def predict_threads(monkeypatch):
+    """Forces _predict's threaded path with a pool of one worker per usable
+    CPU beyond the first, and at least one worker on a one-CPU host."""
+    workers = max(1, nets._usable_cpus() - 1)
+    with concurrent.futures.ThreadPoolExecutor(workers) as executor:
+        monkeypatch.setattr(nets, "_POOL", (executor, workers))
+        yield workers
+
+
+@pytest.fixture(params=["one thread", "threads", "more threads than CPUs"])
+def predict_pool(request, monkeypatch):
+    """Runs a test with _predict's pool forced off, forced on, and forced
+    on with more workers than CPUs and a short switch interval, so the
+    threads interleave often."""
+    if request.param == "one thread":
+        monkeypatch.setattr(nets, "_POOL", ())
+        yield
+    elif request.param == "threads":
+        request.getfixturevalue("predict_threads")
+        yield
+    else:
+        workers, interval = nets._usable_cpus() + 2, sys.getswitchinterval()
+        with concurrent.futures.ThreadPoolExecutor(workers) as executor:
+            monkeypatch.setattr(nets, "_POOL", (executor, workers))
+            sys.setswitchinterval(1e-5)
+            try:
+                yield
+            finally:
+                sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("kind", ["actor", "critic"])
+@pytest.mark.parametrize("rows", [
+    1, PREDICT_ROWS - 1, PREDICT_ROWS, 2 * PREDICT_ROWS + 5, 12_500,
+    160_000])
+def test_inference_bits_do_not_depend_on_threads(predict_pool, kind, rows):
+    _inference_equals_one_unblocked_pass(kind, rows)
+
+
+def test_worker_exception_reaches_the_caller(predict_threads):
+    rng = np.random.default_rng(27)
+    model = _fitted_model("actor", rng)
+    raw, _ = _raw_inputs(model, rng, 3 * PREDICT_ROWS)
+    predict = model.net.predict
+
+    def failing_workers(U):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("worker block failed")
+        return predict(U)
+
+    model.net.predict = failing_workers
+    with pytest.raises(FloatingPointError, match="worker block failed"):
+        model.multiplier_batch(*raw)
+
+
+def test_failing_caller_block_waits_for_the_workers(predict_threads):
+    # the calling thread's own block fails first; the workers' blocks must
+    # have finished writing before the exception leaves _predict
+    rng = np.random.default_rng(28)
+    model = _fitted_model("actor", rng)
+    raw, _ = _raw_inputs(model, rng, 3 * PREDICT_ROWS)
+    predict, finished = model.net.predict, []
+
+    def slow_workers(U):
+        if threading.current_thread() is threading.main_thread():
+            raise FloatingPointError("caller block failed")
+        time.sleep(0.2)
+        Y = predict(U)
+        finished.append(len(U))
+        return Y
+
+    model.net.predict = slow_workers
+    with pytest.raises(FloatingPointError, match="caller block failed"):
+        model.multiplier_batch(*raw)
+    assert sum(finished) == 2 * PREDICT_ROWS      # all but the first block
+
+
+def _child_multipliers(actor, bids, feats):
+    # a child that hangs exits instead, which breaks the parent's pool
+    faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
+    try:
+        return actor.multiplier_batch(bids, feats)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def test_forked_child_runs_threaded_inference(predict_threads):
+    # gsplab pareto/transition --workers N fork processes; a child inherits
+    # the parent's pool object but none of its threads
+    rng = np.random.default_rng(29)
+    model = _fitted_model("actor", rng)
+    raw, _ = _raw_inputs(model, rng, 5 * PREDICT_ROWS)
+    want = model.multiplier_batch(*raw)          # the pool's threads exist
+    with concurrent.futures.ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("fork")) as pool:
+        got = pool.submit(_child_multipliers, model, *raw).result(timeout=120)
+    assert np.array_equal(got, want)
+
+
+def test_multiplier_batch_builds_no_full_size_temporary(predict_threads):
     # a market episode's 160,000 rows: the (B, 8) input and its normalized
-    # copy alone would take 19.5 MiB; the output takes 1.2 MiB
+    # copy alone would take 19.5 MiB; the output takes 1.2 MiB.  Every
+    # thread's blocks are in flight at once, so the threaded path is forced.
     rng = np.random.default_rng(26)
     actor = BidMultiplierNet(FEATURE_DIM, hidden=(64, 32), rng=rng)
     bids = rng.uniform(0.1, 5.0, 160_000)

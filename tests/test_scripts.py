@@ -48,13 +48,18 @@ def test_train_six_configs_imports():
 
 
 def _canned_stdout(op_ref, rss, heldout=1.01, sha="ab" * 32,
-                   op_s_min=0.5, ref_s=(0.3, 0.2, 0.25), failed=0,
-                   attempted=3):
+                   op_s=(0.7, 0.5, 0.6), op_cpu_s=(0.7, 0.5, 0.6),
+                   op_traced=(False, False, False), ref_s=(0.3, 0.2, 0.25),
+                   failed=0, attempted=3, cpus_usable=2):
     """The two lines perfbench/run.py prints last, with given metric values."""
+    op_s_min = min(t for t, traced in zip(op_s, op_traced) if not traced)
     record = {"record": {"actor_sha256": sha, "heldout_F": 0.25,
-                         "op_s_min": op_s_min, "ref_s": list(ref_s),
+                         "op_s": list(op_s), "op_s_min": op_s_min,
+                         "op_cpu_s": list(op_cpu_s),
+                         "op_traced": list(op_traced), "ref_s": list(ref_s),
                          "environment": {"git_commit": None,
-                                         "src_sha256": "cd" * 32}}}
+                                         "src_sha256": "cd" * 32,
+                                         "cpus_usable": cpus_usable}}}
     values = {"setup_s": 20.0, "peak_rss_mb": rss, "op_ref_ratio": op_ref,
               "heldout_F_ratio": heldout}
     result = {"correct": True, "attempted": attempted, "failed": failed,
@@ -95,14 +100,20 @@ def test_bench_pairs_aggregation():
 
 
 def test_bench_pairs_keeps_both_factors_of_the_ratio():
-    # op_ref_ratio = fastest operation / fastest host reference pass
+    # op_ref_ratio = fastest operation / fastest host reference pass; the
+    # traced operation is faster here but does not count
     module = _load("bench_pairs")
     entry = module.run_entry(*module.parse_run(_canned_stdout(
-        0.173 / 0.18, 128.0, op_s_min=0.173, ref_s=(0.21, 0.18, 0.19))))
+        0.173 / 0.18, 128.0, op_s=(0.21, 0.173, 0.19, 0.15),
+        op_cpu_s=(0.2, 0.31, 0.19, 0.29), op_traced=(False, False, False, True),
+        ref_s=(0.21, 0.18, 0.19), cpus_usable=2)))
     assert entry["op_s_min"] == 0.173
     assert entry["ref_s_min"] == 0.18
     assert entry["metrics"]["op_ref_ratio"] == (entry["op_s_min"]
                                                 / entry["ref_s_min"])
+    # the fastest operation's CPU time, above its wall time on two CPUs
+    assert entry["op_cpu_s_at_min"] == 0.31
+    assert entry["cpus_usable"] == 2
 
 
 def test_bench_pairs_totals_failed_operations_per_side():
