@@ -273,23 +273,22 @@ def test_inference_blocks_equal_one_unblocked_pass(kind, rows):
 
 @pytest.fixture
 def predict_threads(monkeypatch):
-    """Forces _predict's threaded path with a pool of one worker per usable
-    CPU beyond the first, and at least one worker on a one-CPU host."""
-    workers = max(1, nets._usable_cpus() - 1)
-    with concurrent.futures.ThreadPoolExecutor(workers) as executor:
-        monkeypatch.setattr(nets, "_POOL", (executor, workers))
-        yield workers
+    """Forces _predict's threaded path on two threads, the caller and one
+    pool worker, whatever the host's CPU count."""
+    with concurrent.futures.ThreadPoolExecutor(1) as executor:
+        monkeypatch.setattr(nets, "_POOL", (executor, 1))
+        yield
 
 
-@pytest.fixture(params=["one thread", "threads", "more threads than CPUs"])
+@pytest.fixture(params=["one thread", "two threads", "more threads than CPUs"])
 def predict_pool(request, monkeypatch):
     """Runs a test with _predict's pool forced off, forced on, and forced
-    on with more workers than CPUs and a short switch interval, so the
+    on with more threads than CPUs and a short switch interval, so the
     threads interleave often."""
     if request.param == "one thread":
         monkeypatch.setattr(nets, "_POOL", ())
         yield
-    elif request.param == "threads":
+    elif request.param == "two threads":
         request.getfixturevalue("predict_threads")
         yield
     else:
@@ -373,8 +372,9 @@ def test_forked_child_runs_threaded_inference(predict_threads):
 
 def test_multiplier_batch_builds_no_full_size_temporary(predict_threads):
     # a market episode's 160,000 rows: the (B, 8) input and its normalized
-    # copy alone would take 19.5 MiB; the output takes 1.2 MiB.  Every
-    # thread's blocks are in flight at once, so the threaded path is forced.
+    # copy alone would take 19.5 MiB; the output takes 1.2 MiB.  Each
+    # thread has one block in flight, so the peak grows with the thread
+    # count; it is measured on two threads.
     rng = np.random.default_rng(26)
     actor = BidMultiplierNet(FEATURE_DIM, hidden=(64, 32), rng=rng)
     bids = rng.uniform(0.1, 5.0, 160_000)
