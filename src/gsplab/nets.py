@@ -18,16 +18,24 @@ standardized and run through ``Mlp.predict``, a value-only pass (per
 layer one product, an in-place bias add and, for tanh, an in-place
 activation, with no derivative arrays kept), into one preallocated
 output, so no full-size input array is built.  The blocks are split into
-one contiguous group per usable CPU: the calling thread runs the first
-group and a module-level thread pool, created on first need with one
-worker per other CPU, runs the rest.  numpy releases the GIL in the
-products and activations, and every block is computed as it would be
-alone, so the output bits do not depend on the number of threads.  A
-forked child drops the inherited pool, whose threads did not survive the
-fork, and makes its own.  Blocks are 1,024 rows: with 2,048, two blocks
-in flight at once make a 160,000-row call's transient peak exceed 4 MiB,
-and smaller blocks spend more of their time in GIL-bound Python.  Only
-the gradient callers run ``Mlp.forward``, which also keeps every layer's
+one contiguous group per usable CPU, at most ``PREDICT_THREADS`` (two):
+the calling thread runs the first group and a module-level thread pool,
+created on first need, runs the rest.  That happens only where the
+environment pins BLAS to one thread (``OPENBLAS_NUM_THREADS``, else
+``OMP_NUM_THREADS``, is 1, as the benchmark sets it): on two CPUs with
+OpenBLAS's default two threads, inference threads on top of BLAS's made
+the benchmark's audit operation 2-7% slower and ``gsplab pareto
+--workers 2`` slower still.  numpy releases the GIL in the products and
+activations, and every block is computed as it would be alone, so the
+output bits do not depend on the number of threads.  A forked child
+drops the inherited pool, whose threads did not survive the fork, and
+makes its own.  Each thread has one block in flight, so a
+call's transient memory grows with the thread count: on a 160,000-row
+call, 1,024-row blocks peak at 3.1 MB on two threads and 4.2 MB on
+three, and 2,048-row blocks at 5.0 MB on two.  Hence 1,024-row blocks
+and at most two threads, which is also the only thread count timed;
+smaller blocks spend more of their time in GIL-bound Python.  Only the
+gradient callers run ``Mlp.forward``, which also keeps every layer's
 activations and first derivatives (``backward_jvp`` derives the second
 ones from them); both passes give the same output bits.
 
@@ -39,6 +47,7 @@ float64 parameter blocks).
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import os
 import struct
 
@@ -50,8 +59,10 @@ CHECKPOINT_VERSION = 1
 _ACT_NAMES = {"tanh": 0, "softplus": 1, "identity": 2}
 _ACT_BY_ID = {v: k for k, v in _ACT_NAMES.items()}
 
-# rows per inference block of _NormalizedNet._predict (see there)
+# rows per inference block of _NormalizedNet._predict, and the most
+# threads that run one call's blocks (see the module docstring)
 PREDICT_ROWS = 1024
+PREDICT_THREADS = 2
 
 
 class NanGradientError(FloatingPointError):
@@ -332,37 +343,33 @@ def _guard_nan(grads):
 # Inference threads
 
 
-def _usable_cpus():
+def _predict_threads():
+    """Threads running one _predict call: one per usable CPU, at most
+    PREDICT_THREADS, where the environment pins numpy's OpenBLAS to one
+    thread, and otherwise one, as BLAS then runs threads of its own."""
+    blas = (os.environ.get("OPENBLAS_NUM_THREADS")
+            or os.environ.get("OMP_NUM_THREADS"))
+    if blas != "1":
+        return 1
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:              # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, PREDICT_THREADS)
 
 
-# (executor, workers) running _predict's block groups after the first, or
-# () on one usable CPU; None until _predict_pool first makes it
-_POOL = None
-
-
+@functools.cache
 def _predict_pool():
-    """_POOL, made on the first call."""
-    global _POOL
-    if _POOL is None:
-        workers = _usable_cpus() - 1
-        _POOL = ((concurrent.futures.ThreadPoolExecutor(
-            workers, thread_name_prefix="gsplab-predict"), workers)
-                 if workers else ())
-    return _POOL
-
-
-def _drop_predict_pool():
-    global _POOL
-    _POOL = None
+    """The executor running _predict's block groups after the first, made
+    on the first call, or None with one thread."""
+    workers = _predict_threads() - 1
+    return (concurrent.futures.ThreadPoolExecutor(
+        workers, thread_name_prefix="gsplab-predict") if workers else None)
 
 
 # a forked child inherits the executor but not its threads, so work
 # submitted to it would never run
-os.register_at_fork(after_in_child=_drop_predict_pool)
+os.register_at_fork(after_in_child=_predict_pool.cache_clear)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +405,11 @@ class _NormalizedNet:
         so only block-sized arrays are built.  The remainder joins the
         last block, so no block is short unless the whole batch is: BLAS
         may round a few-row product unlike a long one.  With more than
-        one block and more than one usable CPU, the blocks form one
-        contiguous group per thread (see _predict_pool); the calling
-        thread runs the first group.  The workers run no traced code, so
-        a tracer's span stack sees only the calling thread.
+        one block and more than one thread (see _predict_threads), the
+        blocks form one contiguous group per thread; the calling thread
+        runs the first group and _predict_pool the rest.  The workers run
+        no traced code, so a tracer's span stack sees only the calling
+        thread.
         """
         cols = self._columns(*raw)
         n_rows = len(cols[0])
@@ -415,16 +423,15 @@ class _NormalizedNet:
                 U = self._inputs(*(c[start:stop] for c in cols))
                 out[start:stop] = self.net.predict(U)[:, 0]
 
-        pool = _predict_pool() if len(blocks) > 1 else ()
-        if not pool:
+        pool = _predict_pool() if len(blocks) > 1 else None
+        if pool is None:
             run(blocks)
             return out
-        executor, workers = pool
-        n_groups = min(len(blocks), workers + 1)
+        n_groups = min(len(blocks), _predict_threads())
         groups = [blocks[i * len(blocks) // n_groups:
                          (i + 1) * len(blocks) // n_groups]
                   for i in range(n_groups)]
-        futures = [executor.submit(run, group) for group in groups[1:]]
+        futures = [pool.submit(run, group) for group in groups[1:]]
         try:
             run(groups[0])
         finally:

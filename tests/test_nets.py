@@ -1,6 +1,7 @@
 import concurrent.futures
 import faulthandler
 import multiprocessing
+import os
 import struct
 import sys
 import threading
@@ -249,7 +250,65 @@ def _raw_inputs(model, rng, rows):
     return (X[:, :-1], X[:, -1]), model.norm.transform(X)  # states, actions
 
 
-def _inference_equals_one_unblocked_pass(kind, rows):
+@pytest.fixture
+def predict_threads(monkeypatch):
+    """Makes _predict run its blocks on more than one thread: on the
+    module's own pool, made as where BLAS is pinned to one thread, or on a
+    one-CPU host a one-worker pool."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    pool = nets._predict_pool
+    pool.cache_clear()
+    try:
+        if nets._predict_threads() > 1:
+            yield
+        else:
+            with concurrent.futures.ThreadPoolExecutor(1) as executor:
+                monkeypatch.setattr(nets, "_predict_threads", lambda: 2)
+                monkeypatch.setattr(nets, "_predict_pool", lambda: executor)
+                yield
+    finally:
+        pool.cache_clear()          # later tests make the pool of their BLAS
+
+
+@pytest.fixture
+def predict_pool(request, monkeypatch):
+    """Runs a test with _predict's blocks on the threads of request.param:
+    the module's ("threads", see predict_threads), one thread, or more
+    threads than CPUs with a short switch interval, so the threads
+    interleave often."""
+    if request.param == "threads":
+        request.getfixturevalue("predict_threads")
+        yield
+    elif request.param == "one thread":
+        monkeypatch.setattr(nets, "_predict_pool", lambda: None)
+        yield
+    else:
+        threads, interval = os.cpu_count() + 2, sys.getswitchinterval()
+        with concurrent.futures.ThreadPoolExecutor(threads - 1) as executor:
+            monkeypatch.setattr(nets, "_predict_threads", lambda: threads)
+            monkeypatch.setattr(nets, "_predict_pool", lambda: executor)
+            sys.setswitchinterval(1e-5)
+            try:
+                yield
+            finally:
+                sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("kind", ["actor", "critic"])
+@pytest.mark.parametrize("predict_pool, rows", [
+    # the module's threads keep the bare row count as their test id
+    pytest.param(pool, rows, id=str(rows) if pool == "threads"
+                 else f"{pool}-{rows}")
+    for pool in ["threads", "one thread", "more threads than CPUs"]
+    for rows in [1, PREDICT_ROWS - 1, PREDICT_ROWS, 2 * PREDICT_ROWS - 1,
+                 2 * PREDICT_ROWS, 2 * PREDICT_ROWS + 5, 4 * PREDICT_ROWS + 5,
+                 6 * PREDICT_ROWS + 5, 12_500, 160_000]],
+    indirect=["predict_pool"])
+def test_inference_blocks_equal_one_unblocked_pass(predict_pool, kind, rows):
+    # multiplier_batch and q_batch stack and normalize their raw columns
+    # block by block, on one or more threads; the result must not differ
+    # from one reference pass over the fully normalized input.  2 * P - 1
+    # rows are the largest call of one block, 2 * P the smallest of two.
     rng = np.random.default_rng(rows)
     model = _fitted_model(kind, rng)
     raw, U = _raw_inputs(model, rng, rows)
@@ -259,55 +318,23 @@ def _inference_equals_one_unblocked_pass(kind, rows):
     assert np.array_equal(Y, _ReferenceMlp(model.net).predict(U)[:, 0])
 
 
-@pytest.mark.parametrize("kind", ["actor", "critic"])
-@pytest.mark.parametrize("rows", [
-    1, 2 * PREDICT_ROWS - 1, 2 * PREDICT_ROWS, 4 * PREDICT_ROWS + 5,
-    6 * PREDICT_ROWS + 5, 160_000])
-def test_inference_blocks_equal_one_unblocked_pass(kind, rows):
-    # multiplier_batch and q_batch stack and normalize their raw columns
-    # block by block, on this host's threads; the result must not differ
-    # from one reference pass over the fully normalized input.  2 * P - 1
-    # rows are the largest call of one block, 2 * P the smallest of two.
-    _inference_equals_one_unblocked_pass(kind, rows)
-
-
-@pytest.fixture
-def predict_threads(monkeypatch):
-    """Forces _predict's threaded path on two threads, the caller and one
-    pool worker, whatever the host's CPU count."""
-    with concurrent.futures.ThreadPoolExecutor(1) as executor:
-        monkeypatch.setattr(nets, "_POOL", (executor, 1))
-        yield
-
-
-@pytest.fixture(params=["one thread", "two threads", "more threads than CPUs"])
-def predict_pool(request, monkeypatch):
-    """Runs a test with _predict's pool forced off, forced on, and forced
-    on with more threads than CPUs and a short switch interval, so the
-    threads interleave often."""
-    if request.param == "one thread":
-        monkeypatch.setattr(nets, "_POOL", ())
-        yield
-    elif request.param == "two threads":
-        request.getfixturevalue("predict_threads")
-        yield
-    else:
-        workers, interval = nets._usable_cpus() + 2, sys.getswitchinterval()
-        with concurrent.futures.ThreadPoolExecutor(workers) as executor:
-            monkeypatch.setattr(nets, "_POOL", (executor, workers))
-            sys.setswitchinterval(1e-5)
-            try:
-                yield
-            finally:
-                sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("kind", ["actor", "critic"])
-@pytest.mark.parametrize("rows", [
-    1, PREDICT_ROWS - 1, PREDICT_ROWS, 2 * PREDICT_ROWS + 5, 12_500,
-    160_000])
-def test_inference_bits_do_not_depend_on_threads(predict_pool, kind, rows):
-    _inference_equals_one_unblocked_pass(kind, rows)
+@pytest.mark.parametrize("blas, cpus, threads", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 64, nets.PREDICT_THREADS),
+    ({"OMP_NUM_THREADS": "1"}, 2, 2),
+    ({}, 2, 1),                                 # BLAS's default threads
+    ({"OPENBLAS_NUM_THREADS": "4"}, 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1)])
+def test_threads_are_one_per_usable_cpu_beside_a_pinned_blas(
+        monkeypatch, blas, cpus, threads):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    assert nets._predict_threads() == threads
 
 
 def test_worker_exception_reaches_the_caller(predict_threads):
@@ -374,7 +401,7 @@ def test_multiplier_batch_builds_no_full_size_temporary(predict_threads):
     # a market episode's 160,000 rows: the (B, 8) input and its normalized
     # copy alone would take 19.5 MiB; the output takes 1.2 MiB.  Each
     # thread has one block in flight, so the peak grows with the thread
-    # count; it is measured on two threads.
+    # count, which PREDICT_THREADS caps on any host.
     rng = np.random.default_rng(26)
     actor = BidMultiplierNet(FEATURE_DIM, hidden=(64, 32), rng=rng)
     bids = rng.uniform(0.1, 5.0, 160_000)
