@@ -267,7 +267,7 @@ def predict_threads(monkeypatch):
                 monkeypatch.setattr(nets, "_predict_pool", lambda: executor)
                 yield
     finally:
-        pool.cache_clear()          # later tests make the pool of their BLAS
+        pool.cache_clear()      # a later test makes the pool its BLAS allows
 
 
 @pytest.fixture
@@ -325,7 +325,9 @@ def test_inference_blocks_equal_one_unblocked_pass(predict_pool, kind, rows):
     ({"OMP_NUM_THREADS": "1"}, 2, 2),
     ({}, 2, 1),                                 # BLAS's default threads
     ({"OPENBLAS_NUM_THREADS": "4"}, 8, 1),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1)])
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1)],
+    ids=["pinned-1cpu", "pinned-2cpus", "pinned-64cpus", "omp-pinned-2cpus",
+         "default-2cpus", "openblas4-8cpus", "openblas2-omp1-2cpus"])
 def test_threads_are_one_per_usable_cpu_beside_a_pinned_blas(
         monkeypatch, blas, cpus, threads):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
