@@ -160,14 +160,15 @@ def price_batch(order, scores, multipliers, offsets, slots):
     return prices
 
 
-def price_exact_binary_search(rank_fn, target, bid_hi, tol_bid=None):
+def price_exact_binary_search(rank_fn, target, bid_hi, tol_bid):
     """Smallest bids z in [0, bid_hi] with rank_fn(z) >= target, by bisection.
 
     All winners are bisected together: ``target``, ``bid_hi`` and
     ``tol_bid`` are arrays (or scalars) of one shape, and each step makes
-    one vectorised ``rank_fn(z)`` call on an array of that shape.  rank_fn
-    must be monotone non-decreasing in the bid.  A winner whose bracket
-    fails (rank_fn(bid_hi) < target) comes back as NaN.
+    one vectorised ``rank_fn(z)`` call on an array of that shape, until
+    each bracket is at most ``tol_bid`` wide.  rank_fn must be monotone
+    non-decreasing in the bid.  A winner whose bracket fails
+    (rank_fn(bid_hi) < target) comes back as NaN.
     """
     target = np.asarray(target, dtype=float)
     hi = np.array(np.broadcast_to(bid_hi, target.shape), dtype=float)
@@ -175,15 +176,14 @@ def price_exact_binary_search(rank_fn, target, bid_hi, tol_bid=None):
         raise ValueError("target and bid_hi must be finite")
     if np.any(hi < 0):
         raise ValueError("bid_hi must be nonnegative")
-    tol = 1e-6 * np.maximum(hi, 1e-12) if tol_bid is None else tol_bid
     lo = np.zeros_like(hi)
     at_zero = rank_fn(lo) >= target
     unreachable = ~at_zero & (rank_fn(hi) < target)
-    live = ~at_zero & ~unreachable & (hi - lo > tol)
+    live = ~at_zero & ~unreachable & (hi - lo > tol_bid)
     while np.any(live):
         mid = 0.5 * (lo + hi)
         up = rank_fn(mid) >= target
         hi = np.where(live & up, mid, hi)
         lo = np.where(live & ~up, mid, lo)
-        live &= hi - lo > tol
+        live &= hi - lo > tol_bid
     return np.where(at_zero, 0.0, np.where(unreachable, np.nan, hi))

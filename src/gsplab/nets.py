@@ -8,9 +8,10 @@ the *unnormalized* bid input (needed by the monotonicity penalty and its
 parameter gradient), implemented as a forward-mode tangent pass plus a
 reverse pass over the combined graph.
 
-Each ``Mlp`` keeps its parameters in one flat vector that ``weights`` and
-``biases`` view, and its gradient passes write one flat gradient, so an
-Adam step updates one array.
+Each ``Mlp`` has tanh hidden layers and keeps its parameters in one flat
+vector, ``flat``, that ``weights`` and ``biases`` view; its gradient
+passes return one flat gradient in that layout, and ``Adam.step`` updates
+``flat`` in place.
 
 Inference (``multiplier_batch``, ``q_batch``) takes its raw input
 columns in blocks of ``PREDICT_ROWS`` rows: each block is stacked,
@@ -40,8 +41,9 @@ activations and first derivatives (``backward_jvp`` derives the second
 ones from them); both passes give the same output bits.
 
 Checkpoints are a self-describing little-endian binary format (magic
-string, version, architecture dims, normalization stats, row-major
-float64 parameter blocks).
+string, version, architecture dims, hidden and output activation ids,
+normalization stats, row-major float64 parameter blocks).  A file whose
+hidden id is not tanh's, or with a layer size below 1, is refused.
 """
 
 from __future__ import annotations
@@ -141,11 +143,11 @@ class Normalizer:
 
 
 class Mlp:
-    """Fully connected net with one output unit per default usage.
+    """Fully connected net: tanh hidden layers, then an ``output`` layer.
 
-    The parameters are one flat vector laid out as w0, b0, w1, b1, ...,
-    which ``weights`` and ``biases`` view; params() is that vector, and
-    the gradient passes return one flat gradient in its layout.
+    The parameters are one flat vector, ``flat``, laid out as w0, b0, w1,
+    b1, ..., which ``weights`` and ``biases`` view; the gradient passes
+    return one flat gradient in its layout.
 
     predict is the value-only pass for callers that only read the output:
     it keeps no derivatives and no cache.  forward computes the same
@@ -157,14 +159,12 @@ class Mlp:
     activations.
     """
 
-    def __init__(self, sizes, hidden="tanh", output="identity", rng=None):
+    def __init__(self, sizes, output="identity", rng=None):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        for name in (hidden, output):
-            if name not in _ACTIVATIONS:
-                raise ValueError(f"unknown activation {name!r}")
+        if output not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {output!r}")
         self.sizes = list(sizes)
-        self.hidden = hidden
         self.output = output
         self.flat = np.zeros(sum(n_out * (n_in + 1) for n_in, n_out
                                  in zip(sizes[:-1], sizes[1:])))
@@ -196,19 +196,13 @@ class Mlp:
         the second from the cached activation and first derivative.
         """
         return _ACTIVATIONS[self.output if layer == self.n_layers - 1
-                            else self.hidden]
+                            else "tanh"]
 
     def _to_input(self, dZ, layer):
         """dZ @ weights[layer]; with one output unit each entry is one
         product, which a broadcast gives without the matmul's overhead."""
         w = self.weights[layer]
         return dZ * w if w.shape[0] == 1 else dZ @ w
-
-    def params(self):
-        return [self.flat]
-
-    def get_flat(self):
-        return self.flat.copy()
 
     def set_flat(self, flat):
         if np.shape(flat) != self.flat.shape:
@@ -239,9 +233,9 @@ class Mlp:
         return A, {"acts": acts, "d1s": d1s}
 
     def backward(self, cache, dY):
-        """Gradients of sum(dY * Y) wrt params and input.
+        """Gradients of sum(dY * Y) wrt the parameters and the input.
 
-        Returns (grads, dU) where grads matches params() order.
+        Returns (grad, dU), grad in the layout of flat.
         """
         acts, d1s = cache["acts"], cache["d1s"]
         grad = np.empty_like(self.flat)
@@ -254,7 +248,7 @@ class Mlp:
             if layer > 0:
                 dA *= d1s[layer - 1]
                 dZ = dA
-        return [grad], dA
+        return grad, dA
 
     def jvp(self, cache, V):
         """Directional derivative of the output along input tangent V."""
@@ -295,7 +289,7 @@ class Mlp:
             if layer > 0:
                 dA = self._to_input(dZ, layer)
                 dS = self._to_input(dT, layer)
-        return [grad]
+        return grad
 
 
 # ---------------------------------------------------------------------------
@@ -317,26 +311,21 @@ class Adam:
         self.m = None
         self.v = None
 
-    def step(self, params, grads):
-        _guard_nan(grads)
+    def step(self, param, grad):
+        """One update of the array param, in place, along its gradient."""
+        if not np.all(np.isfinite(grad)):
+            raise NanGradientError("non-finite gradient; step aborted")
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+            self.m = np.zeros_like(param)
+            self.v = np.zeros_like(param)
         self.t += 1
         b1t = 1.0 - ADAM_BETA1**self.t
         b2t = 1.0 - ADAM_BETA2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= ADAM_BETA1
-            m += (1 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1 - ADAM_BETA2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
-
-
-def _guard_nan(grads):
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise NanGradientError("non-finite gradient; step aborted")
+        self.m *= ADAM_BETA1
+        self.m += (1 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1 - ADAM_BETA2) * grad * grad
+        param -= self.lr * (self.m / b1t) / (np.sqrt(self.v / b2t) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +379,13 @@ class _NormalizedNet:
         self.feature_dim = feature_dim
         self.input_dim = self.EXTRA_INPUTS + feature_dim
         self.norm = Normalizer(self.input_dim)
-        self.net = Mlp([self.input_dim, *hidden, 1], hidden="tanh",
-                       output=self.OUTPUT, rng=rng)
+        self.net = Mlp([self.input_dim, *hidden, 1], output=self.OUTPUT,
+                       rng=rng)
+
+    def fit_normalizer(self, *raw):
+        """Fit the standardization to the rows of the raw input columns."""
+        self.norm.fit(np.column_stack(self._columns(*raw)))
+        return self
 
     def _inputs(self, *raw):
         """The standardized (B, input_dim) rows of the raw input columns."""
@@ -444,13 +438,13 @@ class _NormalizedNet:
     def save(self, path):
         if not self.norm.fitted:
             raise UnfittedNormalizerError("refusing to save an unfitted model")
-        net, flat = self.net, self.net.get_flat()
+        net, flat = self.net, self.net.flat
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<III", CHECKPOINT_VERSION, self.KIND,
                                  len(net.sizes)))
             fh.write(struct.pack(f"<{len(net.sizes)}I", *net.sizes))
-            fh.write(struct.pack("<II", _ACT_NAMES[net.hidden],
+            fh.write(struct.pack("<II", _ACT_NAMES["tanh"],
                                  _ACT_NAMES[net.output]))
             self.norm.mean.astype("<f8").tofile(fh)
             self.norm.scale.astype("<f8").tofile(fh)
@@ -466,12 +460,12 @@ class _NormalizedNet:
         if sizes[-1] != 1 or output != cls.OUTPUT:
             raise ValueError(f"{path}: a {cls.__name__} has one {cls.OUTPUT} "
                              f"output, not {sizes[-1]} {output}")
+        if hidden != "tanh":
+            raise ValueError(f"{path}: hidden activation {hidden}, not tanh")
         obj = cls(sizes[0] - cls.EXTRA_INPUTS, hidden=tuple(sizes[1:-1]))
-        obj.net.hidden = hidden
-        n_params = sum(p.size for p in obj.net.params())
-        if flat.size != n_params:
+        if flat.size != obj.net.flat.size:
             raise ValueError(f"{path}: {flat.size} parameters, but layer "
-                             f"sizes {sizes} take {n_params}")
+                             f"sizes {sizes} take {obj.net.flat.size}")
         obj.net.set_flat(flat)
         obj.norm.mean, obj.norm.scale = mean, scale
         return obj
@@ -486,10 +480,6 @@ class BidMultiplierNet(_NormalizedNet):
     """
 
     KIND, EXTRA_INPUTS, OUTPUT = 1, 1, "softplus"  # input: bid, features
-
-    def fit_normalizer(self, bids, feats):
-        self.norm.fit(np.column_stack([bids, feats]))
-        return self
 
     def _columns(self, bids, feats):
         bids = np.asarray(bids, dtype=float).reshape(-1)
@@ -514,10 +504,6 @@ class CriticNet(_NormalizedNet):
 
     KIND, EXTRA_INPUTS, OUTPUT = 2, 2, "identity"
 
-    def fit_normalizer(self, states, actions):
-        self.norm.fit(np.column_stack([states, actions]))
-        return self
-
     def _columns(self, states, actions):
         return (np.asarray(states, dtype=float),
                 np.asarray(actions, dtype=float).reshape(-1))
@@ -532,8 +518,8 @@ class CriticNet(_NormalizedNet):
         resid = Y[:, 0] - targets
         loss = float(np.mean(resid**2))
         dY = (2.0 / targets.size) * resid[:, None]
-        grads, _ = self.net.backward(cache, dY)
-        return loss, grads
+        grad, _ = self.net.backward(cache, dY)
+        return loss, grad
 
     def q_and_grad_action(self, states, actions):
         """(Q, dQ / d raw action) for each row, from one forward pass."""
@@ -573,6 +559,8 @@ def _load_checkpoint(path):
     if n_sizes < 2:
         raise ValueError(f"{path}: {n_sizes} layer sizes, need at least 2")
     sizes = list(struct.unpack(f"<{n_sizes}I", read(4 * n_sizes)))
+    if min(sizes) < 1:
+        raise ValueError(f"{path}: layer sizes {sizes} include a size below 1")
     act_ids = struct.unpack("<II", read(8))
     if not set(act_ids) <= set(_ACT_BY_ID):
         raise ValueError(f"{path}: unknown activation id in {act_ids}")

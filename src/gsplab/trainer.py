@@ -10,8 +10,9 @@ keeping the division-based payment near the exact critical bid.
 The loop's tuning values are module constants, not configuration: the
 exploration schedule (NOISE_STD decayed by NOISE_DECAY per iteration down
 to NOISE_FLOOR), BATCH_ROUNDS auctions per rollout, the Adam rates
-ACTOR_LR and CRITIC_LR, CRITIC_STEPS critic steps per actor step, and
-SPOT_STATES states for the in-loop T_m.
+ACTOR_LR and CRITIC_LR, CRITIC_STEPS critic steps per actor step, the
+VAL_FRAC share of the critic's pretraining rows held out for validation,
+and SPOT_STATES states for the in-loop T_m.
 
 Rewards mix a global round objective F (scalarized normalized metrics,
 shared by every candidate in the round) with a per-advertiser smooth
@@ -51,6 +52,7 @@ ACTOR_LR = 2e-3
 CRITIC_LR = 5e-3
 CRITIC_STEPS = 5
 SPOT_STATES = 50
+VAL_FRAC = 0.1
 
 
 @dataclass
@@ -123,8 +125,7 @@ def collect_batch(world, actor, n_rounds, noise_std, rng, config, ubar):
     flat_bids = rounds.bids.reshape(-1)
     flat_feats = rounds.feats.reshape(-1, rounds.feats.shape[-1])
     pi = actor.multiplier_batch(flat_bids, flat_feats)
-    if noise_std > 0:
-        pi = pi * np.exp(noise_std * rng.standard_normal(pi.shape))
+    pi = pi * np.exp(noise_std * rng.standard_normal(pi.shape))
     pi = pi.reshape(rounds.bids.shape)
     scores = rounds.bids * pi
     order = allocate_batch(scores, rounds.bids)
@@ -144,19 +145,19 @@ def collect_batch(world, actor, n_rounds, noise_std, rng, config, ubar):
                       rewards=rewards)
 
 
-def pretrain_critic(experience, critic, lr=CRITIC_LR, max_epochs=300,
-                    patience=20, val_frac=0.1, rng=None):
+def pretrain_critic(experience, critic, max_epochs, rng, lr=CRITIC_LR,
+                    patience=20):
     """Fit the critic to observed rewards by plain regression.
 
-    Stops at max_epochs or when validation MSE stops improving.
-    Returns the final validation loss.
+    Holds out a VAL_FRAC share of the rows, drawn with rng, for
+    validation, and stops at max_epochs or when validation MSE stops
+    improving.  Returns the final validation loss.
     """
     m = experience.states.shape[0]
     if m == 0:
         raise ValueError("empty pretraining log")
-    rng = rng if rng is not None else np.random.default_rng(0)
     perm = rng.permutation(m)
-    n_val = max(1, int(val_frac * m))
+    n_val = max(1, int(VAL_FRAC * m))
     val, tr = perm[:n_val], perm[n_val:]
     train_split = Experience(experience.states[tr], experience.actions[tr],
                              experience.rewards[tr])
@@ -167,7 +168,7 @@ def pretrain_critic(experience, critic, lr=CRITIC_LR, max_epochs=300,
         val_pred = critic.q_batch(experience.states[val], experience.actions[val])
         val_loss = float(np.mean((val_pred - experience.rewards[val]) ** 2))
         if val_loss < best_val - 1e-12:
-            best_val, best_flat, stale = val_loss, critic.net.get_flat(), 0
+            best_val, best_flat, stale = val_loss, critic.net.flat.copy(), 0
         else:
             stale += 1
             if stale >= patience:
@@ -179,9 +180,9 @@ def pretrain_critic(experience, critic, lr=CRITIC_LR, max_epochs=300,
 
 def critic_update(experience, critic, optimizer):
     """One gradient step on MSE against the single-step target y = re."""
-    loss, grads = critic.mse_and_grads(experience.states, experience.actions,
-                                       experience.rewards)
-    optimizer.step(critic.net.params(), grads)
+    loss, grad = critic.mse_and_grads(experience.states, experience.actions,
+                                      experience.rewards)
+    optimizer.step(critic.net.flat, grad)
     return loss
 
 
@@ -219,8 +220,8 @@ def actor_update(experience, actor, critic, gamma_mono, optimizer):
     loss, dY, dYdot = actor_penalties(bids, pi, dpi_db, gamma_mono,
                                       KAPPA_PRICE)
     dY -= dq_da * bids / bids.size
-    grads = actor.net.backward_jvp(cache, jcache, dY[:, None], dYdot[:, None])
-    optimizer.step(actor.net.params(), grads)
+    grad = actor.net.backward_jvp(cache, jcache, dY[:, None], dYdot[:, None])
+    optimizer.step(actor.net.flat, grad)
     return loss - float(np.mean(q))
 
 
@@ -271,9 +272,9 @@ def warm_start_actor(actor, world, config, rng, eval_seed, ubar):
         pi = np.maximum(pi, 1e-12)
         _, dY, dYdot = actor_penalties(bids, pi, dpi_db, 0.0, KAPPA_PRICE)
         dY += (2.0 / bids.size) * (np.log(pi) - log_target) / pi
-        grads = actor.net.backward_jvp(cache, jcache, dY[:, None],
-                                       dYdot[:, None])
-        opt.step(actor.net.params(), grads)
+        grad = actor.net.backward_jvp(cache, jcache, dY[:, None],
+                                      dYdot[:, None])
+        opt.step(actor.net.flat, grad)
     return best_mech, best_f
 
 
@@ -298,8 +299,7 @@ def train(world, config):
     pre_batch = collect_batch(world, actor, config.pretrain_rounds, NOISE_STD,
                               rng_pre, config, ubar)
     critic.fit_normalizer(pre_batch.states, pre_batch.actions)
-    pretrain_critic(pre_batch, critic, max_epochs=config.pretrain_epochs,
-                    rng=rng_pre)
+    pretrain_critic(pre_batch, critic, config.pretrain_epochs, rng_pre)
 
     actor_opt = Adam(ACTOR_LR)
     critic_opt = Adam(CRITIC_LR)
@@ -312,7 +312,7 @@ def train(world, config):
     mono_bids = mono_states[:, 0]
     report = []
     # the selected iterate: its parameters and its row of the report
-    best = {"f": -np.inf, "flat": actor.net.get_flat(), "row": 0}
+    best = {"f": -np.inf, "flat": actor.net.flat.copy(), "row": 0}
 
     def evaluate(iteration, noise_std):
         metrics, f, f_pen = penalized_objective(
@@ -328,7 +328,7 @@ def train(world, config):
         # model selection is on the constrained objective; a spot T_m gate
         # keeps clearly non-monotone iterates out
         if f_pen > best["f"] and tm >= 0.97:
-            best.update(f=f_pen, flat=actor.net.get_flat(),
+            best.update(f=f_pen, flat=actor.net.flat.copy(),
                         row=len(report) - 1)
 
     noise_std = NOISE_STD

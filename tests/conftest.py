@@ -45,11 +45,11 @@ def rel_err(got, want):
     return abs(got - want) / max(abs(want), 1e-12)
 
 
-class KeepGrads:
-    """An optimizer stand-in that records the gradient and leaves params."""
+class KeepGrad:
+    """An optimizer stand-in that records the gradient and leaves param."""
 
-    def step(self, params, grads):
-        self.grads = np.concatenate([g.ravel() for g in grads])
+    def step(self, param, grad):
+        self.grad = grad
 
 
 def fd_param_grad(flatten_loss, flat, h=1e-5):

@@ -228,11 +228,10 @@ def _check_actor_gradients(rng, n_instances=128, h=1e-5):
 
     # parameter gradient of sum(pi) over the batch
     _pi, _dpi, (cache, jcache) = actor.forward_with_grad(bids, feats)
-    grads = actor.net.backward_jvp(cache, jcache,
-                                   np.ones((n_instances, 1)),
-                                   np.zeros((n_instances, 1)))
-    analytic = np.concatenate([g.ravel() for g in grads])
-    flat0 = actor.net.get_flat()
+    analytic = actor.net.backward_jvp(cache, jcache,
+                                      np.ones((n_instances, 1)),
+                                      np.zeros((n_instances, 1)))
+    flat0 = actor.net.flat.copy()
     fd = np.empty_like(flat0)
     for i in range(flat0.size):
         up, dn = flat0.copy(), flat0.copy()
@@ -262,9 +261,8 @@ def _check_critic_gradients(rng, n_instances=128, h=1e-5):
     targets = rng.normal(0.0, 0.5, n_instances)
     critic.fit_normalizer(states, actions)
 
-    _loss, grads = critic.mse_and_grads(states, actions, targets)
-    analytic = np.concatenate([g.ravel() for g in grads])
-    flat0 = critic.net.get_flat()
+    _loss, analytic = critic.mse_and_grads(states, actions, targets)
+    flat0 = critic.net.flat.copy()
 
     def mse(flat):
         critic.net.set_flat(flat)
@@ -316,7 +314,7 @@ def test_criterion_7_numerical_soundness(world, tmp_path):
     for _run in range(2):
         run = train(world, cfg)
         h = hashlib.sha256()
-        h.update(run.actor.net.get_flat().tobytes())
+        h.update(run.actor.net.flat.tobytes())
         h.update(repr(run.report).encode())
         digests.append(h.hexdigest())
     determinism_ok = digests[0] == digests[1]

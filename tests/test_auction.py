@@ -139,7 +139,7 @@ def test_bisection_fixed_score_closed_form():
 
 
 def test_bisection_zero_target():
-    z = price_exact_binary_search(lambda b: b, [0.0, 1.0], 5.0)
+    z = price_exact_binary_search(lambda b: b, [0.0, 1.0], 5.0, 5e-6)
     assert z[0] == 0.0
     assert z[1] == pytest.approx(1.0, abs=1e-5)
 
@@ -147,16 +147,17 @@ def test_bisection_zero_target():
 def test_bisection_bracketing_failure():
     # the second winner's score can never reach its target: NaN, while
     # the first one still gets its critical bid
-    z = price_exact_binary_search(lambda b: 0.01 * b, [0.05, 1.0], 10.0)
+    z = price_exact_binary_search(lambda b: 0.01 * b, [0.05, 1.0], 10.0,
+                                  1e-5)
     assert z[0] == pytest.approx(5.0, abs=1e-4)
     assert np.isnan(z[1])
 
 
 def test_bisection_rejects_bad_bracket():
     with pytest.raises(ValueError):
-        price_exact_binary_search(lambda b: b, [1.0], -1.0)
+        price_exact_binary_search(lambda b: b, [1.0], -1.0, 1e-6)
     with pytest.raises(ValueError):
-        price_exact_binary_search(lambda b: b, [np.nan], 1.0)
+        price_exact_binary_search(lambda b: b, [np.nan], 1.0, 1e-6)
 
 
 def _exact_prices(bids, feats, slots, mech):
@@ -165,9 +166,10 @@ def _exact_prices(bids, feats, slots, mech):
     scores = mech.score_batch(bids, feats)[0]
     k = min(slots, bids.shape[1] - 1)
     win = order[0, :k]
+    hi = np.maximum(bids[0, win], 1e-12)
     exact = price_exact_binary_search(
         lambda z: mech.score_batch(z, feats[0, win])[0],
-        scores[0, order[0, 1:k + 1]], np.maximum(bids[0, win], 1e-12))
+        scores[0, order[0, 1:k + 1]], hi, 1e-6 * hi)
     return prices[0, :k], exact
 
 
@@ -186,12 +188,12 @@ def test_deep_gsp_batched_oracle_matches_one_row_bisection():
     target = scores[rows, nxt]
     hi = bids[rows, win]
     batched = price_exact_binary_search(
-        lambda z: mech.score_batch(z, w_feats)[0], target, hi)
+        lambda z: mech.score_batch(z, w_feats)[0], target, hi, 1e-6 * hi)
     assert np.isfinite(batched).all()
     for r in range(30):
         one = price_exact_binary_search(
             lambda z: mech.score_batch(z, w_feats[r:r + 1])[0],
-            target[r:r + 1], hi[r:r + 1])
+            target[r:r + 1], hi[r:r + 1], 1e-6 * hi[r:r + 1])
         assert batched[r] == one[0]
 
 

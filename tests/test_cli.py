@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gsplab import cli
 from gsplab.auction import FEATURE_DIM
-from gsplab.nets import BidMultiplierNet, Mlp
+from gsplab.nets import CHECKPOINT_MAGIC, BidMultiplierNet, Mlp
 from gsplab.simulator import METRICS, WorldConfig
 from gsplab.trainer import TrainConfig
 
@@ -321,21 +321,25 @@ _SET_BY_NO_CALLER = {
                   "warm start costs seconds per training",
     },
     "world": {},
+    "sweep": {},
 }
 
 
 @pytest.mark.parametrize("section,cls", [("train", TrainConfig),
-                                         ("world", WorldConfig)],
-                         ids=["train", "world"])
+                                         ("world", WorldConfig),
+                                         ("sweep", cli.SweepConfig)],
+                         ids=["train", "world", "sweep"])
 def test_every_key_has_a_caller(perfbench, section, cls):
     # a key that only its default uses is a constant, not an option
     bench, bench_tests = perfbench
     default = configparser.ConfigParser()
     default.read(Path(__file__).parents[1] / "configs" / "default.ini")
     # --seed sets both seeds; the benchmark's tests shrink [train] and the
-    # sweeps vary one [train] key each
-    set_keys = (set(default[section]) | set(bench.DEFAULT_SPEC[section])
-                | {"seed"})
+    # sweeps vary one [train] key each; the benchmark writes no [sweep]
+    set_keys = (set(default[section])
+                | set(bench.DEFAULT_SPEC.get(section, {})))
+    if section != "sweep":
+        set_keys.add("seed")
     if section == "train":
         set_keys |= (set(bench_tests.TINY.train_overrides)
                      | set(_SWEPT.values()))
@@ -497,9 +501,9 @@ def test_bad_mechanism_flag_is_validation_error(spec_file, trained_dir,
     assert not out.exists()
 
 
-def _fitted_actor(feature_dim):
+def _fitted_actor(feature_dim, hidden=(4,)):
     rng = np.random.default_rng(0)
-    actor = BidMultiplierNet(feature_dim, hidden=(4,), rng=rng)
+    actor = BidMultiplierNet(feature_dim, hidden=hidden, rng=rng)
     return actor.fit_normalizer(rng.uniform(0.5, 5.0, 16),
                                 rng.uniform(0.0, 1.0, (16, feature_dim)))
 
@@ -525,13 +529,23 @@ def _bad_model(kind, trained_dir, tmp_path):
         actor = _fitted_actor(FEATURE_DIM)
         actor.net = Mlp([actor.input_dim, 4, 2], output="softplus")
         actor.save(path)
+    elif kind == "identity-hidden":
+        actor = _fitted_actor(FEATURE_DIM)
+        actor.save(path)
+        data = bytearray(path.read_bytes())
+        at = len(CHECKPOINT_MAGIC) + 12 + 4 * len(actor.net.sizes)
+        data[at:at + 4] = (2).to_bytes(4, "little")   # identity's id
+        path.write_bytes(bytes(data))
+    elif kind == "zero-width":
+        _fitted_actor(FEATURE_DIM, hidden=(0,)).save(path)
     return path
 
 
 @pytest.mark.parametrize("command", ["evaluate", "audit"])
 @pytest.mark.parametrize("kind", ["missing", "foreign", "truncated", "critic",
                                   "directory", "four-features",
-                                  "identity-output", "two-outputs"])
+                                  "identity-output", "two-outputs",
+                                  "identity-hidden", "zero-width"])
 def test_bad_model_is_validation_error(spec_file, trained_dir, tmp_path,
                                        capsys, command, kind):
     model = _bad_model(kind, trained_dir, tmp_path)

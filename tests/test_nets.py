@@ -144,16 +144,19 @@ def _fitted_model(kind, rng):
 
 
 class _ReferenceMlp:
-    """The plain MLP that Mlp must match bit for bit: list parameters, one
-    unblocked pass, cached first and second derivatives, ``@`` for every
-    product and a fresh array for every step."""
+    """The plain MLP that Mlp must match bit for bit: per-layer parameter
+    arrays, tanh hidden layers, one unblocked pass, cached first and
+    second derivatives, ``@`` for every product and a fresh array for
+    every step.  Its gradients are joined into one vector in Mlp.flat's
+    layout."""
 
     def __init__(self, net):
         self.weights = [w.copy() for w in net.weights]
         self.biases = [b.copy() for b in net.biases]
-        self.names = [net.hidden] * (net.n_layers - 1) + [net.output]
+        self.names = ["tanh"] * (net.n_layers - 1) + [net.output]
 
-    def params(self):
+    def arrays(self):
+        """The parameter arrays in Mlp.flat's order: w0, b0, w1, b1, ..."""
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def forward(self, U):
@@ -195,7 +198,7 @@ class _ReferenceMlp:
             dA = dZ @ self.weights[layer]
             if layer > 0:
                 dZ = dA * d1s[layer - 1]
-        return grads, dA
+        return _flat(grads), dA
 
     def jvp(self, cache, V):
         _, d1s, _ = cache
@@ -221,7 +224,7 @@ class _ReferenceMlp:
             if layer > 0:
                 dZ = dA * d1s[layer - 1] + dS * d2s[layer - 1] * ts[layer - 1]
                 dT = dS * d1s[layer - 1]
-        return grads
+        return _flat(grads)
 
 
 def _flat(arrays):
@@ -429,10 +432,10 @@ def test_gradient_passes_equal_the_reference(kind, rows):
     Y, cache = net.forward(U)
     Y_ref, cache_ref = ref.forward(U)
     assert np.array_equal(Y, Y_ref)
-    grads, dU = net.backward(cache, dY)
-    grads_ref, dU_ref = ref.backward(cache_ref, dY)
-    assert len(grads) == 1 and grads[0].shape == net.flat.shape
-    assert np.array_equal(grads[0], _flat(grads_ref))
+    grad, dU = net.backward(cache, dY)
+    grad_ref, dU_ref = ref.backward(cache_ref, dY)
+    assert grad.shape == net.flat.shape
+    assert np.array_equal(grad, grad_ref)
     assert np.array_equal(dU, dU_ref)
     if kind == "actor":
         V = np.zeros_like(U)
@@ -441,40 +444,41 @@ def test_gradient_passes_equal_the_reference(kind, rows):
         Ydot_ref, jcache_ref = ref.jvp(cache_ref, V)
         assert np.array_equal(Ydot, Ydot_ref)
         dYdot = rng.normal(size=(rows, 1))
-        grads = net.backward_jvp(cache, jcache, dY, dYdot)
-        grads_ref = ref.backward_jvp(cache_ref, jcache_ref, dY, dYdot)
-        assert len(grads) == 1
-        assert np.array_equal(grads[0], _flat(grads_ref))
+        grad = net.backward_jvp(cache, jcache, dY, dYdot)
+        grad_ref = ref.backward_jvp(cache_ref, jcache_ref, dY, dYdot)
+        assert grad.shape == net.flat.shape
+        assert np.array_equal(grad, grad_ref)
 
 
 def test_adam_on_the_flat_vector_equals_per_array_steps():
     rng = np.random.default_rng(24)
     net = _fitted_model("actor", rng).net
-    arrays = _ReferenceMlp(net).params()
+    arrays = _ReferenceMlp(net).arrays()
     assert len(arrays) == 6
-    flat_opt, array_opt = Adam(1e-2), Adam(1e-2)
+    flat_opt, array_opts = Adam(1e-2), [Adam(1e-2) for _ in arrays]
     for _ in range(5):
         grads = [rng.normal(size=p.shape) for p in arrays]
-        flat_opt.step(net.params(), [_flat(grads)])
-        array_opt.step(arrays, grads)
-    assert np.array_equal(net.get_flat(), _flat(arrays))
+        flat_opt.step(net.flat, _flat(grads))
+        for opt, p, g in zip(array_opts, arrays, grads):
+            opt.step(p, g)
+    assert np.array_equal(net.flat, _flat(arrays))
 
 
 def test_weights_and_biases_view_the_flat_vector():
     net = Mlp([3, 4, 1])                # layout: w0 (4, 3), b0, w1 (1, 4), b1
     net.weights[1][0, 2] = 7.5
     net.biases[0][3] = -2.0
-    flat = net.get_flat()
-    assert flat[12 + 4 + 2] == 7.5 and flat[12 + 3] == -2.0
-    flat[0] = 99.0                      # get_flat returns a copy
-    assert net.weights[0][0, 0] != 99.0
-    new = np.arange(flat.size, dtype=float)
+    assert net.flat[12 + 4 + 2] == 7.5 and net.flat[12 + 3] == -2.0
+    new = np.arange(net.flat.size, dtype=float)
     net.set_flat(new)
     assert np.array_equal(net.weights[0], new[:12].reshape(4, 3))
     assert np.array_equal(net.biases[0], new[12:16])
     assert np.array_equal(net.weights[1], new[16:20].reshape(1, 4))
     assert np.array_equal(net.biases[1], new[20:])
-    assert len(net.params()) == 1 and net.params()[0] is net.flat
+    new[0] = 99.0                       # set_flat copies into flat
+    assert net.weights[0][0, 0] == 0.0
+    assert all(np.shares_memory(a, net.flat)
+               for a in [*net.weights, *net.biases])
 
 
 @pytest.mark.parametrize("kind", ["actor", "critic"])
@@ -521,8 +525,6 @@ def test_predict_keeps_no_cache():
 
 
 def test_unknown_activation_rejected():
-    with pytest.raises(ValueError, match="unknown activation 'relu'"):
-        Mlp([2, 3, 1], hidden="relu")
     with pytest.raises(ValueError, match="unknown activation 'sigmoid'"):
         Mlp([2, 1], output="sigmoid")
 
@@ -556,10 +558,9 @@ def test_actor_param_gradient_matches_finite_differences():
             Y, _ = actor.net.forward(U)
             return float(w @ Y[:, 0])
 
-        flat0 = actor.net.get_flat()
+        flat0 = actor.net.flat.copy()
         _, cache = actor.net.forward(U)
-        grads, _ = actor.net.backward(cache, w[:, None])
-        analytic = np.concatenate([g.ravel() for g in grads])
+        analytic, _ = actor.net.backward(cache, w[:, None])
         fd = fd_param_grad(loss, flat0)
         actor.net.set_flat(flat0)
         denom = max(np.linalg.norm(fd), 1e-10)
@@ -581,11 +582,10 @@ def test_backward_jvp_matches_finite_differences():
             pi, dpi, _ = actor.forward_with_grad(bids, feats)
             return float(a @ pi + c @ dpi**2)
 
-        flat0 = actor.net.get_flat()
+        flat0 = actor.net.flat.copy()
         pi, dpi, (cache, jcache) = actor.forward_with_grad(bids, feats)
-        grads = actor.net.backward_jvp(cache, jcache, a[:, None],
-                                       (2 * c * dpi)[:, None])
-        analytic = np.concatenate([g.ravel() for g in grads])
+        analytic = actor.net.backward_jvp(cache, jcache, a[:, None],
+                                          (2 * c * dpi)[:, None])
         fd = fd_param_grad(loss, flat0)
         actor.net.set_flat(flat0)
         assert np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-10) <= 1e-4
@@ -604,9 +604,8 @@ def test_critic_param_gradient_matches_finite_differences():
         pred = critic.q_batch(states, actions)
         return float(np.mean((pred - targets) ** 2))
 
-    flat0 = critic.net.get_flat()
-    _, grads = critic.mse_and_grads(states, actions, targets)
-    analytic = np.concatenate([g.ravel() for g in grads])
+    flat0 = critic.net.flat.copy()
+    _, analytic = critic.mse_and_grads(states, actions, targets)
     fd = fd_param_grad(loss, flat0)
     critic.net.set_flat(flat0)
     assert np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-10) <= 1e-4
@@ -690,14 +689,13 @@ def test_mono_penalty_gradient_matches_finite_differences():
     bids = np.linspace(0.2, 1.5, 6)
     feats = rng.uniform(0, 1, (6, FEAT))
     assert _penalties(actor, bids, feats)[0] > 0
-    flat0 = actor.net.get_flat()
+    flat0 = actor.net.flat.copy()
 
     for gamma, kappa in ((1.0, 0.0), (0.0, 0.5), (2.0, 0.3)):
         pi, dpi_db, (cache, jcache) = actor.forward_with_grad(bids, feats)
         _, dY, dYdot = actor_penalties(bids, pi, dpi_db, gamma, kappa)
-        grads = actor.net.backward_jvp(cache, jcache, dY[:, None],
-                                       dYdot[:, None])
-        analytic = np.concatenate([g.ravel() for g in grads])
+        analytic = actor.net.backward_jvp(cache, jcache, dY[:, None],
+                                          dYdot[:, None])
 
         def loss(flat):
             actor.net.set_flat(flat)
@@ -722,7 +720,7 @@ def test_adam_quadratic_bowl():
     w = np.array([1.0])
     opt = Adam(0.05)
     for step in range(200):
-        opt.step([w], [2.0 * w])
+        opt.step(w, 2.0 * w)
         if abs(w[0]) < 1e-2:
             break
     assert abs(w[0]) < 1e-2
@@ -731,7 +729,7 @@ def test_adam_quadratic_bowl():
 def test_nan_gradient_guard():
     w = np.array([1.0])
     with pytest.raises(NanGradientError):
-        Adam(0.1).step([w], [np.array([np.nan])])
+        Adam(0.1).step(w, np.array([np.nan]))
     assert w[0] == 1.0
 
 
@@ -745,10 +743,10 @@ def test_critic_fits_linear_target():
     opt = Adam(5e-3)
     loss = np.inf
     for _ in range(2000):
-        loss, grads = critic.mse_and_grads(states, actions, targets)
+        loss, grad = critic.mse_and_grads(states, actions, targets)
         if loss <= 1e-3:
             break
-        opt.step(critic.net.params(), grads)
+        opt.step(critic.net.flat, grad)
     assert loss <= 1e-3
 
 
@@ -766,7 +764,10 @@ def test_actor_checkpoint_round_trip(tmp_path):
     feats = rng.uniform(0, 1, (20, FEAT))
     assert np.array_equal(actor.multiplier_batch(bids, feats),
                           clone.multiplier_batch(bids, feats))
-    assert np.array_equal(actor.net.get_flat(), clone.net.get_flat())
+    assert np.array_equal(actor.net.flat, clone.net.flat)
+    # save -> load -> save writes the same bytes, tanh's hidden id included
+    clone.save(tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
 def test_critic_checkpoint_round_trip(tmp_path):
@@ -780,6 +781,8 @@ def test_critic_checkpoint_round_trip(tmp_path):
     clone = CriticNet.load(path)
     assert np.array_equal(critic.q_batch(states, actions),
                           clone.q_batch(states, actions))
+    clone.save(tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_kind_mismatch(tmp_path):
@@ -801,6 +804,7 @@ def test_checkpoint_kind_mismatch(tmp_path):
     ("version", 2, "version 2"),
     ("n_sizes", 0, "0 layer sizes"),
     ("hidden_act", 7, "unknown activation id"),
+    ("hidden_act", 2, "hidden activation"),
     ("output_act", 7, "unknown activation id"),
     ("n_params", 2**61, "truncated"),   # far beyond the file's length
     ("trailing", b"\0" * 8, "8 trailing bytes"),
@@ -812,17 +816,21 @@ def test_checkpoint_kind_mismatch(tmp_path):
     ("output_act", 2, "one softplus output, not 1 identity"),
     ("output_size", 2, "one softplus output, not 2 softplus"),
     ("hidden_size", 5, "parameters, but layer sizes"),
-], ids=["version", "no-layers", "hidden-act", "output-act", "huge-count",
-        "trailing-double", "trailing-byte", "zero-scale", "nan-scale",
-        "inf-mean", "nan-param", "identity-output", "two-outputs",
-        "param-count"])
+    ("width", 0, r"layer sizes \[4, 0, 1\] include a size below 1"),
+], ids=["version", "no-layers", "hidden-act", "identity-hidden", "output-act",
+        "huge-count", "trailing-double", "trailing-byte", "zero-scale",
+        "nan-scale", "inf-mean", "nan-param", "identity-output",
+        "two-outputs", "param-count", "zero-width"])
 def test_malformed_checkpoint_names_file(tmp_path, field, value, message):
-    actor = _random_actor(np.random.default_rng(12), hidden=(4,))
+    # a "width" case saves an actor whose hidden layer has that width: a
+    # file consistent in every other field
+    hidden = (value,) if field == "width" else (4,)
+    actor = _random_actor(np.random.default_rng(12), hidden=hidden)
     path = tmp_path / "actor.ckpt"
     actor.save(path)
     data = bytearray(path.read_bytes())
     magic, n_sizes = len(CHECKPOINT_MAGIC), len(actor.net.sizes)
-    params_start = len(data) - 8 * actor.net.get_flat().size
+    params_start = len(data) - 8 * actor.net.flat.size
     mean_start = magic + 20 + 4 * n_sizes
     # (offset, width) of each field; a float field takes packed bytes
     where = {"version": (magic, 4), "n_sizes": (magic + 8, 4),
@@ -836,7 +844,7 @@ def test_malformed_checkpoint_names_file(tmp_path, field, value, message):
              "last_param": (len(data) - 8, 8)}
     if field == "trailing":
         data += value
-    else:
+    elif field != "width":
         offset, width = where[field]
         if isinstance(value, int):
             value = value.to_bytes(width, "little")
@@ -887,4 +895,4 @@ def test_truncated_checkpoint_names_file(tmp_path):
 def test_mlp_set_flat_length_check():
     net = Mlp([2, 3, 1])
     with pytest.raises(ValueError):
-        net.set_flat(np.zeros(net.get_flat().size + 1))
+        net.set_flat(np.zeros(net.flat.size + 1))

@@ -19,7 +19,7 @@ from gsplab.trainer import (
     warm_start_actor,
 )
 
-from conftest import KeepGrads, fd_param_grad, grad_err
+from conftest import KeepGrad, fd_param_grad, grad_err
 
 TINY = dict(pretrain_rounds=20, pretrain_epochs=20, train_iters=3,
             benchmark_rounds=50, eval_rounds=50, eval_every=1, hidden=(8, 4))
@@ -179,10 +179,10 @@ def test_pretrain_nan_reward_raises():
     exp.rewards[5] = np.nan
     critic = CriticNet(FEATURE_DIM, hidden=(4,), rng=rng)
     critic.fit_normalizer(exp.states, exp.actions)
-    flat0 = critic.net.get_flat()
+    flat0 = critic.net.flat.copy()
     with pytest.raises(FloatingPointError):
-        pretrain_critic(exp, critic, rng=rng)
-    assert np.array_equal(critic.net.get_flat(), flat0)
+        pretrain_critic(exp, critic, 300, rng)
+    assert np.array_equal(critic.net.flat, flat0)
 
 
 def test_pretrain_empty_log_rejected():
@@ -190,7 +190,7 @@ def test_pretrain_empty_log_rejected():
     empty = Experience(states=np.zeros((0, 1 + FEATURE_DIM)),
                        actions=np.zeros(0), rewards=np.zeros(0))
     with pytest.raises(ValueError):
-        pretrain_critic(empty, critic)
+        pretrain_critic(empty, critic, 300, np.random.default_rng(0))
 
 
 def test_critic_update_descends():
@@ -237,14 +237,14 @@ def test_actor_update_gradient_matches_finite_differences():
         return float(np.mean(-q) + gamma * np.mean(np.maximum(0.0, -slope))
                      + KAPPA_PRICE * np.mean(sens**2))
 
-    flat0 = actor.net.get_flat()
+    flat0 = actor.net.flat.copy()
     for gamma in (0.0, 1.0, 2.0):
-        keep = KeepGrads()
+        keep = KeepGrad()
         returned = actor_update(exp, actor, critic, gamma, keep)
         assert returned == pytest.approx(loss(flat0, gamma))
         fd = fd_param_grad(lambda f: loss(f, gamma), flat0)
         actor.net.set_flat(flat0)
-        err = grad_err(keep.grads, fd)
+        err = grad_err(keep.grad, fd)
         assert err <= 1e-3, (gamma, err)
 
 
@@ -252,7 +252,7 @@ def test_warm_start_gradient_matches_finite_differences(train_world,
                                                         monkeypatch):
     # one warm-start step: log-imitation of the best baseline's multiplier
     # plus the KAPPA_PRICE term, against finite differences of that loss
-    keep = KeepGrads()
+    keep = KeepGrad()
     monkeypatch.setattr(trainer, "Adam", lambda lr: keep)
     actor = _fresh_actor(train_world, hidden=(5,))
     cfg = TrainConfig(eval_rounds=50)
@@ -273,10 +273,10 @@ def test_warm_start_gradient_matches_finite_differences(train_world,
         return float(np.mean((np.log(pi) - log_target) ** 2)
                      + KAPPA_PRICE * np.mean((bids * dpi / pi) ** 2))
 
-    flat0 = actor.net.get_flat()
+    flat0 = actor.net.flat.copy()
     fd = fd_param_grad(loss, flat0)
     actor.net.set_flat(flat0)
-    assert grad_err(keep.grads, fd) <= 1e-3
+    assert grad_err(keep.grad, fd) <= 1e-3
 
 
 def test_actor_update_descends_on_fixed_batch():
@@ -294,7 +294,7 @@ def test_mono_hinge_inactive_for_increasing_policy():
     actor, critic, exp = _actor_critic_pair(rng)
     actor.net.weights[-1][:] = 0.0
     actor.net.biases[-1][:] = 0.5
-    flat0 = actor.net.get_flat()
+    flat0 = actor.net.flat.copy()
     l_plain = actor_update(exp, actor, critic, 0.0, Adam(0.0))
     actor.net.set_flat(flat0)
     l_pen = actor_update(exp, actor, critic, 1e6, Adam(0.0))
@@ -330,9 +330,9 @@ def test_zero_iters_returns_initialized_actor(train_world, monkeypatch):
     seen = {}
 
     def recording_warm_start(actor, *args):
-        seen["init"] = actor.net.get_flat()
+        seen["init"] = actor.net.flat.copy()
         out = warm_start_actor(actor, *args)
-        seen["warm"] = actor.net.get_flat()
+        seen["warm"] = actor.net.flat.copy()
         return out
 
     monkeypatch.setattr(trainer, "warm_start_actor", recording_warm_start)
@@ -343,8 +343,8 @@ def test_zero_iters_returns_initialized_actor(train_world, monkeypatch):
     ss = np.random.SeedSequence((train_world.config.seed, cfg.seed, 0x7EA1))
     rng_init = np.random.default_rng(ss.spawn(5)[0])
     expected = BidMultiplierNet(FEATURE_DIM, hidden=cfg.hidden, rng=rng_init)
-    assert np.array_equal(seen["init"], expected.net.get_flat())
-    assert np.array_equal(result.actor.net.get_flat(), seen["warm"])
+    assert np.array_equal(seen["init"], expected.net.flat)
+    assert np.array_equal(result.actor.net.flat, seen["warm"])
     assert len(result.report) == 1
     assert result.final_objective == result.report[0]["objective"]
 
@@ -371,7 +371,7 @@ def test_training_reproducible(train_world):
     cfg = TrainConfig(**TINY)
     r1 = train(train_world, cfg)
     r2 = train(train_world, cfg)
-    assert np.array_equal(r1.actor.net.get_flat(), r2.actor.net.get_flat())
+    assert np.array_equal(r1.actor.net.flat, r2.actor.net.flat)
     assert r1.report == r2.report
     assert r1.final_objective == r2.final_objective
 
