@@ -16,8 +16,9 @@ run's minor page faults and system CPU seconds (``minor_faults``,
 ``sys_s``), and, per workload and metric,
 each side's median and quartiles, the number of pairs the change wins,
 and whether the medians differ by more than the interquartile range of
-the parent's runs, and each side's total failed and attempted
-operations.
+the parent's runs, each side's total failed and attempted operations,
+and each side's median and quartiles of ``FACTORS``, so a change of
+``op_ref_ratio`` shows whether the operation or the host reference moved.
 """
 
 import argparse
@@ -29,6 +30,9 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# per-run values whose quartiles each workload's summary holds per side:
+# the two factors of op_ref_ratio, and the run's faults and system time
+FACTORS = ("op_s_min", "ref_s_min", "minor_faults", "sys_s")
 # pairs per workload and seed: the fewest that can back a claimed gain
 PAIRS = 10
 
@@ -91,11 +95,11 @@ def run_entry(result, record):
 
 
 def quartiles(xs):
-    """(first quartile, median, third quartile), inclusive interpolation."""
+    """{"median", "q1", "q3"} of xs, by inclusive interpolation."""
     if len(xs) == 1:
-        return xs[0], xs[0], xs[0]
+        return {"median": xs[0], "q1": xs[0], "q3": xs[0]}
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return q1, q2, q3
+    return {"median": q2, "q1": q1, "q3": q3}
 
 
 def summarize(runs, specs):
@@ -105,22 +109,29 @@ def summarize(runs, specs):
     ``metrics``, ``failed`` and ``attempted``; ``specs`` are
     BENCHMARK.json's end-to-end metrics.  A pair counts as won when the
     change's value is strictly better.  Under ``operations``, each
-    workload also holds each side's total failed and attempted operations.
+    workload also holds each side's total failed and attempted operations,
+    and under ``factors`` the quartiles of each of ``FACTORS`` per side,
+    over the paired runs that carry it.
     """
     better = {m["name"]: m["better"] for m in specs}
     by_pair = {}
     for run in runs:
         key = (run["workload"], run["seed"], run["pair"])
         by_pair.setdefault(key, {})[run["side"]] = run
-    summary, operations = {}, {}
+    summary, operations, factors = {}, {}, {}
     for (workload, _, _), sides in sorted(by_pair.items()):
         if set(sides) != set(SIDES):
             continue
         totals = operations.setdefault(workload, {
             side: {"failed": 0, "attempted": 0} for side in SIDES})
+        values = factors.setdefault(workload, {
+            name: {side: [] for side in SIDES} for name in FACTORS})
         for side in SIDES:
             for count in ("failed", "attempted"):
                 totals[side][count] += sides[side][count]
+            for name in FACTORS:
+                if name in sides[side]:
+                    values[name][side].append(sides[side][name])
         for name, direction in better.items():
             entry = summary.setdefault(workload, {}).setdefault(
                 name, {"parent": [], "change": [], "change_wins": 0,
@@ -135,8 +146,7 @@ def summarize(runs, specs):
     for metrics in summary.values():
         for entry in metrics.values():
             for side in SIDES:
-                q1, median, q3 = quartiles(entry[side])
-                entry[side] = {"median": median, "q1": q1, "q3": q3}
+                entry[side] = quartiles(entry[side])
             parent, change = entry["parent"], entry["change"]
             entry["median_change"] = change["median"] / parent["median"] - 1.0
             # a gain counts only beyond the spread of the parent's own runs
@@ -145,6 +155,10 @@ def summarize(runs, specs):
                                           > parent["q3"] - parent["q1"])
     for workload, totals in operations.items():
         summary[workload]["operations"] = totals
+        summary[workload]["factors"] = {
+            name: {side: quartiles(xs) for side, xs in sides.items()}
+            for name, sides in factors[workload].items()
+            if all(sides.values())}
     return summary
 
 

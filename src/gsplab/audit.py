@@ -33,6 +33,11 @@ BID_HI = 10.0
 # PER's tolerance: the bisection stops within PER_TOL times the winner's
 # bid, and a price at or below PER_TOL counts as zero
 PER_TOL = 1e-6
+# the acceptance gates an audited model must pass: T_m at least T_M_MIN,
+# mean PER within PER_RANGE and i-SIC at least ISIC_MIN
+T_M_MIN = 0.96
+PER_RANGE = (0.95, 1.05)
+ISIC_MIN = 0.95
 
 
 @dataclass
@@ -257,3 +262,12 @@ def single_slot_world(world):
     cfg = dc_replace(world.config, slots=1,
                      slot_ctr_factors=(world.config.slot_ctr_factors[0],))
     return World(cfg)
+
+
+def failed_gates(t_m, per_mean, isic):
+    """Names of the acceptance gates that the audit values fail, in the
+    order T_m, PER, i-SIC; a NaN value fails its gate."""
+    passed = {"T_m": t_m >= T_M_MIN,
+              "PER": PER_RANGE[0] <= per_mean <= PER_RANGE[1],
+              "i-SIC": isic >= ISIC_MIN}
+    return [name for name, ok in passed.items() if not ok]

@@ -5,7 +5,7 @@ command echoes its fully-resolved configuration and seed before running,
 and drops its outputs plus a manifest of file hashes under --out.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure,
-3 golden-test mismatch.
+3 golden-test mismatch, 4 audited model fails an acceptance gate.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 from gsplab.audit import (
     AuditConfig,
     audit_states,
+    failed_gates,
     i_sic,
     monotonicity_metric,
     payment_error_rate,
@@ -56,6 +57,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_GOLDEN_MISMATCH = 3
+EXIT_GATES = 4
 
 
 class ValidationError(ValueError):
@@ -446,15 +448,18 @@ def cmd_audit(args):
     mono = monotonicity_metric(actor, audit_states(world, cfg), cfg)
     per = payment_error_rate(world, mech, cfg)
     isic = i_sic(mech, single_slot_world(world), cfg)
+    failed = failed_gates(mono.t_m, per.mean, isic.value)
+    gates = " ".join(failed) if failed else "pass"
     weights = ",".join(str(w) for w in train_cfg.weights)
     print("metrics_configuration  T_m      PER      IC")
     print(f"({weights})  {mono.t_m:.4f}  {per.mean:.4f}  {isic.value:.4f}")
+    print(f"gates  {gates}")
     with open(out / "audit.csv", "w") as fh:
-        fh.write("weights,t_m,per_mean,per_p05,per_p95,isic\n")
+        fh.write("weights,t_m,per_mean,per_p05,per_p95,isic,gates\n")
         fh.write(f"\"{weights}\",{mono.t_m},{per.mean},{per.p05},{per.p95},"
-                 f"{isic.value}\n")
+                 f"{isic.value},{gates}\n")
     _write_manifest(out)
-    return EXIT_OK
+    return EXIT_GATES if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

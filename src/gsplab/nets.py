@@ -40,6 +40,31 @@ gradient callers run ``Mlp.forward``, which also keeps every layer's
 activations and first derivatives (``backward_jvp`` derives the second
 ones from them); both passes give the same output bits.
 
+The critic's gradient passes reuse their arrays.  Training runs
+thousands of them on batches of one shape (2,880 rows per pretraining
+epoch, then 800 per step), and arrays made and freed on every step let
+glibc trim its heap and fault the pages back in on the next.  So the
+critic's ``Mlp`` is built with ``keep_arrays``: forward keeps its hidden
+layers' activations and first derivatives, and backward and input_grad
+their per-layer gradients, one (rows, width) array per layer and kind,
+and the next pass over as many rows writes into them with ``out=``; a
+forward over another row count drops them all and makes new ones, so a
+net holds nothing beyond its latest passes.  The arrays stay separate,
+and none is larger than a training batch's (2,880 x 64, 1.47 MB): a
+freed block above about 3.2 MB would raise glibc's mmap threshold and
+change how the benchmark's host reference allocates.  The actor keeps
+none: keeping its forward, jvp and backward_jvp arrays too (seven per
+hidden layer, 4.3 MB at 800 rows, held through the critic's steps, the
+rollouts and the evaluations) raised the peak RSS of in-process runs of
+the benchmark's ``train`` workload by up to 2.5 MiB.  The output
+layer's arrays, the returned output among them, are new on every pass.
+A cache records the net's forward count and is valid until the net's
+next forward; a gradient pass given an older one raises ValueError.
+Each pass computes only what its caller reads: backward returns the
+parameter gradient and input_grad the input gradient.  The actor and
+critic take their gradient passes' rows standardized (``inputs``,
+``grad_inputs``), so a trainer builds them once per batch.
+
 Checkpoints are a self-describing little-endian binary format (magic
 string, version, architecture dims, hidden and output activation ids,
 normalization stats, row-major float64 parameter blocks).  A file whose
@@ -88,8 +113,9 @@ def _softplus(z):
     return np.where(z > 30, z, np.log1p(np.exp(np.minimum(z, 30))))
 
 
-def _tanh_first(z, a):
-    d1 = a * a
+def _tanh_first(a, out=None):
+    """1 - a^2, the derivative of tanh where it took the value a."""
+    d1 = np.multiply(a, a, out=out)
     return np.subtract(1.0, d1, out=d1)
 
 
@@ -99,14 +125,16 @@ def _tanh_second(a, d1):
     return d2
 
 
-# name -> (value, first, second), shared by both forward passes and
-# backward_jvp.  value(z) may overwrite z (tanh works in place); first(z, a)
-# is the first derivative at z given a = value(z), and reads only a when
-# value overwrites z; second(a, d1) is the second derivative from a and
-# the first derivative, so forward need not keep it.  first and second
-# return fresh arrays.
+# name -> (value, first, second), shared by predict, the output layer of
+# forward (whose tanh hidden layers call _tanh_first into their arrays)
+# and backward_jvp.  value(z) may overwrite z (tanh works in place);
+# first(z, a) is the first derivative at z given a = value(z), and reads
+# only a when value overwrites z; second(a, d1) is the second derivative
+# from a and the first derivative, so forward need not keep it.  first
+# and second return fresh arrays.
 _ACTIVATIONS = {
-    "tanh": (lambda z: np.tanh(z, out=z), _tanh_first, _tanh_second),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda z, a: _tanh_first(a),
+             _tanh_second),
     "softplus": (_softplus, lambda z, a: _sigmoid(z),
                  lambda a, d1: d1 * (1.0 - d1)),
     "identity": (lambda z: z, lambda z, a: np.ones_like(z),
@@ -153,19 +181,29 @@ class Mlp:
     it keeps no derivatives and no cache.  forward computes the same
     output, bit for bit, plus the cache of activations and first
     activation derivatives that the gradient passes read: backward is
-    ordinary reverse mode, jvp propagates an input tangent, and
-    backward_jvp differentiates a loss of (output, output tangent) with
-    respect to the parameters, taking second derivatives from the cached
-    activations.
+    ordinary reverse mode for the parameters and input_grad for the
+    input, jvp propagates an input tangent, and backward_jvp
+    differentiates a loss of (output, output tangent) with respect to the
+    parameters, taking second derivatives from the cached activations.
+
+    With ``keep_arrays``, forward, backward and input_grad write their
+    hidden layers' arrays into those of the net's previous such pass over
+    as many rows, one array per layer and kind; a forward over another
+    row count replaces them.  The output layer's arrays, the returned
+    output among them, are new on every pass.  Either way a cache is
+    valid only until the net's next forward: a gradient pass given an
+    older one raises ValueError.
     """
 
-    def __init__(self, sizes, output="identity", rng=None):
+    def __init__(self, sizes, output="identity", rng=None,
+                 keep_arrays=False):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         if output not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {output!r}")
         self.sizes = list(sizes)
         self.output = output
+        self.keep_arrays = keep_arrays
         self.flat = np.zeros(sum(n_out * (n_in + 1) for n_in, n_out
                                  in zip(sizes[:-1], sizes[1:])))
         self.weights, self.biases = self._views(self.flat)
@@ -174,6 +212,9 @@ class Mlp:
             n_out, n_in = w.shape
             limit = np.sqrt(6.0 / (n_in + n_out))
             w[...] = rng.uniform(-limit, limit, size=w.shape)
+        # the latest forward's row count and number, and the arrays kept
+        # for passes over that many rows, by kind
+        self._rows, self._passes, self._kept = None, 0, {}
 
     @property
     def n_layers(self):
@@ -198,11 +239,28 @@ class Mlp:
         return _ACTIVATIONS[self.output if layer == self.n_layers - 1
                             else "tanh"]
 
-    def _to_input(self, dZ, layer):
+    def _arrays(self, kind):
+        """One array per hidden layer, (rows of the latest forward, width):
+        the net's kept ones of this kind with keep_arrays, else new."""
+        arrays = self._kept.get(kind)
+        if arrays is None:
+            arrays = [np.empty((self._rows, n)) for n in self.sizes[1:-1]]
+            if self.keep_arrays:
+                self._kept[kind] = arrays
+        return arrays
+
+    def _check(self, cache):
+        if cache["pass"] != self._passes:
+            raise ValueError("stale cache: the net has run a forward pass "
+                             "since it was made")
+
+    def _to_input(self, dZ, layer, out=None):
         """dZ @ weights[layer]; with one output unit each entry is one
         product, which a broadcast gives without the matmul's overhead."""
         w = self.weights[layer]
-        return dZ * w if w.shape[0] == 1 else dZ @ w
+        if w.shape[0] == 1:
+            return np.multiply(dZ, w, out=out)
+        return np.matmul(dZ, w, out=out)
 
     def set_flat(self, flat):
         if np.shape(flat) != self.flat.shape:
@@ -222,36 +280,59 @@ class Mlp:
     def forward(self, U):
         """U: (B, n_in) -> output (B, n_out), plus cache for backward."""
         A = np.asarray(U, dtype=float)
+        if len(A) != self._rows:
+            self._rows, self._kept = len(A), {}
+        self._passes += 1
         acts, d1s = [A], []
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            value, first, _ = self._activation(layer)
-            Z = A @ w.T
+        # zip stops at the last hidden layer, whose arrays end first
+        for w, b, Z, d1 in zip(self.weights, self.biases,
+                               self._arrays("acts"), self._arrays("d1s")):
+            np.matmul(A, w.T, out=Z)
             Z += b
-            A = value(Z)
+            A = np.tanh(Z, out=Z)
             acts.append(A)
-            d1s.append(first(Z, A))
-        return A, {"acts": acts, "d1s": d1s}
+            d1s.append(_tanh_first(A, out=d1))
+        value, first, _ = _ACTIVATIONS[self.output]
+        Z = A @ self.weights[-1].T
+        Z += self.biases[-1]
+        A = value(Z)
+        acts.append(A)
+        d1s.append(first(Z, A))
+        return A, {"pass": self._passes, "acts": acts, "d1s": d1s}
+
+    def _layer_grads(self, cache, dY):
+        """(layer, dZ) from the output layer down: the gradient of
+        sum(dY * Y) wrt each layer's pre-activation, a hidden layer's in
+        an array of _arrays.  Layer 0's input product is the caller's."""
+        self._check(cache)
+        d1s, dZs = cache["d1s"], self._arrays("dz")
+        dZ = dY * d1s[-1]
+        for layer in range(self.n_layers - 1, 0, -1):
+            yield layer, dZ
+            dZ = self._to_input(dZ, layer, out=dZs[layer - 1])
+            dZ *= d1s[layer - 1]
+        yield 0, dZ
 
     def backward(self, cache, dY):
-        """Gradients of sum(dY * Y) wrt the parameters and the input.
-
-        Returns (grad, dU), grad in the layout of flat.
-        """
-        acts, d1s = cache["acts"], cache["d1s"]
+        """Gradient of sum(dY * Y) wrt the parameters, in the layout of
+        flat."""
+        acts = cache["acts"]
         grad = np.empty_like(self.flat)
         gws, gbs = self._views(grad)
-        dZ = dY * d1s[-1]
-        for layer in range(self.n_layers - 1, -1, -1):
+        for layer, dZ in self._layer_grads(cache, dY):
             np.matmul(dZ.T, acts[layer], out=gws[layer])
             dZ.sum(axis=0, out=gbs[layer])
-            dA = self._to_input(dZ, layer)
-            if layer > 0:
-                dA *= d1s[layer - 1]
-                dZ = dA
-        return grad, dA
+        return grad
+
+    def input_grad(self, cache, dY):
+        """Gradient of sum(dY * Y) wrt the input U, a new (B, n_in) array;
+        no parameter products are formed."""
+        *_, (_, dZ) = self._layer_grads(cache, dY)
+        return self._to_input(dZ, 0)
 
     def jvp(self, cache, V):
         """Directional derivative of the output along input tangent V."""
+        self._check(cache)
         d1s = cache["d1s"]
         S = np.asarray(V, dtype=float)
         ts, ss = [], [S]
@@ -268,6 +349,7 @@ class Mlp:
         dY and dYdot are the loss derivatives wrt the output and the
         output tangent respectively.
         """
+        self._check(cache)
         acts, d1s = cache["acts"], cache["d1s"]
         ts, ss = jcache["ts"], jcache["ss"]
         grad = np.empty_like(self.flat)
@@ -369,26 +451,29 @@ class _NormalizedNet:
     """One-output Mlp over standardized inputs, with its checkpoint I/O.
 
     The actor and the critic differ only in the inputs they take besides
-    the features (their ``_columns``), the output activation and the
-    checkpoint kind tag.
+    the features (their ``_columns``), the output activation, the
+    checkpoint kind tag and whether their Mlp keeps its arrays.
     """
 
-    KIND = EXTRA_INPUTS = OUTPUT = None  # set by each subclass
+    # set by each subclass; KEEP_ARRAYS is the Mlp's keep_arrays
+    KIND = EXTRA_INPUTS = OUTPUT = KEEP_ARRAYS = None
 
     def __init__(self, feature_dim, hidden, rng=None):
         self.feature_dim = feature_dim
         self.input_dim = self.EXTRA_INPUTS + feature_dim
         self.norm = Normalizer(self.input_dim)
         self.net = Mlp([self.input_dim, *hidden, 1], output=self.OUTPUT,
-                       rng=rng)
+                       rng=rng, keep_arrays=self.KEEP_ARRAYS)
 
     def fit_normalizer(self, *raw):
         """Fit the standardization to the rows of the raw input columns."""
         self.norm.fit(np.column_stack(self._columns(*raw)))
         return self
 
-    def _inputs(self, *raw):
-        """The standardized (B, input_dim) rows of the raw input columns."""
+    def inputs(self, *raw):
+        """The standardized (B, input_dim) rows of the raw input columns,
+        which the gradient passes take: a trainer standardizes a batch
+        once for all the steps it takes on it."""
         return self.norm.transform(np.column_stack(self._columns(*raw)))
 
     def _predict(self, *raw):
@@ -414,7 +499,7 @@ class _NormalizedNet:
 
         def run(group):
             for start, stop in group:
-                U = self._inputs(*(c[start:stop] for c in cols))
+                U = self.inputs(*(c[start:stop] for c in cols))
                 out[start:stop] = self.net.predict(U)[:, 0]
 
         pool = _predict_pool() if len(blocks) > 1 else None
@@ -479,7 +564,8 @@ class BidMultiplierNet(_NormalizedNet):
     d pi / d (raw bid).
     """
 
-    KIND, EXTRA_INPUTS, OUTPUT = 1, 1, "softplus"  # input: bid, features
+    # input: bid, features
+    KIND, EXTRA_INPUTS, OUTPUT, KEEP_ARRAYS = 1, 1, "softplus", False
 
     def _columns(self, bids, feats):
         bids = np.asarray(bids, dtype=float).reshape(-1)
@@ -489,12 +575,18 @@ class BidMultiplierNet(_NormalizedNet):
     def multiplier_batch(self, bids, feats):
         return self._predict(bids, feats)
 
-    def forward_with_grad(self, bids, feats):
-        """(pi, d pi/d bid, caches) for a batch; caches feed backward_jvp."""
-        U = self._inputs(bids, feats)
-        Y, cache = self.net.forward(U)
+    def grad_inputs(self, bids, feats):
+        """(U, V) of a batch for forward_with_grad: its standardized rows
+        and the input tangent along the raw bid."""
+        U = self.inputs(bids, feats)
         V = np.zeros_like(U)
         V[:, 0] = 1.0 / self.norm.scale[0]
+        return U, V
+
+    def forward_with_grad(self, U, V):
+        """(pi, d pi/d bid, caches) for the rows (U, V) of grad_inputs;
+        the caches feed backward_jvp until the net's next forward."""
+        Y, cache = self.net.forward(U)
         Ydot, jcache = self.net.jvp(cache, V)
         return Y[:, 0], Ydot[:, 0], (cache, jcache)
 
@@ -502,7 +594,7 @@ class BidMultiplierNet(_NormalizedNet):
 class CriticNet(_NormalizedNet):
     """Critic Q(s, a) over standardized (bid, features, action) input."""
 
-    KIND, EXTRA_INPUTS, OUTPUT = 2, 2, "identity"
+    KIND, EXTRA_INPUTS, OUTPUT, KEEP_ARRAYS = 2, 2, "identity", True
 
     def _columns(self, states, actions):
         return (np.asarray(states, dtype=float),
@@ -511,20 +603,20 @@ class CriticNet(_NormalizedNet):
     def q_batch(self, states, actions):
         return self._predict(states, actions)
 
-    def mse_and_grads(self, states, actions, targets):
-        """Mean squared error against targets and its parameter gradient."""
+    def mse_and_grads(self, U, targets):
+        """Mean squared error of Q on the standardized rows U (see
+        inputs) against targets, and its parameter gradient."""
         targets = np.asarray(targets, dtype=float).reshape(-1)
-        Y, cache = self.net.forward(self._inputs(states, actions))
+        Y, cache = self.net.forward(U)
         resid = Y[:, 0] - targets
         loss = float(np.mean(resid**2))
         dY = (2.0 / targets.size) * resid[:, None]
-        grad, _ = self.net.backward(cache, dY)
-        return loss, grad
+        return loss, self.net.backward(cache, dY)
 
     def q_and_grad_action(self, states, actions):
         """(Q, dQ / d raw action) for each row, from one forward pass."""
-        Y, cache = self.net.forward(self._inputs(states, actions))
-        _, dU = self.net.backward(cache, np.ones_like(Y))
+        Y, cache = self.net.forward(self.inputs(states, actions))
+        dU = self.net.input_grad(cache, np.ones_like(Y))
         return Y[:, 0], dU[:, -1] / self.norm.scale[-1]
 
 

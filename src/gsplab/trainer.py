@@ -159,14 +159,18 @@ def pretrain_critic(experience, critic, max_epochs, rng, lr=CRITIC_LR,
     perm = rng.permutation(m)
     n_val = max(1, int(VAL_FRAC * m))
     val, tr = perm[:n_val], perm[n_val:]
-    train_split = Experience(experience.states[tr], experience.actions[tr],
-                             experience.rewards[tr])
+    # each split is standardized once; the validation rows then take one
+    # value-only pass per epoch, whose bits equal q_batch's blocks
+    U_tr, U_val = (critic.inputs(experience.states[rows],
+                                 experience.actions[rows])
+                   for rows in (tr, val))
+    rewards_tr, rewards_val = experience.rewards[tr], experience.rewards[val]
     opt = Adam(lr)
     best_val, best_flat, stale = np.inf, None, 0
     for _epoch in range(max_epochs):
-        critic_update(train_split, critic, opt)
-        val_pred = critic.q_batch(experience.states[val], experience.actions[val])
-        val_loss = float(np.mean((val_pred - experience.rewards[val]) ** 2))
+        critic_update(U_tr, rewards_tr, critic, opt)
+        val_pred = critic.net.predict(U_val)[:, 0]
+        val_loss = float(np.mean((val_pred - rewards_val) ** 2))
         if val_loss < best_val - 1e-12:
             best_val, best_flat, stale = val_loss, critic.net.flat.copy(), 0
         else:
@@ -178,10 +182,10 @@ def pretrain_critic(experience, critic, max_epochs, rng, lr=CRITIC_LR,
     return best_val
 
 
-def critic_update(experience, critic, optimizer):
-    """One gradient step on MSE against the single-step target y = re."""
-    loss, grad = critic.mse_and_grads(experience.states, experience.actions,
-                                      experience.rewards)
+def critic_update(U, rewards, critic, optimizer):
+    """One gradient step on MSE against the single-step target y = re,
+    over a batch's standardized rows U (``critic.inputs``)."""
+    loss, grad = critic.mse_and_grads(U, rewards)
     optimizer.step(critic.net.flat, grad)
     return loss
 
@@ -215,7 +219,8 @@ def actor_update(experience, actor, critic, gamma_mono, optimizer):
     """
     bids = experience.states[:, 0]
     feats = experience.states[:, 1:]
-    pi, dpi_db, (cache, jcache) = actor.forward_with_grad(bids, feats)
+    pi, dpi_db, (cache, jcache) = actor.forward_with_grad(
+        *actor.grad_inputs(bids, feats))
     q, dq_da = critic.q_and_grad_action(experience.states, bids * pi)
     loss, dY, dYdot = actor_penalties(bids, pi, dpi_db, gamma_mono,
                                       KAPPA_PRICE)
@@ -266,9 +271,10 @@ def warm_start_actor(actor, world, config, rng, eval_seed, ubar):
     scores = best_mech.score_batch(bids, feats)[0]
     target = np.maximum(scores / np.maximum(bids, 1e-9), 1e-6)
     log_target = np.log(target)
+    U, V = actor.grad_inputs(bids, feats)
     opt = Adam(1e-2)
     for _step in range(1500):
-        pi, dpi_db, (cache, jcache) = actor.forward_with_grad(bids, feats)
+        pi, dpi_db, (cache, jcache) = actor.forward_with_grad(U, V)
         pi = np.maximum(pi, 1e-12)
         _, dY, dYdot = actor_penalties(bids, pi, dpi_db, 0.0, KAPPA_PRICE)
         dY += (2.0 / bids.size) * (np.log(pi) - log_target) / pi
@@ -310,6 +316,7 @@ def train(world, config):
     # the report's mono_loss is the mean hinge on these states
     mono_states = pre_batch.states[:256]
     mono_bids = mono_states[:, 0]
+    mono_rows = actor.grad_inputs(mono_bids, mono_states[:, 1:])
     report = []
     # the selected iterate: its parameters and its row of the report
     best = {"f": -np.inf, "flat": actor.net.flat.copy(), "row": 0}
@@ -318,7 +325,7 @@ def train(world, config):
         metrics, f, f_pen = penalized_objective(
             world, DeepGspMechanism(actor), config, eval_seed, ubar)
         tm = spot_monotonicity(actor, spot)
-        pi, dpi_db, _ = actor.forward_with_grad(mono_bids, mono_states[:, 1:])
+        pi, dpi_db, _ = actor.forward_with_grad(*mono_rows)
         mono_loss, _, _ = actor_penalties(mono_bids, pi, dpi_db, 1.0, 0.0)
         mean_pay = (metrics[0] * world.normalizers[0] / 1000.0)
         report.append({"iter": iteration, "objective": f,
@@ -336,8 +343,9 @@ def train(world, config):
     for it in range(1, config.train_iters + 1):
         batch = collect_batch(world, actor, BATCH_ROUNDS, noise_std, rng_expl,
                               config, ubar)
+        U = critic.inputs(batch.states, batch.actions)
         for _ in range(CRITIC_STEPS):
-            critic_update(batch, critic, critic_opt)
+            critic_update(U, batch.rewards, critic, critic_opt)
         actor_update(batch, actor, critic, config.gamma_mono, actor_opt)
         noise_std = max(NOISE_FLOOR, noise_std * NOISE_DECAY)
         if it % config.eval_every == 0 or it == config.train_iters:

@@ -227,7 +227,8 @@ def _check_actor_gradients(rng, n_instances=128, h=1e-5):
     actor.fit_normalizer(bids, feats)
 
     # parameter gradient of sum(pi) over the batch
-    _pi, _dpi, (cache, jcache) = actor.forward_with_grad(bids, feats)
+    _pi, _dpi, (cache, jcache) = actor.forward_with_grad(
+        *actor.grad_inputs(bids, feats))
     analytic = actor.net.backward_jvp(cache, jcache,
                                       np.ones((n_instances, 1)),
                                       np.zeros((n_instances, 1)))
@@ -246,7 +247,8 @@ def _check_actor_gradients(rng, n_instances=128, h=1e-5):
     param_err = _rel_err(analytic, fd)
 
     # input-bid gradient, checked per instance
-    _pi, dpi_db, _ = actor.forward_with_grad(bids, feats)
+    _pi, dpi_db, _ = actor.forward_with_grad(
+        *actor.grad_inputs(bids, feats))
     fd_bid = (actor.multiplier_batch(bids + h, feats)
               - actor.multiplier_batch(bids - h, feats)) / (2 * h)
     scale = np.maximum(np.abs(fd_bid), 1e-6)
@@ -261,7 +263,8 @@ def _check_critic_gradients(rng, n_instances=128, h=1e-5):
     targets = rng.normal(0.0, 0.5, n_instances)
     critic.fit_normalizer(states, actions)
 
-    _loss, analytic = critic.mse_and_grads(states, actions, targets)
+    _loss, analytic = critic.mse_and_grads(critic.inputs(states, actions),
+                                           targets)
     flat0 = critic.net.flat.copy()
 
     def mse(flat):

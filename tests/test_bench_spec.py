@@ -1,10 +1,15 @@
-"""The benchmark's experiment file still loads.
+"""The benchmark's experiment file still loads, and its traced operations
+still run.
 
 ``perfbench/bench.py`` writes a frozen copy of the default experiment
 (``DEFAULT_SPEC`` plus ``Sizes.train_overrides``) and trains on it.  A
 config key it sets that gsplab no longer accepts makes every benchmark
 operation fail, so the file is written and loaded here, without running
-the benchmark.
+the benchmark.  ``perfbench/tracer.py`` calls the ``rows`` and ``flops``
+rules of its targets with each call's own arguments, so a changed
+signature of a traced method fails every traced operation; each workload
+is therefore run traced here, at the tiny sizes of the benchmark's own
+tests.
 """
 
 import importlib.util
@@ -57,3 +62,12 @@ def test_bench_spec_loads(perfbench, tmp_path, sizes):
     assert world.seed == train.seed == 7
     for key, value in chosen.train_overrides.items():
         assert getattr(train, key) == value, key
+
+
+@pytest.mark.parametrize("workload", ["market", "train", "audit"])
+def test_traced_operations_succeed(perfbench, workload):
+    bench, tests = perfbench
+    result, _ = bench.run(workload, seed=5, seconds=0.0, trace=True,
+                          import_s=0.0, sizes=tests.TINY)
+    assert result["correct"] and result["failed"] == 0
+    assert result["attempted"] >= tests.TINY.min_ops

@@ -683,9 +683,29 @@ def test_audit_trained_model(spec_file, trained_dir, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "T_m" in stdout
     assert f"model_sha256 = {_sha(model)}\n" in stdout
+    assert "\ngates  pass\n" in stdout
     lines = (out / "audit.csv").read_text().splitlines()
-    assert lines[0] == "weights,t_m,per_mean,per_p05,per_p95,isic"
-    assert len(lines) == 2
+    assert lines[0] == "weights,t_m,per_mean,per_p05,per_p95,isic,gates"
+    assert len(lines) == 2 and lines[1].endswith(",pass")
+
+
+def test_audit_exits_4_on_a_failed_gate(spec_file, tmp_path, capsys):
+    # pi falls steeply with the bid, so the rank score b * pi does not rise
+    # with it
+    actor = _fitted_actor(FEATURE_DIM)
+    actor.net.weights[0][:, 0] = -8.0
+    actor.net.weights[-1][:] = 3.0
+    model = tmp_path / "falling.ckpt"
+    actor.save(model)
+    out = tmp_path / "audit"
+    code = cli.main(["audit", "--config", str(spec_file), "--out", str(out),
+                     "--model", str(model)])
+    assert code == 4
+    gates = re.search(r"^gates  (.*)$", capsys.readouterr().out, re.M)
+    assert gates and "T_m" in gates.group(1).split()
+    row = (out / "audit.csv").read_text().splitlines()[1]
+    assert row.endswith(f",{gates.group(1)}")
+    assert (out / "manifest.txt").is_file()
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,13 @@ def _pi(actor, b, x):
     return float(actor.multiplier_batch([b], [x])[0])
 
 
+def _with_grad(actor, bids, feats):
+    """actor.forward_with_grad on the rows of a raw batch."""
+    return actor.forward_with_grad(*actor.grad_inputs(bids, feats))
+
+
 def _dpi_db(actor, b, x):
-    return float(actor.forward_with_grad([b], [x])[1][0])
+    return float(_with_grad(actor, [b], [x])[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -421,33 +426,102 @@ def test_multiplier_batch_builds_no_full_size_temporary(predict_threads):
     assert peak <= 4 * 2**20
 
 
+def _gradient_passes(net, U, V, dY, dYdot):
+    """(Y, backward's grad, input gradient, Ydot, backward_jvp's grad) of
+    one batch: every gradient pass, in a trainer's order."""
+    Y, cache = net.forward(U)
+    if isinstance(net, _ReferenceMlp):
+        grad, dU = net.backward(cache, dY)
+    else:
+        grad, dU = net.backward(cache, dY), net.input_grad(cache, dY)
+    Ydot, jcache = net.jvp(cache, V)
+    return Y, grad, dU, Ydot, net.backward_jvp(cache, jcache, dY, dYdot)
+
+
 @pytest.mark.parametrize("kind", ["actor", "critic"])
 @pytest.mark.parametrize("rows", [1, 37, 800])
 def test_gradient_passes_equal_the_reference(kind, rows):
+    # two batches of one shape; the critic's net writes the second's passes
+    # into the arrays of the first's.  Each batch's results must equal
+    # those of a net that ran no pass before and of the reference, bit
+    # for bit, and the second batch must leave the first's results alone
     rng = np.random.default_rng(100 + rows)
     model = _fitted_model(kind, rng)
     net, ref = model.net, _ReferenceMlp(model.net)
-    U = model.norm.transform(rng.uniform(0.0, 5.0, (rows, model.input_dim)))
-    dY = rng.normal(size=(rows, 1))
-    Y, cache = net.forward(U)
-    Y_ref, cache_ref = ref.forward(U)
-    assert np.array_equal(Y, Y_ref)
-    grad, dU = net.backward(cache, dY)
-    grad_ref, dU_ref = ref.backward(cache_ref, dY)
-    assert grad.shape == net.flat.shape
-    assert np.array_equal(grad, grad_ref)
-    assert np.array_equal(dU, dU_ref)
-    if kind == "actor":
+    results = []
+    for _batch in range(2):
+        U = model.norm.transform(rng.uniform(0.0, 5.0,
+                                             (rows, model.input_dim)))
         V = np.zeros_like(U)
         V[:, 0] = 1.0 / model.norm.scale[0]
-        Ydot, jcache = net.jvp(cache, V)
-        Ydot_ref, jcache_ref = ref.jvp(cache_ref, V)
-        assert np.array_equal(Ydot, Ydot_ref)
-        dYdot = rng.normal(size=(rows, 1))
-        grad = net.backward_jvp(cache, jcache, dY, dYdot)
-        grad_ref = ref.backward_jvp(cache_ref, jcache_ref, dY, dYdot)
-        assert grad.shape == net.flat.shape
-        assert np.array_equal(grad, grad_ref)
+        dY, dYdot = rng.normal(size=(rows, 1)), rng.normal(size=(rows, 1))
+        got = _gradient_passes(net, U, V, dY, dYdot)
+        fresh = Mlp(net.sizes, output=net.output)
+        fresh.set_flat(net.flat)
+        for want in (_gradient_passes(fresh, U, V, dY, dYdot),
+                     _gradient_passes(ref, U, V, dY, dYdot)):
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b)
+        assert got[1].shape == got[4].shape == net.flat.shape
+        assert got[2].shape == U.shape
+        results.append((got, [a.copy() for a in got]))
+    for got, copies in results:
+        assert all(np.array_equal(a, b) for a, b in zip(got, copies))
+
+
+@pytest.mark.parametrize("kind", ["actor", "critic"])
+def test_stale_cache_raises(kind):
+    rng = np.random.default_rng(25)
+    model = _fitted_model(kind, rng)
+    net = model.net
+    U, U2 = rng.normal(size=(2, 40, model.input_dim))
+    V = np.zeros_like(U)
+    V[:, 0] = 1.0
+    dY = dYdot = np.ones((40, 1))
+    _, old = net.forward(U)
+    _, old_j = net.jvp(old, V)
+    _, cache = net.forward(U2)
+    # the critic's second forward over as many rows wrote into the first's
+    # hidden arrays; the actor's made new ones
+    same = [a is b for a, b in zip(cache["acts"][1:-1] + cache["d1s"][:-1],
+                                   old["acts"][1:-1] + old["d1s"][:-1])]
+    assert same == [kind == "critic"] * 4
+    for call in (lambda: net.backward(old, dY),
+                 lambda: net.input_grad(old, dY), lambda: net.jvp(old, V),
+                 lambda: net.backward_jvp(old, old_j, dY, dYdot)):
+        with pytest.raises(ValueError, match="stale cache"):
+            call()
+    net.backward(cache, dY)
+    # a forward over another row count makes new arrays, and still makes
+    # every older cache stale
+    _, short = net.forward(U[:7])
+    assert not any(a is b for a, b in zip(short["acts"][1:-1],
+                                          cache["acts"][1:-1]))
+    with pytest.raises(ValueError, match="stale cache"):
+        net.backward(cache, dY)
+
+
+def test_critic_step_reuses_its_arrays():
+    # a 2,880-row critic step of the pretraining, after a first step: its
+    # hidden layers' arrays are the net's kept ones, so the step allocates
+    # only output-wide and parameter-sized arrays (6.6 MiB of temporaries
+    # per step when every pass allocated its arrays)
+    rng = np.random.default_rng(30)
+    critic = CriticNet(FEATURE_DIM, hidden=(64, 32), rng=rng)
+    states = rng.uniform(0.0, 2.0, (2880, FEATURE_DIM + 1))
+    actions = rng.uniform(0.0, 3.0, 2880)
+    targets = rng.normal(size=2880)
+    critic.fit_normalizer(states, actions)
+    U = critic.inputs(states, actions)
+    opt = Adam(5e-3)
+    opt.step(critic.net.flat, critic.mse_and_grads(U, targets)[1])
+    tracemalloc.start()
+    try:
+        opt.step(critic.net.flat, critic.mse_and_grads(U, targets)[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 2**10
 
 
 def test_adam_on_the_flat_vector_equals_per_array_steps():
@@ -497,9 +571,9 @@ def test_inference_runs_the_value_pass(monkeypatch):
     rng = np.random.default_rng(22)
     actor, critic = _fitted_model("actor", rng), _fitted_model("critic", rng)
     bids, feats = rng.uniform(0.1, 5.0, 40), rng.uniform(0.0, 1.0, (40, FEAT))
-    want_pi = actor.net.forward(actor._inputs(bids, feats))[0][:, 0]
+    want_pi = actor.net.forward(actor.inputs(bids, feats))[0][:, 0]
     states = np.column_stack([bids, feats])
-    want_q = critic.net.forward(critic._inputs(states, want_pi))[0][:, 0]
+    want_q = critic.net.forward(critic.inputs(states, want_pi))[0][:, 0]
 
     def no_forward(self, U):
         raise AssertionError("inference ran the training forward")
@@ -551,7 +625,7 @@ def test_actor_param_gradient_matches_finite_differences():
         bids = rng.uniform(0.2, 5.0, 8)
         feats = rng.uniform(0, 1, (8, FEAT))
         w = rng.standard_normal(8)
-        U = actor._inputs(bids, feats)
+        U = actor.inputs(bids, feats)
 
         def loss(flat):
             actor.net.set_flat(flat)
@@ -560,7 +634,7 @@ def test_actor_param_gradient_matches_finite_differences():
 
         flat0 = actor.net.flat.copy()
         _, cache = actor.net.forward(U)
-        analytic, _ = actor.net.backward(cache, w[:, None])
+        analytic = actor.net.backward(cache, w[:, None])
         fd = fd_param_grad(loss, flat0)
         actor.net.set_flat(flat0)
         denom = max(np.linalg.norm(fd), 1e-10)
@@ -579,11 +653,11 @@ def test_backward_jvp_matches_finite_differences():
 
         def loss(flat):
             actor.net.set_flat(flat)
-            pi, dpi, _ = actor.forward_with_grad(bids, feats)
+            pi, dpi, _ = _with_grad(actor, bids, feats)
             return float(a @ pi + c @ dpi**2)
 
         flat0 = actor.net.flat.copy()
-        pi, dpi, (cache, jcache) = actor.forward_with_grad(bids, feats)
+        pi, dpi, (cache, jcache) = _with_grad(actor, bids, feats)
         analytic = actor.net.backward_jvp(cache, jcache, a[:, None],
                                           (2 * c * dpi)[:, None])
         fd = fd_param_grad(loss, flat0)
@@ -605,7 +679,7 @@ def test_critic_param_gradient_matches_finite_differences():
         return float(np.mean((pred - targets) ** 2))
 
     flat0 = critic.net.flat.copy()
-    _, analytic = critic.mse_and_grads(states, actions, targets)
+    _, analytic = critic.mse_and_grads(critic.inputs(states, actions), targets)
     fd = fd_param_grad(loss, flat0)
     critic.net.set_flat(flat0)
     assert np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-10) <= 1e-4
@@ -630,7 +704,7 @@ def test_critic_action_gradient_matches_finite_differences():
 
 
 def _penalties(actor, bids, feats, gamma=1.0, kappa=0.0):
-    pi, dpi_db, _ = actor.forward_with_grad(bids, feats)
+    pi, dpi_db, _ = _with_grad(actor, bids, feats)
     return actor_penalties(bids, pi, dpi_db, gamma, kappa)
 
 
@@ -672,7 +746,7 @@ def test_mono_penalty_hinge_arithmetic():
     loss, _, _ = _penalties(actor, batch, np.zeros((3, FEAT)))
     assert loss == pytest.approx(0.5 / 3, abs=1e-9)
     # the sensitivity term alone: kappa * mean((b * dpi/db / pi)^2)
-    pi, dpi_db, _ = actor.forward_with_grad(batch, np.zeros((3, FEAT)))
+    pi, dpi_db, _ = _with_grad(actor, batch, np.zeros((3, FEAT)))
     loss, _, _ = _penalties(actor, batch, np.zeros((3, FEAT)), 0.0, 0.4)
     assert loss == pytest.approx(0.4 * np.mean((batch * dpi_db / pi) ** 2))
 
@@ -692,7 +766,7 @@ def test_mono_penalty_gradient_matches_finite_differences():
     flat0 = actor.net.flat.copy()
 
     for gamma, kappa in ((1.0, 0.0), (0.0, 0.5), (2.0, 0.3)):
-        pi, dpi_db, (cache, jcache) = actor.forward_with_grad(bids, feats)
+        pi, dpi_db, (cache, jcache) = _with_grad(actor, bids, feats)
         _, dY, dYdot = actor_penalties(bids, pi, dpi_db, gamma, kappa)
         analytic = actor.net.backward_jvp(cache, jcache, dY[:, None],
                                           dYdot[:, None])
@@ -740,10 +814,11 @@ def test_critic_fits_linear_target():
     actions = rng.uniform(-1, 1, 256)
     targets = 0.7 * actions + 0.2 * states[:, 0] - 0.1
     critic.fit_normalizer(states, actions)
+    U = critic.inputs(states, actions)
     opt = Adam(5e-3)
     loss = np.inf
     for _ in range(2000):
-        loss, grad = critic.mse_and_grads(states, actions, targets)
+        loss, grad = critic.mse_and_grads(U, targets)
         if loss <= 1e-3:
             break
         opt.step(critic.net.flat, grad)

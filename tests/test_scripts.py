@@ -165,3 +165,41 @@ def test_bench_pairs_runs_ten_pairs_without_a_flag():
     with pytest.raises(SystemExit):
         module.main(["parent", "change", "--seeds", "7", "--pairs", "3",
                      "--out", "unused.json"])
+
+
+def test_bench_pairs_summarizes_both_factors_of_the_ratio():
+    module = _load("bench_pairs")
+    specs = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    # (pair, side, fastest operation, fastest reference, faults, sys_s);
+    # the change's operation is faster, its reference as fast
+    canned = [(0, "parent", 3.0, 0.20, 1_400_000, 3.0),
+              (0, "change", 2.6, 0.21, 500_000, 1.1),
+              (1, "parent", 3.2, 0.19, 1_500_000, 3.4),
+              (1, "change", 2.7, 0.19, 460_000, 1.2),
+              (2, "parent", 3.1, 0.22, 1_380_000, 2.9),
+              (2, "change", 2.8, 0.20, 540_000, 1.0)]
+    runs = []
+    for pair, side, op_s, ref_s, faults, sys_s in canned:
+        entry = module.run_entry(*module.parse_run(_canned_stdout(
+            op_s / ref_s, 53.0, op_s=(op_s,), op_cpu_s=(op_s,),
+            op_traced=(False,), ref_s=(ref_s, ref_s + 0.05))))
+        entry.update(workload="train", seed=7, pair=pair, side=side,
+                     minor_faults=faults, sys_s=sys_s)
+        runs.append(entry)
+    factors = module.summarize(runs, specs["end_to_end"])["train"]["factors"]
+    assert list(factors) == list(module.FACTORS)
+    assert factors["op_s_min"]["parent"] == pytest.approx(
+        {"median": 3.1, "q1": 3.05, "q3": 3.15})
+    assert factors["op_s_min"]["change"]["median"] == 2.7
+    assert factors["ref_s_min"]["parent"]["median"] == 0.20
+    assert factors["ref_s_min"]["change"]["median"] == 0.20
+    assert factors["minor_faults"]["parent"]["median"] == 1_400_000
+    assert factors["minor_faults"]["change"] == pytest.approx(
+        {"median": 500_000, "q1": 480_000, "q3": 520_000})
+    assert factors["sys_s"]["change"]["median"] == 1.1
+    # runs without the rusage counts (as run_entry alone makes them) still
+    # give the ratio's two factors
+    for run in runs:
+        del run["minor_faults"], run["sys_s"]
+    factors = module.summarize(runs, specs["end_to_end"])["train"]["factors"]
+    assert list(factors) == ["op_s_min", "ref_s_min"]

@@ -199,7 +199,8 @@ def test_critic_update_descends():
     critic = CriticNet(FEATURE_DIM, hidden=(8,), rng=rng)
     critic.fit_normalizer(exp.states, exp.actions)
     opt = Adam(1e-2)
-    losses = [critic_update(exp, critic, opt) for _ in range(100)]
+    U = critic.inputs(exp.states, exp.actions)
+    losses = [critic_update(U, exp.rewards, critic, opt) for _ in range(100)]
     assert losses[-1] < losses[0]
 
 
@@ -230,7 +231,7 @@ def test_actor_update_gradient_matches_finite_differences():
 
     def loss(flat, gamma):
         actor.net.set_flat(flat)
-        pi, dpi, _ = actor.forward_with_grad(bids, feats)
+        pi, dpi, _ = actor.forward_with_grad(*actor.grad_inputs(bids, feats))
         q = critic.q_batch(exp.states, bids * pi)
         slope = pi + bids * dpi
         sens = bids * dpi / pi
@@ -269,7 +270,7 @@ def test_warm_start_gradient_matches_finite_differences(train_world,
 
     def loss(flat):
         actor.net.set_flat(flat)
-        pi, dpi, _ = actor.forward_with_grad(bids, feats)
+        pi, dpi, _ = actor.forward_with_grad(*actor.grad_inputs(bids, feats))
         return float(np.mean((np.log(pi) - log_target) ** 2)
                      + KAPPA_PRICE * np.mean((bids * dpi / pi) ** 2))
 
