@@ -40,26 +40,26 @@ gradient callers run ``Mlp.forward``, which also keeps every layer's
 activations and first derivatives (``backward_jvp`` derives the second
 ones from them); both passes give the same output bits.
 
-The critic's gradient passes reuse their arrays.  Training runs
-thousands of them on batches of one shape (2,880 rows per pretraining
-epoch, then 800 per step), and arrays made and freed on every step let
-glibc trim its heap and fault the pages back in on the next.  So the
-critic's ``Mlp`` is built with ``keep_arrays``: forward keeps its hidden
-layers' activations and first derivatives, and backward and input_grad
-their per-layer gradients, one (rows, width) array per layer and kind,
-and the next pass over as many rows writes into them with ``out=``; a
-forward over another row count drops them all and makes new ones, so a
-net holds nothing beyond its latest passes.  The arrays stay separate,
-and none is larger than a training batch's (2,880 x 64, 1.47 MB): a
-freed block above about 3.2 MB would raise glibc's mmap threshold and
-change how the benchmark's host reference allocates.  The actor keeps
-none: keeping its forward, jvp and backward_jvp arrays too (seven per
-hidden layer, 4.3 MB at 800 rows, held through the critic's steps, the
-rollouts and the evaluations) raised the peak RSS of in-process runs of
-the benchmark's ``train`` workload by up to 2.5 MiB.  The output
-layer's arrays, the returned output among them, are new on every pass.
-A cache records the net's forward count and is valid until the net's
-next forward; a gradient pass given an older one raises ValueError.
+The gradient passes reuse their arrays.  Training runs thousands of
+them on batches of one shape (the critic's 2,880 rows per pretraining
+epoch, then 800 per step; the actor's 320 warm-start rows, then 800 per
+step), and arrays made and freed on every step let glibc trim its heap
+and fault the pages back in on the next.  So an ``Mlp`` keeps its hidden
+layers' arrays, one (rows, width) array per layer and kind: forward's
+activations and first derivatives, jvp's tangents, and the per-layer
+gradients of backward, input_grad and backward_jvp.  The next pass over
+as many rows writes into them with ``out=``; a forward over another row
+count drops them all and makes new ones, so a net holds nothing beyond
+its latest passes.  Each kept array has an anonymous memory mapping of
+its own (``_mapped_array``), unmapped when the array is dropped: kept on
+glibc's heap through a training, the arrays pinned the pages around
+them, training left the heap larger, and the benchmark's ``train``
+workload peaked 1.1 MiB higher.  The arrays stay separate, and none is
+larger than a training batch's (2,880 x 64, 1.47 MB).  The output
+layer's arrays, the returned output and tangent among them, are new on
+every pass.  A cache records its pass's number: a forward's is valid
+until the net's next forward, a jvp's until its next forward or jvp,
+and a gradient pass given an older one raises ValueError.
 Each pass computes only what its caller reads: backward returns the
 parameter gradient and input_grad the input gradient.  The actor and
 critic take their gradient passes' rows standardized (``inputs``,
@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import mmap
 import os
 import struct
 
@@ -119,15 +120,15 @@ def _tanh_first(a, out=None):
     return np.subtract(1.0, d1, out=d1)
 
 
-def _tanh_second(a, d1):
-    d2 = -2.0 * a
+def _tanh_second(a, d1, out=None):
+    d2 = np.multiply(-2.0, a, out=out)
     d2 *= d1
     return d2
 
 
-# name -> (value, first, second), shared by predict, the output layer of
-# forward (whose tanh hidden layers call _tanh_first into their arrays)
-# and backward_jvp.  value(z) may overwrite z (tanh works in place);
+# name -> (value, first, second), shared by predict and the output layers
+# of forward and backward_jvp (whose tanh hidden layers call _tanh_first
+# and _tanh_second into their arrays).  value(z) may overwrite z (tanh works in place);
 # first(z, a) is the first derivative at z given a = value(z), and reads
 # only a when value overwrites z; second(a, d1) is the second derivative
 # from a and the first derivative, so forward need not keep it.  first
@@ -140,6 +141,15 @@ _ACTIVATIONS = {
     "identity": (lambda z: z, lambda z, a: np.ones_like(z),
                  lambda a, d1: np.zeros_like(a)),
 }
+
+
+def _mapped_array(rows, cols):
+    """A new (rows, cols) float64 array in a private anonymous memory
+    mapping of its own, unmapped when the array is dropped (see the
+    module docstring); a forked child writes into its own copy."""
+    buf = mmap.mmap(-1, max(8 * rows * cols, 1), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=float, count=rows * cols).reshape(
+        rows, cols)
 
 
 class Normalizer:
@@ -186,24 +196,22 @@ class Mlp:
     differentiates a loss of (output, output tangent) with respect to the
     parameters, taking second derivatives from the cached activations.
 
-    With ``keep_arrays``, forward, backward and input_grad write their
-    hidden layers' arrays into those of the net's previous such pass over
-    as many rows, one array per layer and kind; a forward over another
-    row count replaces them.  The output layer's arrays, the returned
-    output among them, are new on every pass.  Either way a cache is
-    valid only until the net's next forward: a gradient pass given an
-    older one raises ValueError.
+    Every pass but predict writes its hidden layers' arrays into those
+    of the net's previous such pass over as many rows, one array per
+    layer and kind; a forward over another row count replaces them.  The
+    output layer's arrays, the returned output among them, are new on
+    every pass.  A forward's cache is valid only until the net's next
+    forward, a jvp's until its next forward or jvp: a gradient pass given
+    an older one raises ValueError.
     """
 
-    def __init__(self, sizes, output="identity", rng=None,
-                 keep_arrays=False):
+    def __init__(self, sizes, output="identity", rng=None):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         if output not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {output!r}")
         self.sizes = list(sizes)
         self.output = output
-        self.keep_arrays = keep_arrays
         self.flat = np.zeros(sum(n_out * (n_in + 1) for n_in, n_out
                                  in zip(sizes[:-1], sizes[1:])))
         self.weights, self.biases = self._views(self.flat)
@@ -212,9 +220,10 @@ class Mlp:
             n_out, n_in = w.shape
             limit = np.sqrt(6.0 / (n_in + n_out))
             w[...] = rng.uniform(-limit, limit, size=w.shape)
-        # the latest forward's row count and number, and the arrays kept
-        # for passes over that many rows, by kind
-        self._rows, self._passes, self._kept = None, 0, {}
+        # the latest forward's row count, the numbers of the latest
+        # forward and jvp (a cache's "pass"), and the arrays kept for
+        # passes over that many rows, by kind
+        self._rows, self._passes, self._latest, self._kept = None, 0, {}, {}
 
     @property
     def n_layers(self):
@@ -240,19 +249,28 @@ class Mlp:
                             else "tanh"]
 
     def _arrays(self, kind):
-        """One array per hidden layer, (rows of the latest forward, width):
-        the net's kept ones of this kind with keep_arrays, else new."""
-        arrays = self._kept.get(kind)
-        if arrays is None:
-            arrays = [np.empty((self._rows, n)) for n in self.sizes[1:-1]]
-            if self.keep_arrays:
-                self._kept[kind] = arrays
-        return arrays
+        """The net's arrays of this kind, one per hidden layer, (rows of
+        the latest forward, width): made on the first pass of the kind
+        since the row count last changed, then written again."""
+        if kind not in self._kept:
+            self._kept[kind] = [_mapped_array(self._rows, n)
+                                for n in self.sizes[1:-1]]
+        return self._kept[kind]
 
-    def _check(self, cache):
-        if cache["pass"] != self._passes:
-            raise ValueError("stale cache: the net has run a forward pass "
-                             "since it was made")
+    def _check(self, cache, kind="forward"):
+        """Raise ValueError unless cache is that of the net's latest pass
+        of its kind; a forward makes every older cache stale."""
+        if cache["pass"] != self._latest.get(kind):
+            raise ValueError(f"stale cache: not from the net's latest "
+                             f"{kind} pass")
+
+    def _number(self, kind):
+        """Number a new pass of the kind: the latest of its kind."""
+        self._passes += 1
+        if kind == "forward":
+            self._latest.clear()
+        self._latest[kind] = self._passes
+        return self._passes
 
     def _to_input(self, dZ, layer, out=None):
         """dZ @ weights[layer]; with one output unit each entry is one
@@ -282,7 +300,7 @@ class Mlp:
         A = np.asarray(U, dtype=float)
         if len(A) != self._rows:
             self._rows, self._kept = len(A), {}
-        self._passes += 1
+        number = self._number("forward")
         acts, d1s = [A], []
         # zip stops at the last hidden layer, whose arrays end first
         for w, b, Z, d1 in zip(self.weights, self.biases,
@@ -298,14 +316,14 @@ class Mlp:
         A = value(Z)
         acts.append(A)
         d1s.append(first(Z, A))
-        return A, {"pass": self._passes, "acts": acts, "d1s": d1s}
+        return A, {"pass": number, "acts": acts, "d1s": d1s}
 
     def _layer_grads(self, cache, dY):
         """(layer, dZ) from the output layer down: the gradient of
         sum(dY * Y) wrt each layer's pre-activation, a hidden layer's in
         an array of _arrays.  Layer 0's input product is the caller's."""
         self._check(cache)
-        d1s, dZs = cache["d1s"], self._arrays("dz")
+        d1s, dZs = cache["d1s"], self._arrays("dzs")
         dZ = dY * d1s[-1]
         for layer in range(self.n_layers - 1, 0, -1):
             yield layer, dZ
@@ -336,12 +354,18 @@ class Mlp:
         d1s = cache["d1s"]
         S = np.asarray(V, dtype=float)
         ts, ss = [], [S]
-        for layer, w in enumerate(self.weights):
-            T = S @ w.T
-            S = d1s[layer] * T
+        # zip stops at the last hidden layer, whose arrays end first
+        for w, d1, T, S_next in zip(self.weights, d1s, self._arrays("ts"),
+                                    self._arrays("ss")):
+            np.matmul(S, w.T, out=T)
+            S = np.multiply(d1, T, out=S_next)
             ts.append(T)
             ss.append(S)
-        return S, {"ts": ts, "ss": ss}
+        T = S @ self.weights[-1].T
+        S = d1s[-1] * T
+        ts.append(T)
+        ss.append(S)
+        return S, {"pass": self._number("jvp"), "ts": ts, "ss": ss}
 
     def backward_jvp(self, cache, jcache, dY, dYdot):
         """Parameter gradients of a loss depending on (Y, Ydot).
@@ -350,27 +374,36 @@ class Mlp:
         output tangent respectively.
         """
         self._check(cache)
+        self._check(jcache, "jvp")
         acts, d1s = cache["acts"], cache["d1s"]
         ts, ss = jcache["ts"], jcache["ss"]
         grad = np.empty_like(self.flat)
         gws, gbs = self._views(grad)
+        # per layer, a hidden one's arrays, and None for the output
+        # layer's, which are new
+        d2s, dZs, dTs = (self._arrays(kind) + [None]
+                         for kind in ("d2s", "dzs", "dts"))
+        dAs, dSs = self._arrays("das"), self._arrays("dss")
         # per layer dZ = dA * d1 + dS * d2 * T and dT = dS * d1, with
         # (dA, dS) = (dY, dYdot) at the output
         dA, dS = dY, dYdot
         for layer in range(self.n_layers - 1, -1, -1):
             d1 = d1s[layer]
-            d2 = self._activation(layer)[2](acts[layer + 1], d1)
+            if d2s[layer] is None:
+                d2 = self._activation(layer)[2](acts[layer + 1], d1)
+            else:
+                d2 = _tanh_second(acts[layer + 1], d1, out=d2s[layer])
             d2 *= dS
             d2 *= ts[layer]
-            dZ = dA * d1
+            dZ = np.multiply(dA, d1, out=dZs[layer])
             dZ += d2
-            dT = dS * d1
+            dT = np.multiply(dS, d1, out=dTs[layer])
             np.matmul(dZ.T, acts[layer], out=gws[layer])
             gws[layer] += dT.T @ ss[layer]
             dZ.sum(axis=0, out=gbs[layer])
             if layer > 0:
-                dA = self._to_input(dZ, layer)
-                dS = self._to_input(dT, layer)
+                dA = self._to_input(dZ, layer, out=dAs[layer - 1])
+                dS = self._to_input(dT, layer, out=dSs[layer - 1])
         return grad
 
 
@@ -451,19 +484,18 @@ class _NormalizedNet:
     """One-output Mlp over standardized inputs, with its checkpoint I/O.
 
     The actor and the critic differ only in the inputs they take besides
-    the features (their ``_columns``), the output activation, the
-    checkpoint kind tag and whether their Mlp keeps its arrays.
+    the features (their ``_columns``), the output activation and the
+    checkpoint kind tag.
     """
 
-    # set by each subclass; KEEP_ARRAYS is the Mlp's keep_arrays
-    KIND = EXTRA_INPUTS = OUTPUT = KEEP_ARRAYS = None
+    KIND = EXTRA_INPUTS = OUTPUT = None  # set by each subclass
 
     def __init__(self, feature_dim, hidden, rng=None):
         self.feature_dim = feature_dim
         self.input_dim = self.EXTRA_INPUTS + feature_dim
         self.norm = Normalizer(self.input_dim)
         self.net = Mlp([self.input_dim, *hidden, 1], output=self.OUTPUT,
-                       rng=rng, keep_arrays=self.KEEP_ARRAYS)
+                       rng=rng)
 
     def fit_normalizer(self, *raw):
         """Fit the standardization to the rows of the raw input columns."""
@@ -564,8 +596,7 @@ class BidMultiplierNet(_NormalizedNet):
     d pi / d (raw bid).
     """
 
-    # input: bid, features
-    KIND, EXTRA_INPUTS, OUTPUT, KEEP_ARRAYS = 1, 1, "softplus", False
+    KIND, EXTRA_INPUTS, OUTPUT = 1, 1, "softplus"  # input: bid, features
 
     def _columns(self, bids, feats):
         bids = np.asarray(bids, dtype=float).reshape(-1)
@@ -594,7 +625,7 @@ class BidMultiplierNet(_NormalizedNet):
 class CriticNet(_NormalizedNet):
     """Critic Q(s, a) over standardized (bid, features, action) input."""
 
-    KIND, EXTRA_INPUTS, OUTPUT, KEEP_ARRAYS = 2, 2, "identity", True
+    KIND, EXTRA_INPUTS, OUTPUT = 2, 2, "identity"
 
     def _columns(self, states, actions):
         return (np.asarray(states, dtype=float),

@@ -441,8 +441,8 @@ def _gradient_passes(net, U, V, dY, dYdot):
 @pytest.mark.parametrize("kind", ["actor", "critic"])
 @pytest.mark.parametrize("rows", [1, 37, 800])
 def test_gradient_passes_equal_the_reference(kind, rows):
-    # two batches of one shape; the critic's net writes the second's passes
-    # into the arrays of the first's.  Each batch's results must equal
+    # two batches of one shape; the net writes the second's passes into
+    # the arrays of the first's.  Each batch's results must equal
     # those of a net that ran no pass before and of the reference, bit
     # for bit, and the second batch must leave the first's results alone
     rng = np.random.default_rng(100 + rows)
@@ -481,17 +481,22 @@ def test_stale_cache_raises(kind):
     _, old = net.forward(U)
     _, old_j = net.jvp(old, V)
     _, cache = net.forward(U2)
-    # the critic's second forward over as many rows wrote into the first's
-    # hidden arrays; the actor's made new ones
-    same = [a is b for a, b in zip(cache["acts"][1:-1] + cache["d1s"][:-1],
-                                   old["acts"][1:-1] + old["d1s"][:-1])]
-    assert same == [kind == "critic"] * 4
+    # the second forward over as many rows wrote into the first's hidden
+    # arrays
+    assert all(a is b for a, b in zip(cache["acts"][1:-1] + cache["d1s"][:-1],
+                                      old["acts"][1:-1] + old["d1s"][:-1]))
+    _, first_j = net.jvp(cache, V)
+    _, new_j = net.jvp(cache, V)
     for call in (lambda: net.backward(old, dY),
                  lambda: net.input_grad(old, dY), lambda: net.jvp(old, V),
-                 lambda: net.backward_jvp(old, old_j, dY, dYdot)):
+                 lambda: net.backward_jvp(old, old_j, dY, dYdot),
+                 # a jvp cache goes stale with a new forward or jvp
+                 lambda: net.backward_jvp(cache, old_j, dY, dYdot),
+                 lambda: net.backward_jvp(cache, first_j, dY, dYdot)):
         with pytest.raises(ValueError, match="stale cache"):
             call()
     net.backward(cache, dY)
+    net.backward_jvp(cache, new_j, dY, dYdot)
     # a forward over another row count makes new arrays, and still makes
     # every older cache stale
     _, short = net.forward(U[:7])
@@ -501,11 +506,52 @@ def test_stale_cache_raises(kind):
         net.backward(cache, dY)
 
 
-def test_critic_step_reuses_its_arrays():
+# the net a forked child runs, inherited through the fork, not pickled
+_INHERITED = {}
+
+
+def _child_forward(U):
+    return _INHERITED["net"].forward(U)[0]
+
+
+def test_forked_child_writes_its_own_kept_arrays():
+    # a child of gsplab pareto/transition --workers inherits a net's kept
+    # arrays; its passes over as many rows must leave the parent's alone
+    rng = np.random.default_rng(32)
+    net = _INHERITED["net"] = _fitted_model("critic", rng).net
+    U, U2 = rng.normal(size=(2, 40, net.sizes[0]))
+    _, cache = net.forward(U)
+    want = [a.copy() for a in cache["acts"]]
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+                1, mp_context=multiprocessing.get_context("fork")) as pool:
+            got = pool.submit(_child_forward, U2).result(timeout=120)
+    finally:
+        _INHERITED.clear()
+    assert all(np.array_equal(a, b) for a, b in zip(cache["acts"], want))
+    assert np.array_equal(got, net.forward(U2)[0])
+
+
+def _step_memory(monkeypatch, step):
+    """(tracemalloc peak in bytes, arrays mapped) of one call of step."""
+    mapped = []
+    monkeypatch.setattr(nets, "_mapped_array",
+                        lambda rows, cols: mapped.append((rows, cols))
+                        or np.empty((rows, cols)))
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, len(mapped)
+
+
+def test_critic_step_reuses_its_arrays(monkeypatch):
     # a 2,880-row critic step of the pretraining, after a first step: its
-    # hidden layers' arrays are the net's kept ones, so the step allocates
-    # only output-wide and parameter-sized arrays (6.6 MiB of temporaries
-    # per step when every pass allocated its arrays)
+    # hidden layers' arrays are the net's kept ones, so the step maps no
+    # array and allocates only output-wide and parameter-sized ones (6.6
+    # MiB of temporaries per step when every pass allocated its arrays)
     rng = np.random.default_rng(30)
     critic = CriticNet(FEATURE_DIM, hidden=(64, 32), rng=rng)
     states = rng.uniform(0.0, 2.0, (2880, FEATURE_DIM + 1))
@@ -514,14 +560,35 @@ def test_critic_step_reuses_its_arrays():
     critic.fit_normalizer(states, actions)
     U = critic.inputs(states, actions)
     opt = Adam(5e-3)
-    opt.step(critic.net.flat, critic.mse_and_grads(U, targets)[1])
-    tracemalloc.start()
-    try:
+
+    def step():
         opt.step(critic.net.flat, critic.mse_and_grads(U, targets)[1])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 512 * 2**10
+
+    step()
+    peak, mapped = _step_memory(monkeypatch, step)
+    assert peak <= 512 * 2**10 and mapped == 0
+
+
+def test_actor_step_reuses_its_arrays(monkeypatch):
+    # an 800-row actor step of the loop, after a first step: forward, jvp
+    # and backward_jvp write into the net's kept arrays
+    rng = np.random.default_rng(31)
+    actor = BidMultiplierNet(FEATURE_DIM, hidden=(64, 32), rng=rng)
+    bids = rng.uniform(0.1, 5.0, 800)
+    feats = rng.uniform(0.0, 1.0, (800, FEATURE_DIM))
+    actor.fit_normalizer(bids, feats)
+    rows = actor.grad_inputs(bids, feats)
+    dY, dYdot = rng.normal(size=(2, 800, 1))
+    opt = Adam(1e-3)
+
+    def step():
+        _, _, (cache, jcache) = actor.forward_with_grad(*rows)
+        opt.step(actor.net.flat,
+                 actor.net.backward_jvp(cache, jcache, dY, dYdot))
+
+    step()
+    peak, mapped = _step_memory(monkeypatch, step)
+    assert peak <= 512 * 2**10 and mapped == 0
 
 
 def test_adam_on_the_flat_vector_equals_per_array_steps():
