@@ -47,17 +47,18 @@ step), and arrays made and freed on every step let glibc trim its heap
 and fault the pages back in on the next.  So an ``Mlp`` keeps its hidden
 layers' arrays, one (rows, width) array per layer and kind: forward's
 activations and first derivatives, jvp's tangents, and the per-layer
-gradients of backward, input_grad and backward_jvp.  The next pass over
+products of backward, input_grad and backward_jvp.  The next pass over
 as many rows writes into them with ``out=``; a forward over another row
 count drops them all and makes new ones, so a net holds nothing beyond
-its latest passes.  Each kept array has an anonymous memory mapping of
-its own (``_mapped_array``), unmapped when the array is dropped: kept on
-glibc's heap through a training, the arrays pinned the pages around
-them, training left the heap larger, and the benchmark's ``train``
-workload peaked 1.1 MiB higher.  The arrays stay separate, and none is
-larger than a training batch's (2,880 x 64, 1.47 MB).  The output
-layer's arrays, the returned output and tangent among them, are new on
-every pass.  A cache records its pass's number: a forward's is valid
+its latest passes, and a caller that alternates two row counts runs one
+of them through a copy of the net (the trainer does, for its report's
+rows).  Each kept array is an anonymous memory mapping of its own
+(``_mapped_array``), unmapped when the array is dropped: kept on glibc's
+heap through a training, the actor's forward arrays pinned the pages
+around them and the benchmark's ``train`` workload peaked about 1.1 MiB
+higher.  The arrays stay separate, and none is larger than a training
+batch's (2,880 x 64, 1.47 MB).  The output layer's arrays, the returned
+output and tangent among them, are new on every pass.  A cache records its pass's number: a forward's is valid
 until the net's next forward, a jvp's until its next forward or jvp,
 and a gradient pass given an older one raises ValueError.
 Each pass computes only what its caller reads: backward returns the
@@ -380,10 +381,10 @@ class Mlp:
         grad = np.empty_like(self.flat)
         gws, gbs = self._views(grad)
         # per layer, a hidden one's arrays, and None for the output
-        # layer's, which are new
+        # layer's, which are new; a hidden layer's dA and dS arrive in its
+        # dZ and dT arrays, which the products below then overwrite
         d2s, dZs, dTs = (self._arrays(kind) + [None]
                          for kind in ("d2s", "dzs", "dts"))
-        dAs, dSs = self._arrays("das"), self._arrays("dss")
         # per layer dZ = dA * d1 + dS * d2 * T and dT = dS * d1, with
         # (dA, dS) = (dY, dYdot) at the output
         dA, dS = dY, dYdot
@@ -402,8 +403,8 @@ class Mlp:
             gws[layer] += dT.T @ ss[layer]
             dZ.sum(axis=0, out=gbs[layer])
             if layer > 0:
-                dA = self._to_input(dZ, layer, out=dAs[layer - 1])
-                dS = self._to_input(dT, layer, out=dSs[layer - 1])
+                dA = self._to_input(dZ, layer, out=dZs[layer - 1])
+                dS = self._to_input(dT, layer, out=dTs[layer - 1])
         return grad
 
 

@@ -317,6 +317,10 @@ def train(world, config):
     mono_states = pre_batch.states[:256]
     mono_bids = mono_states[:, 0]
     mono_rows = actor.grad_inputs(mono_bids, mono_states[:, 1:])
+    # a copy of the actor runs these rows: a forward over another row
+    # count remakes the arrays a net keeps (see nets), and the actor's own
+    # passes run on the loop's batches
+    probe = BidMultiplierNet(FEATURE_DIM, hidden=config.hidden)
     report = []
     # the selected iterate: its parameters and its row of the report
     best = {"f": -np.inf, "flat": actor.net.flat.copy(), "row": 0}
@@ -325,7 +329,8 @@ def train(world, config):
         metrics, f, f_pen = penalized_objective(
             world, DeepGspMechanism(actor), config, eval_seed, ubar)
         tm = spot_monotonicity(actor, spot)
-        pi, dpi_db, _ = actor.forward_with_grad(*mono_rows)
+        probe.net.set_flat(actor.net.flat)
+        pi, dpi_db, _ = probe.forward_with_grad(*mono_rows)
         mono_loss, _, _ = actor_penalties(mono_bids, pi, dpi_db, 1.0, 0.0)
         mean_pay = (metrics[0] * world.normalizers[0] / 1000.0)
         report.append({"iter": iteration, "objective": f,
