@@ -535,9 +535,12 @@ def test_forked_child_writes_its_own_kept_arrays():
 def _step_memory(monkeypatch, step):
     """(tracemalloc peak in bytes, arrays mapped) of one call of step."""
     mapped = []
-    monkeypatch.setattr(nets, "_mapped_array",
-                        lambda rows, cols: mapped.append((rows, cols))
-                        or np.empty((rows, cols)))
+
+    def counted(rows, cols):
+        mapped.append((rows, cols))
+        return np.empty((rows, cols))
+
+    monkeypatch.setattr(nets, "_mapped_array", counted)
     tracemalloc.start()
     try:
         step()
