@@ -46,7 +46,8 @@ class DegenerateMultiplierError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Mechanisms: score_batch(bids, feats) -> (scores, multipliers, offsets)
+# Mechanisms: score_batch(bids, feats) -> (scores, multipliers, offsets);
+# a mechanism without offsets returns a read-only broadcast zero
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class GspMechanism:
 
     def score_batch(self, bids, feats):
         pi = feats[..., F_PCTR] ** self.sigma
-        return bids * pi, pi, np.zeros_like(pi)
+        return bids * pi, pi, np.broadcast_to(0.0, pi.shape)
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class FixedScoreMechanism:
                            * _libm_pow(feats[..., F_PCTR], 0.7), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             pi = np.where(bids > 0, score / np.maximum(bids, 1e-300), 0.0)
-        return score, pi, np.zeros_like(score)
+        return score, pi, np.broadcast_to(0.0, pi.shape)
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ class DeepGspMechanism:
     def score_batch(self, bids, feats):
         pi = self.actor.multiplier_batch(bids.reshape(-1), feats.reshape(-1, feats.shape[-1]))
         pi = pi.reshape(bids.shape)
-        return bids * pi, pi, np.zeros_like(pi)
+        return bids * pi, pi, np.broadcast_to(0.0, pi.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +120,10 @@ def allocate_batch(scores, bids):
     """Per-row allocation order for (R, N) score and bid arrays.
 
     Returns an (R, N) array of candidate indices, best first.  Ties break
-    by higher bid, then by lower column index.
+    by higher bid, then by lower column index: lexsort is stable, so equal
+    (score, bid) pairs keep their column order.
     """
-    idx = np.broadcast_to(np.arange(scores.shape[-1]), scores.shape)
-    return np.lexsort((idx, -bids, -scores))
+    return np.lexsort((-bids, -scores))
 
 
 def ranks_before(score_a, bid_a, col_a, score_b, bid_b, col_b):

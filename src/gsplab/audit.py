@@ -6,7 +6,8 @@ Three black-box statistics over a mechanism or trained model:
   - PER: ratio of the division-based approximate payment to the exact
     critical bid recovered by bisection.
   - i-SIC: finite-perturbation incentive-compatibility estimate from
-    paired bid perturbations with common random numbers (single slot).
+    paired bid perturbations with common random numbers (single slot),
+    every advertiser replayed at once.
 """
 
 from __future__ import annotations
@@ -54,31 +55,40 @@ class AuditConfig:
 
 
 def _average_ranks(xs):
-    """1-based ranks; tied values share the mean of their positions."""
+    """1-based ranks along the last axis, ties sharing their mean, from one
+    sort: a key is the value's code, offset by its row's first index."""
     xs = np.asarray(xs, dtype=float)
-    sorted_xs = np.sort(xs)
-    first = np.searchsorted(sorted_xs, xs, side="left")
-    after_last = np.searchsorted(sorted_xs, xs, side="right")
-    return 0.5 * (first + after_last + 1)
+    starts = np.arange(xs.size).reshape(xs.shape)[..., :1]
+    keys = np.unique(xs, return_inverse=True)[1].reshape(xs.shape)
+    keys += starts * xs.size
+    sorted_keys = np.sort(keys, axis=None)
+    return 0.5 * (np.searchsorted(sorted_keys, keys, side="left") + 1
+                  + np.searchsorted(sorted_keys, keys, side="right")) - starts
+
+
+def _spearman_rows(xs, ys):
+    """(Spearman's rho, either row constant) of each row pair; centred
+    ranks are half-integers, so rho is exact in any summation order."""
+    constant = (np.all(xs == xs[..., :1], axis=-1)
+                | np.all(ys == ys[..., :1], axis=-1))
+    rx, ry = _average_ranks(xs), _average_ranks(ys)
+    rx -= rx.mean(axis=-1, keepdims=True)
+    ry -= ry.mean(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        rho = ((rx * ry).sum(axis=-1)
+               / np.sqrt((rx * rx).sum(axis=-1) * (ry * ry).sum(axis=-1)))
+    return rho, constant
 
 
 def spearman_rho(xs, ys):
-    """Spearman correlation with average-rank ties.
-
-    Returns None for degenerate (constant) sequences, which callers must
-    report separately rather than average in.
+    """Spearman correlation with average-rank ties; None for a degenerate
+    (constant) sequence, which callers must report rather than average in.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 2:
         raise ValueError("need two equal-length 1-D sequences of length >= 2")
-    if np.all(xs == xs[0]) or np.all(ys == ys[0]):
-        return None
-    rx = _average_ranks(xs)
-    ry = _average_ranks(ys)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
+    rho, constant = _spearman_rows(xs, ys)
+    return None if constant else float(rho)
 
 
 @dataclass
@@ -106,7 +116,7 @@ def monotonicity_metric(actor, states, config=AuditConfig()):
 
     ``states`` is an iterable of (bid, features); the grid spans
     [BID_LO*bid, BID_HI*bid] with BID_GRID uniform points.  Every state's
-    grid is scored in one multiplier_batch call.
+    grid is scored in one multiplier_batch call and ranked in one pass.
     """
     states = list(states)
     if not states:
@@ -116,16 +126,11 @@ def monotonicity_metric(actor, states, config=AuditConfig()):
     feats = np.repeat([np.asarray(x, dtype=float) for _, x in states],
                       BID_GRID, axis=0)
     pi = actor.multiplier_batch(grid.ravel(), feats).reshape(grid.shape)
-    rhos, degenerate = [], 0
-    for bids, row_pi in zip(grid, pi):
-        rho = spearman_rho(bids, bids * row_pi)
-        if rho is None:
-            degenerate += 1
-        else:
-            rhos.append(rho)
-    t_m = float(np.mean(rhos)) if rhos else float("nan")
-    return MonotonicityResult(t_m=t_m, n_states=len(rhos),
-                              n_degenerate=degenerate)
+    rhos, constant = _spearman_rows(grid, grid * pi)
+    rhos = rhos[~constant]
+    t_m = float(np.mean(rhos)) if rhos.size else float("nan")
+    return MonotonicityResult(t_m=t_m, n_states=rhos.size,
+                              n_degenerate=len(states) - rhos.size)
 
 
 @dataclass
@@ -142,7 +147,8 @@ def payment_error_rate(world, mechanism, config=AuditConfig()):
 
     The approximate price is the market's own, ``price_batch``.  Winners
     with a degenerate multiplier, or whose exact oracle has no solution
-    (bracketing failure, NaN), are excluded and counted.
+    (bracketing failure, NaN), are excluded and counted; with none left,
+    every statistic is NaN, which fails the gate.
     """
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x9E4)))
     rounds = world.sample_rounds(config.per_rounds, rng)
@@ -168,14 +174,14 @@ def payment_error_rate(world, mechanism, config=AuditConfig()):
     keep = np.isfinite(exact) & ((exact > PER_TOL) | (approx <= PER_TOL))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(exact <= PER_TOL, 1.0, approx / exact)[keep]
-    if not ratios.size:
-        raise ValueError("no auditable winners")
+    n_winners = ratios.size
+    ratios = ratios if n_winners else np.array([np.nan])
     return PaymentErrorResult(
         mean=float(ratios.mean()),
         p05=float(np.percentile(ratios, 5)),
         p95=float(np.percentile(ratios, 95)),
-        n_winners=ratios.size,
-        n_excluded=int(win.size - ratios.size),
+        n_winners=n_winners,
+        n_excluded=int(win.size - n_winners),
     )
 
 
@@ -193,16 +199,12 @@ def i_sic(mechanism, world, config=AuditConfig()):
 
         i-SIC = E[u((1+a)v) - u((1-a)v)] / (2a * E[v * win(v)]).
 
-    win(v) is the sampled allocation itself: bidding v leaves every score
-    as sampled.  A replay re-scores the one column and ranks nothing: the
-    others keep their order among themselves, so the sampled matrix is
-    ordered once (``allocate_batch``) and each column keeps the best of
-    the others.  The replayed entry wins when it ``ranks_before`` that
-    one, and then pays what ``price_batch`` charges a single slot,
-    max(0, (r_other - offset) / pi).  Values are those of full replays
-    with ``allocate_batch`` and ``price_batch``, bit for bit, and the
-    audit makes 1 + 2N ``score_batch`` calls: the sampled matrix, then
-    one per column and perturbation.
+    win(v) is the sampled allocation itself.  A replay scores every
+    perturbed bid in one (R, N) ``score_batch`` call, 3 calls in all, and
+    ranks nothing: the others keep their order, so the sampled matrix is
+    ordered once (``allocate_batch``).  An entry wins if it ``ranks_before``
+    the best of the others and pays what ``price_batch`` charges one slot,
+    max(0, (r_other - offset) / pi): full replays' values, bit for bit.
 
     A truthful (critical-bid-priced, monotone) mechanism scores 1 up to
     Monte-Carlo error.  A winning multiplier at or below EPS_DIV, the
@@ -215,38 +217,37 @@ def i_sic(mechanism, world, config=AuditConfig()):
     a = config.alpha
     n = world.n_advertisers
     scores, pi, _ = mechanism.score_batch(rounds.bids, rounds.feats)
-    rows = np.arange(rounds.n_rounds)
+    rows = np.arange(rounds.n_rounds)[:, None]
     top = allocate_batch(scores, rounds.bids)[:, :2]
     win_v = top[:, :1] == np.arange(n)
+    truthful_pi = pi[rows, top[:, :1]]
     if n > 1:
-        # row i: per round, the best of the others, which column i must beat
-        other = np.where(win_v.T, top[:, 1], top[:, 0])
-        others = list(zip(other, scores[rows, other], rounds.bids[rows, other],
-                          pi[rows, other]))
+        # per round and column, the best of the others, which it must beat
+        other = np.where(win_v, top[:, 1:], top[:, :1])
+        other_sc, other_bid, other_pi = (
+            m[rows, other] for m in (scores, rounds.bids, pi))
+    del scores, pi
 
     def replay(mult):
-        """(R, N) utilities when advertiser i alone bids mult * v_i."""
-        u = np.zeros(rounds.bids.shape)
-        for i in range(n):
-            b = mult * rounds.bids[:, i]
-            sc_i, pi_i, off_i = mechanism.score_batch(b, rounds.feats[:, i, :])
-            won, winner_pi = slice(None), pi_i
-            if n > 1:
-                col, other_sc, other_bid, other_pi = others[i]
-                won = ranks_before(sc_i, b, i, other_sc, other_bid, col)
-                winner_pi = np.where(won, pi_i, other_pi)
-            if np.any(winner_pi <= EPS_DIV):
-                raise DegenerateMultiplierError(
-                    "degenerate multiplier among winners")
-            # a lone candidate is ranked last overall and pays 0
-            price = (np.maximum(0.0, (other_sc[won] - off_i[won]) / pi_i[won])
-                     if n > 1 else 0.0)
-            u[won, i] = b[won] - price
+        """(R, N) utilities when each advertiser alone bids mult * v."""
+        b = mult * rounds.bids
+        sc, pi_r, off = mechanism.score_batch(b, rounds.feats)
+        won = (ranks_before(sc, b, np.arange(n), other_sc, other_bid, other)
+               if n > 1 else np.ones(b.shape, dtype=bool))
+        if (np.any(pi_r[won] <= EPS_DIV)
+                or n > 1 and np.any(other_pi[~won] <= EPS_DIV)):
+            raise DegenerateMultiplierError(
+                "degenerate multiplier among winners")
+        u = np.zeros(b.shape)
+        # a lone candidate is ranked last overall and pays 0
+        u[won] = b[won] - (
+            np.maximum(0.0, (other_sc[won] - off[won]) / pi_r[won])
+            if n > 1 else 0.0)
         return u
 
     u_up = replay(1.0 + a)
     # bidding v wins as sampled, so the truthful winners are the sampled ones
-    if np.any(pi[rows, top[:, 0]] <= EPS_DIV):
+    if np.any(truthful_pi <= EPS_DIV):
         raise DegenerateMultiplierError("degenerate multiplier among winners")
     u_down = replay(1.0 - a)
     denom = float(np.mean(rounds.bids * win_v) * 2.0 * a)

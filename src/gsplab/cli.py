@@ -34,6 +34,7 @@ from gsplab.auction import (
     F_PCTR,
     FEATURE_DIM,
     DeepGspMechanism,
+    DegenerateMultiplierError,
     FixedScoreMechanism,
     GspMechanism,
     UgspMechanism,
@@ -447,17 +448,20 @@ def cmd_audit(args):
     mech = DeepGspMechanism(actor)
     mono = monotonicity_metric(actor, audit_states(world, cfg), cfg)
     per = payment_error_rate(world, mech, cfg)
-    isic = i_sic(mech, single_slot_world(world), cfg)
-    failed = failed_gates(mono.t_m, per.mean, isic.value)
+    try:
+        isic = i_sic(mech, single_slot_world(world), cfg).value
+    except DegenerateMultiplierError:
+        isic = math.nan                     # fails its gate
+    failed = failed_gates(mono.t_m, per.mean, isic)
     gates = " ".join(failed) if failed else "pass"
     weights = ",".join(str(w) for w in train_cfg.weights)
     print("metrics_configuration  T_m      PER      IC")
-    print(f"({weights})  {mono.t_m:.4f}  {per.mean:.4f}  {isic.value:.4f}")
+    print(f"({weights})  {mono.t_m:.4f}  {per.mean:.4f}  {isic:.4f}")
     print(f"gates  {gates}")
     with open(out / "audit.csv", "w") as fh:
         fh.write("weights,t_m,per_mean,per_p05,per_p95,isic,gates\n")
         fh.write(f"\"{weights}\",{mono.t_m},{per.mean},{per.p05},{per.p95},"
-                 f"{isic.value},{gates}\n")
+                 f"{isic},{gates}\n")
     _write_manifest(out)
     return EXIT_GATES if failed else EXIT_OK
 

@@ -14,31 +14,34 @@ passes return one flat gradient in that layout, and ``Adam.step`` updates
 ``flat`` in place.
 
 Inference (``multiplier_batch``, ``q_batch``) takes its raw input
-columns in blocks of ``PREDICT_ROWS`` rows: each block is stacked,
-standardized and run through ``Mlp.predict``, a value-only pass (per
-layer one product, an in-place bias add and, for tanh, an in-place
-activation, with no derivative arrays kept), into one preallocated
-output, so no full-size input array is built.  The blocks are split into
-one contiguous group per usable CPU, at most ``PREDICT_THREADS`` (two):
-the calling thread runs the first group and a module-level thread pool,
-created on first need, runs the rest.  That happens only where the
-environment pins BLAS to one thread (``OPENBLAS_NUM_THREADS``, else
-``OMP_NUM_THREADS``, is 1, as the benchmark sets it): on two CPUs with
-OpenBLAS's default two threads, inference threads on top of BLAS's made
-the benchmark's audit operation 2-7% slower and ``gsplab pareto
---workers 2`` slower still.  numpy releases the GIL in the products and
-activations, and every block is computed as it would be alone, so the
-output bits do not depend on the number of threads.  A forked child
-drops the inherited pool, whose threads did not survive the fork, and
-makes its own.  Each thread has one block in flight, so a
-call's transient memory grows with the thread count: on a 160,000-row
-call, 1,024-row blocks peak at 3.1 MB on two threads and 4.2 MB on
-three, and 2,048-row blocks at 5.0 MB on two.  Hence 1,024-row blocks
-and at most two threads, which is also the only thread count timed;
-smaller blocks spend more of their time in GIL-bound Python.  Only the
-gradient callers run ``Mlp.forward``, which also keeps every layer's
-activations and first derivatives (``backward_jvp`` derives the second
-ones from them); both passes give the same output bits.
+columns in blocks of ``PREDICT_ROWS`` rows, the remainder joining the
+last block.  The blocks are split into one contiguous group per usable
+CPU, at most ``PREDICT_THREADS``: the calling thread runs the first
+group and a module-level thread pool, created on first need, runs the
+rest.  That happens only where the environment pins BLAS to one thread
+(``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, is 1, as the
+benchmark sets it), so that inference threads do not compete with BLAS's
+own.  A group makes one input buffer and one buffer per layer, sized for
+its largest block.  The calling thread's come from the heap, where the
+next call reuses them; a worker thread's are anonymous memory mappings
+of their own (``_mapped_array``, see below), unmapped at the call's end,
+since a worker allocates from a glibc arena of its own, whose freed
+space stayed resident and raised the process's peak.  Each block's
+columns are standardized straight into the input buffer, and
+``Mlp.predict``, a value-only pass (per layer one product written into
+the layer's buffer, an in-place bias add and, for tanh, an in-place
+activation, with no derivative arrays kept), leaves the output in the
+block's slice of one preallocated output.  So no full-size array is
+built, and a call's transient memory is one group's buffers per thread,
+which is why blocks are small and threads few.  numpy releases the GIL
+in the products and activations, and every block is computed as it would
+be alone, so the output bits do not depend on the number of threads; a
+row's bits may depend on its place in its block, as BLAS may round it by
+that place.  A forked child drops the inherited pool, whose threads did
+not survive the fork, and makes its own.  Only the gradient callers run
+``Mlp.forward``, which also keeps every layer's activations and first
+derivatives (``backward_jvp`` derives the second ones from them); both
+passes give the same output bits.
 
 The gradient passes reuse their arrays.  Training runs thousands of
 them on batches of one shape (the critic's 2,880 rows per pretraining
@@ -173,10 +176,19 @@ class Normalizer:
         self.scale = np.maximum(X.std(axis=0), 1e-8)
         return self
 
-    def transform(self, X):
+    def transform(self, *blocks, out=None):
+        """(X - mean) / scale into out, or a new (B, dim) array, for X given
+        as its column blocks ((B,) or (B, k) arrays), which are never
+        stacked."""
         if not self.fitted:
             raise UnfittedNormalizerError("normalizer statistics not fitted")
-        Z = np.subtract(X, self.mean)
+        Z = np.empty((len(blocks[0]), self.dim)) if out is None else out
+        pos = 0
+        for block in blocks:
+            width = np.shape(block)[1] if np.ndim(block) == 2 else 1
+            np.subtract(np.reshape(block, (len(Z), width)),
+                        self.mean[pos:pos + width], out=Z[:, pos:pos + width])
+            pos += width
         Z /= self.scale
         return Z
 
@@ -286,12 +298,16 @@ class Mlp:
             raise ValueError("flat parameter vector has wrong length")
         self.flat[...] = flat
 
-    def predict(self, U):
+    def predict(self, U, bufs=None):
         """U: (B, n_in) -> output (B, n_out); the values only, in one pass
-        over all rows."""
+        over all rows.  With bufs, one array per layer of at least B rows
+        and the layer's width, each layer's product is written into its
+        buffer's first B rows in place of a new array (an identity
+        output is then a view of the last buffer)."""
         A = np.asarray(U, dtype=float)
         for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            Z = A @ w.T
+            Z = np.matmul(A, w.T, out=None if bufs is None
+                          else bufs[layer][:len(A)])
             Z += b
             A = self._activation(layer)[0](Z)
         return A
@@ -507,21 +523,16 @@ class _NormalizedNet:
         """The standardized (B, input_dim) rows of the raw input columns,
         which the gradient passes take: a trainer standardizes a batch
         once for all the steps it takes on it."""
-        return self.norm.transform(np.column_stack(self._columns(*raw)))
+        return self.norm.transform(*self._columns(*raw))
 
     def _predict(self, *raw):
-        """The output for each row of the raw input columns, block by block.
+        """The output for each row of the raw input columns, block by block
+        and group by group, as the module docstring describes.
 
-        Each block of PREDICT_ROWS rows is stacked, standardized and run
-        through one Mlp.predict into its slice of a preallocated output,
-        so only block-sized arrays are built.  The remainder joins the
-        last block, so no block is short unless the whole batch is: BLAS
-        may round a few-row product unlike a long one.  With more than
-        one block and more than one thread (see _predict_threads), the
-        blocks form one contiguous group per thread; the calling thread
-        runs the first group and _predict_pool the rest.  The workers run
-        no traced code, so a tracer's span stack sees only the calling
-        thread.
+        The remainder joins the last block, so no block is short unless
+        the whole batch is: BLAS may round a few-row product unlike a long
+        one.  The workers run no traced code, so a tracer's span stack
+        sees only the calling thread.
         """
         cols = self._columns(*raw)
         n_rows = len(cols[0])
@@ -530,10 +541,14 @@ class _NormalizedNet:
                             PREDICT_ROWS), n_rows]
         blocks = list(zip(bounds[:-1], bounds[1:]))
 
-        def run(group):
+        def run(group, mapped=False):
+            most = max(stop - start for start, stop in group)
+            U, *bufs = [_mapped_array(most, n) if mapped
+                        else np.empty((most, n)) for n in self.net.sizes]
             for start, stop in group:
-                U = self.inputs(*(c[start:stop] for c in cols))
-                out[start:stop] = self.net.predict(U)[:, 0]
+                rows = self.norm.transform(*(c[start:stop] for c in cols),
+                                           out=U[:stop - start])
+                out[start:stop] = self.net.predict(rows, bufs)[:, 0]
 
         pool = _predict_pool() if len(blocks) > 1 else None
         if pool is None:
@@ -543,7 +558,7 @@ class _NormalizedNet:
         groups = [blocks[i * len(blocks) // n_groups:
                          (i + 1) * len(blocks) // n_groups]
                   for i in range(n_groups)]
-        futures = [pool.submit(run, group) for group in groups[1:]]
+        futures = [pool.submit(run, group, True) for group in groups[1:]]
         try:
             run(groups[0])
         finally:

@@ -89,6 +89,35 @@ def test_allocate_tie_breaks_by_bid_then_id():
     assert order[0].tolist() == [0, 2, 1]
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_allocate_equals_the_order_with_an_explicit_column_key(seed):
+    # few distinct scores and bids, signed zeros and NaNs, so (score, bid)
+    # ties are common: the order is the three-key sort's, column last
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, -0.0, 1.0, 2.0, np.nan])
+    scores = rng.choice(values, size=(200, 8))
+    bids = rng.choice(values, size=(200, 8))
+    cols = np.broadcast_to(np.arange(8), scores.shape)
+    assert np.array_equal(allocate_batch(scores, bids),
+                          np.lexsort((cols, -bids, -scores)))
+
+
+class _FixedActor:
+    def multiplier_batch(self, bids, feats):
+        return np.full(np.shape(bids), 0.5)
+
+
+def test_offsets_without_terms_are_a_read_only_zero():
+    # a consumer that writes into the shared zero fails loudly
+    bids, feats = golden_request()
+    for mech in (GspMechanism(1.0), FixedScoreMechanism(),
+                 DeepGspMechanism(_FixedActor())):
+        off = mech.score_batch(bids, feats)[2]
+        assert off.shape == bids.shape and not off.any()
+        with pytest.raises(ValueError):
+            off[0, 0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # Pricing
 

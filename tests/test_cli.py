@@ -1,6 +1,7 @@
 import concurrent.futures
 import configparser
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -706,6 +707,27 @@ def test_audit_exits_4_on_a_failed_gate(spec_file, tmp_path, capsys):
     row = (out / "audit.csv").read_text().splitlines()[1]
     assert row.endswith(f",{gates.group(1)}")
     assert (out / "manifest.txt").is_file()
+
+
+def test_audit_of_a_degenerate_actor_fails_per_and_isic(spec_file, tmp_path,
+                                                        capsys):
+    # every multiplier is softplus(-60), about 1e-26, at or below EPS_DIV:
+    # PER has no auditable winner and i-SIC meets a degenerate one
+    actor = _fitted_actor(FEATURE_DIM)
+    actor.net.weights[-1][:] = 0.0
+    actor.net.biases[-1][:] = -60.0
+    model = tmp_path / "degenerate.ckpt"
+    actor.save(model)
+    out = tmp_path / "audit"
+    code = cli.main(["audit", "--config", str(spec_file), "--out", str(out),
+                     "--model", str(model)])
+    assert code == 4
+    gates = re.search(r"^gates  (.*)$", capsys.readouterr().out, re.M)
+    assert gates and gates.group(1).split() == ["PER", "i-SIC"]
+    with open(out / "audit.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["per_mean"] == row["isic"] == "nan"
+    assert row["gates"] == gates.group(1)
 
 
 # ---------------------------------------------------------------------------

@@ -353,10 +353,10 @@ def test_worker_exception_reaches_the_caller(predict_threads):
     raw, _ = _raw_inputs(model, rng, 3 * PREDICT_ROWS)
     predict = model.net.predict
 
-    def failing_workers(U):
+    def failing_workers(U, bufs=None):
         if threading.current_thread() is not threading.main_thread():
             raise FloatingPointError("worker block failed")
-        return predict(U)
+        return predict(U, bufs)
 
     model.net.predict = failing_workers
     with pytest.raises(FloatingPointError, match="worker block failed"):
@@ -371,11 +371,11 @@ def test_failing_caller_block_waits_for_the_workers(predict_threads):
     raw, _ = _raw_inputs(model, rng, 3 * PREDICT_ROWS)
     predict, finished = model.net.predict, []
 
-    def slow_workers(U):
+    def slow_workers(U, bufs=None):
         if threading.current_thread() is threading.main_thread():
             raise FloatingPointError("caller block failed")
         time.sleep(0.2)
-        Y = predict(U)
+        Y = predict(U, bufs)
         finished.append(len(U))
         return Y
 
@@ -424,6 +424,26 @@ def test_multiplier_batch_builds_no_full_size_temporary(predict_threads):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_worker_buffers_are_mapped_once_per_group(predict_threads,
+                                                  monkeypatch):
+    # 3 * P + 5 rows: the calling thread's one-block group, then a worker's
+    # group whose second block takes the remainder; the worker maps its
+    # input and layer buffers once, at its largest block's row count
+    rng = np.random.default_rng(30)
+    model = _fitted_model("actor", rng)
+    raw, _ = _raw_inputs(model, rng, 3 * PREDICT_ROWS + 5)
+    shapes, mapped = [], nets._mapped_array
+
+    def recorded(rows, cols):
+        shapes.append((rows, cols))
+        return mapped(rows, cols)
+
+    monkeypatch.setattr(nets, "_mapped_array", recorded)
+    model.multiplier_batch(*raw)
+    # the input's width, then each layer's
+    assert shapes == [(PREDICT_ROWS + 5, width) for width in model.net.sizes]
 
 
 def _gradient_passes(net, U, V, dY, dYdot):
