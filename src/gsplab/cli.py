@@ -298,8 +298,14 @@ def cmd_evaluate(args):
     _echo_config("evaluate", world_cfg, train_cfg,
                  {**shown, "seed": train_cfg.seed})
     world = _build_world(world_cfg)
-    metrics, utility = world.evaluate(mech, train_cfg.eval_rounds,
-                                      train_cfg.seed)
+    try:
+        metrics, utility = world.evaluate(mech, train_cfg.eval_rounds,
+                                          train_cfg.seed)
+    except DegenerateMultiplierError as exc:
+        # the flag that chose the mechanism gives it no price
+        flag = (f"--model: {args.model}" if args.model
+                else "--sigma" if args.mechanism == "gsp" else "--lambdas")
+        raise ValidationError(f"bad {flag}: {exc}") from exc
     f = scalarize(metrics, train_cfg.weights)
     print("metrics (normalized): " + " ".join(
         f"{name}={m:.4f}" for name, m in zip(METRICS, metrics)))
@@ -363,10 +369,9 @@ def cmd_pareto(args):
         named_cfgs.append((f"lambda_{lam}", dataclasses.replace(
             base_train, weights=tuple(weights))))
     results = _run_sweep(args, out, world_cfg, named_cfgs, eval_seed, n_eval)
-    deep_points = [(lam, m) for lam, (m, _) in zip(sweep.lambda_grid, results)]
 
     rows = []
-    for lam, vec in deep_points:
+    for lam, (vec, _) in zip(sweep.lambda_grid, results):
         rows.append(("deepgsp", f"lambda={lam}", lam, vec[mi], vec[0]))
     baselines = {}
     for sig in sweep.sigma_grid:
@@ -384,20 +389,20 @@ def cmd_pareto(args):
     # a lambda point counts as weakly dominating when its scalarized
     # objective reaches every baseline's within 1% slack
     dominated = 0
-    for lam, vec in deep_points:
-        f_deep = lam * vec[0] + (1 - lam) * vec[mi]
-        f_base = max(lam * v[0] + (1 - lam) * v[mi]
+    for (_name, cfg), (vec, _) in zip(named_cfgs, results):
+        f_deep = scalarize(vec, cfg.weights)
+        f_base = max(scalarize(v, cfg.weights)
                      for pts in baselines.values() for _lbl, v in pts)
         if f_deep >= 0.99 * f_base:
             dominated += 1
-    frac = dominated / len(deep_points)
+    frac = dominated / len(results)
 
     with open(out / "pareto.csv", "w") as fh:
         fh.write(f"mechanism,param,lambda,{metric_name},rpm\n")
         for r in rows:
             fh.write(",".join(str(x) for x in r) + "\n")
     print(f"deep gsp weakly dominates both baselines on "
-          f"{dominated}/{len(deep_points)} lambda points ({frac:.0%})")
+          f"{dominated}/{len(results)} lambda points ({frac:.0%})")
     _write_manifest(out)
     return EXIT_OK
 

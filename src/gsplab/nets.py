@@ -15,59 +15,42 @@ passes return one flat gradient in that layout, and ``Adam.step`` updates
 
 Inference (``multiplier_batch``, ``q_batch``) takes its raw input
 columns in blocks of ``PREDICT_ROWS`` rows, the remainder joining the
-last block.  The blocks are split into one contiguous group per usable
-CPU, at most ``PREDICT_THREADS``: the calling thread runs the first
-group and a module-level thread pool, created on first need, runs the
-rest.  That happens only where the environment pins BLAS to one thread
-(``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, is 1, as the
-benchmark sets it), so that inference threads do not compete with BLAS's
-own.  A group makes one input buffer and one buffer per layer, sized for
-its largest block.  The calling thread's come from the heap, where the
-next call reuses them; a worker thread's are anonymous memory mappings
-of their own (``_mapped_array``, see below), unmapped at the call's end,
-since a worker allocates from a glibc arena of its own, whose freed
-space stayed resident and raised the process's peak.  Each block's
-columns are standardized straight into the input buffer, and
-``Mlp.predict``, a value-only pass (per layer one product written into
-the layer's buffer, an in-place bias add and, for tanh, an in-place
-activation, with no derivative arrays kept), leaves the output in the
-block's slice of one preallocated output.  So no full-size array is
-built, and a call's transient memory is one group's buffers per thread,
-which is why blocks are small and threads few.  numpy releases the GIL
-in the products and activations, and every block is computed as it would
-be alone, so the output bits do not depend on the number of threads; a
-row's bits may depend on its place in its block, as BLAS may round it by
-that place.  A forked child drops the inherited pool, whose threads did
-not survive the fork, and makes its own.  Only the gradient callers run
-``Mlp.forward``, which also keeps every layer's activations and first
-derivatives (``backward_jvp`` derives the second ones from them); both
-passes give the same output bits.
+last block, and splits the blocks into one contiguous group per thread.
+There is one thread per usable CPU, at most ``PREDICT_THREADS``, where
+the environment pins BLAS to one thread (``OPENBLAS_NUM_THREADS``, else
+``OMP_NUM_THREADS``, is 1), and otherwise one, so that inference threads
+do not compete with BLAS's own.  The calling thread runs the first group
+and a module-level thread pool, made on first need, runs the rest; a
+forked child drops the inherited pool, whose threads did not survive the
+fork.  A group standardizes each block's columns into one input buffer
+and runs ``Mlp.predict`` through one buffer per layer, all sized for its
+largest block, into the block's slice of one preallocated output, so no
+full-size array is built.  The calling thread's buffers come from the
+heap, where the next call reuses them; a worker's are memory mappings of
+its own (``_mapped_array``, see below), unmapped at the call's end, since
+the heap arena of a worker thread keeps its freed space resident.  Every
+block is computed as it would be alone, so the output bits do not depend
+on the number of threads; a row's bits may depend on its place in its
+block, as BLAS may round it by that place.
 
-The gradient passes reuse their arrays.  Training runs thousands of
-them on batches of one shape (the critic's 2,880 rows per pretraining
-epoch, then 800 per step; the actor's 320 warm-start rows, then 800 per
-step), and arrays made and freed on every step let glibc trim its heap
-and fault the pages back in on the next.  So an ``Mlp`` keeps its hidden
-layers' arrays, one (rows, width) array per layer and kind: forward's
-activations and first derivatives, jvp's tangents, and the per-layer
-products of backward, input_grad and backward_jvp.  The next pass over
-as many rows writes into them with ``out=``; a forward over another row
-count drops them all and makes new ones, so a net holds nothing beyond
-its latest passes, and a caller that alternates two row counts runs one
-of them through a copy of the net (the trainer does, for its report's
-rows).  Each kept array is an anonymous memory mapping of its own
-(``_mapped_array``), unmapped when the array is dropped: kept on glibc's
-heap through a training, the actor's forward arrays pinned the pages
-around them and the benchmark's ``train`` workload peaked about 1.1 MiB
-higher.  The arrays stay separate, and none is larger than a training
-batch's (2,880 x 64, 1.47 MB).  The output layer's arrays, the returned
-output and tangent among them, are new on every pass.  A cache records its pass's number: a forward's is valid
-until the net's next forward, a jvp's until its next forward or jvp,
-and a gradient pass given an older one raises ValueError.
-Each pass computes only what its caller reads: backward returns the
-parameter gradient and input_grad the input gradient.  The actor and
-critic take their gradient passes' rows standardized (``inputs``,
-``grad_inputs``), so a trainer builds them once per batch.
+``Mlp.forward`` runs ``predict`` and keeps every layer's activations and
+first derivatives for the gradient passes (``backward_jvp`` derives the
+second ones from them), so both passes give the same output bits.  A
+training runs thousands of gradient passes on batches of one shape, so
+an ``Mlp`` keeps its hidden layers' arrays, one (rows, width) array per
+layer and kind, and the next pass over as many rows writes into them
+with ``out=``; a forward over another row count replaces them all, so a
+caller that alternates two row counts runs one of them through a copy
+of the net.  Each kept array is an anonymous memory mapping of its own
+(``_mapped_array``), unmapped when the array is dropped, so that it pins
+no heap pages around it.  The output layer's arrays, the returned output
+and tangent among them, are new on every pass.  A forward's cache is
+valid until the net's next forward, a jvp's until its next forward or
+jvp, and a gradient pass given another raises ValueError.  Each pass
+computes only what its caller reads: backward returns the parameter
+gradient and input_grad the input gradient.  The actor and critic take
+their gradient passes' rows standardized (``inputs``, ``grad_inputs``),
+so a trainer builds them once per batch.
 
 Checkpoints are a self-describing little-endian binary format (magic
 string, version, architecture dims, hidden and output activation ids,
@@ -82,6 +65,7 @@ import functools
 import mmap
 import os
 import struct
+import weakref
 
 import numpy as np
 
@@ -118,32 +102,25 @@ def _softplus(z):
     return np.where(z > 30, z, np.log1p(np.exp(np.minimum(z, 30))))
 
 
-def _tanh_first(a, out=None):
+def _tanh_first(a, out):
     """1 - a^2, the derivative of tanh where it took the value a."""
     d1 = np.multiply(a, a, out=out)
     return np.subtract(1.0, d1, out=d1)
 
 
-def _tanh_second(a, d1, out=None):
+def _tanh_second(a, d1, out):
     d2 = np.multiply(-2.0, a, out=out)
     d2 *= d1
     return d2
 
 
-# name -> (value, first, second), shared by predict and the output layers
-# of forward and backward_jvp (whose tanh hidden layers call _tanh_first
-# and _tanh_second into their arrays).  value(z) may overwrite z (tanh works in place);
-# first(z, a) is the first derivative at z given a = value(z), and reads
-# only a when value overwrites z; second(a, d1) is the second derivative
-# from a and the first derivative, so forward need not keep it.  first
-# and second return fresh arrays.
-_ACTIVATIONS = {
-    "tanh": (lambda z: np.tanh(z, out=z), lambda z, a: _tanh_first(a),
-             _tanh_second),
-    "softplus": (_softplus, lambda z, a: _sigmoid(z),
-                 lambda a, d1: d1 * (1.0 - d1)),
-    "identity": (lambda z: z, lambda z, a: np.ones_like(z),
-                 lambda a, d1: np.zeros_like(a)),
+# output activation name -> (value, first, second) of the output layer;
+# the hidden layers are tanh.  value(z) leaves z unchanged, first(z) is
+# the first derivative at z and second(d1) the second one, from the first
+# d1, so forward need not keep it; first and second return new arrays.
+_OUTPUTS = {
+    "softplus": (_softplus, _sigmoid, lambda d1: d1 * (1.0 - d1)),
+    "identity": (lambda z: z, np.ones_like, np.zeros_like),
 }
 
 
@@ -193,6 +170,11 @@ class Normalizer:
         return Z
 
 
+class _Cache(dict):
+    """A gradient pass's cache, which its net refers to weakly, so that
+    the net keeps none of a caller's arrays alive."""
+
+
 class Mlp:
     """Fully connected net: tanh hidden layers, then an ``output`` layer.
 
@@ -201,13 +183,13 @@ class Mlp:
     return one flat gradient in its layout.
 
     predict is the value-only pass for callers that only read the output:
-    it keeps no derivatives and no cache.  forward computes the same
-    output, bit for bit, plus the cache of activations and first
-    activation derivatives that the gradient passes read: backward is
-    ordinary reverse mode for the parameters and input_grad for the
-    input, jvp propagates an input tangent, and backward_jvp
-    differentiates a loss of (output, output tangent) with respect to the
-    parameters, taking second derivatives from the cached activations.
+    it keeps no derivatives and no cache.  forward runs predict and keeps
+    the activations and first activation derivatives that the gradient
+    passes read, so both give the same output bits: backward is ordinary
+    reverse mode for the parameters and input_grad for the input, jvp
+    propagates an input tangent, and backward_jvp differentiates a loss
+    of (output, output tangent) with respect to the parameters, taking
+    second derivatives from the cached activations.
 
     Every pass but predict writes its hidden layers' arrays into those
     of the net's previous such pass over as many rows, one array per
@@ -215,13 +197,13 @@ class Mlp:
     output layer's arrays, the returned output among them, are new on
     every pass.  A forward's cache is valid only until the net's next
     forward, a jvp's until its next forward or jvp: a gradient pass given
-    an older one raises ValueError.
+    any other raises ValueError.
     """
 
     def __init__(self, sizes, output="identity", rng=None):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        if output not in _ACTIVATIONS:
+        if output not in _OUTPUTS:
             raise ValueError(f"unknown activation {output!r}")
         self.sizes = list(sizes)
         self.output = output
@@ -233,10 +215,10 @@ class Mlp:
             n_out, n_in = w.shape
             limit = np.sqrt(6.0 / (n_in + n_out))
             w[...] = rng.uniform(-limit, limit, size=w.shape)
-        # the latest forward's row count, the numbers of the latest
-        # forward and jvp (a cache's "pass"), and the arrays kept for
-        # passes over that many rows, by kind
-        self._rows, self._passes, self._latest, self._kept = None, 0, {}, {}
+        # the latest forward's row count, weak references to the caches
+        # of the latest forward and jvp, and the arrays kept for passes
+        # over that many rows, by kind
+        self._rows, self._latest, self._kept = None, {}, {}
 
     @property
     def n_layers(self):
@@ -252,15 +234,6 @@ class Mlp:
             pos += n_out
         return weights, biases
 
-    def _activation(self, layer):
-        """(value, first, second) of the layer's activation.
-
-        forward caches the first derivative only; backward_jvp computes
-        the second from the cached activation and first derivative.
-        """
-        return _ACTIVATIONS[self.output if layer == self.n_layers - 1
-                            else "tanh"]
-
     def _arrays(self, kind):
         """The net's arrays of this kind, one per hidden layer, (rows of
         the latest forward, width): made on the first pass of the kind
@@ -271,19 +244,12 @@ class Mlp:
         return self._kept[kind]
 
     def _check(self, cache, kind="forward"):
-        """Raise ValueError unless cache is that of the net's latest pass
-        of its kind; a forward makes every older cache stale."""
-        if cache["pass"] != self._latest.get(kind):
+        """Raise ValueError unless cache is the net's latest cache of its
+        kind; a forward makes every older cache stale."""
+        latest = self._latest.get(kind)
+        if latest is None or latest() is not cache:
             raise ValueError(f"stale cache: not from the net's latest "
                              f"{kind} pass")
-
-    def _number(self, kind):
-        """Number a new pass of the kind: the latest of its kind."""
-        self._passes += 1
-        if kind == "forward":
-            self._latest.clear()
-        self._latest[kind] = self._passes
-        return self._passes
 
     def _to_input(self, dZ, layer, out=None):
         """dZ @ weights[layer]; with one output unit each entry is one
@@ -309,31 +275,25 @@ class Mlp:
             Z = np.matmul(A, w.T, out=None if bufs is None
                           else bufs[layer][:len(A)])
             Z += b
-            A = self._activation(layer)[0](Z)
+            A = (np.tanh(Z, out=Z) if layer < self.n_layers - 1
+                 else _OUTPUTS[self.output][0](Z))
         return A
 
     def forward(self, U):
-        """U: (B, n_in) -> output (B, n_out), plus cache for backward."""
-        A = np.asarray(U, dtype=float)
-        if len(A) != self._rows:
-            self._rows, self._kept = len(A), {}
-        number = self._number("forward")
-        acts, d1s = [A], []
-        # zip stops at the last hidden layer, whose arrays end first
-        for w, b, Z, d1 in zip(self.weights, self.biases,
-                               self._arrays("acts"), self._arrays("d1s")):
-            np.matmul(A, w.T, out=Z)
-            Z += b
-            A = np.tanh(Z, out=Z)
-            acts.append(A)
-            d1s.append(_tanh_first(A, out=d1))
-        value, first, _ = _ACTIVATIONS[self.output]
-        Z = A @ self.weights[-1].T
-        Z += self.biases[-1]
-        A = value(Z)
-        acts.append(A)
-        d1s.append(first(Z, A))
-        return A, {"pass": number, "acts": acts, "d1s": d1s}
+        """U: (B, n_in) -> output (B, n_out), plus cache for backward:
+        predict's pass into the kept hidden arrays and a new output
+        layer's, then each layer's first derivatives."""
+        U = np.asarray(U, dtype=float)
+        if len(U) != self._rows:
+            self._rows, self._kept = len(U), {}
+        hidden, Z = self._arrays("acts"), np.empty((len(U), self.sizes[-1]))
+        Y = self.predict(U, [*hidden, Z])
+        d1s = [_tanh_first(A, d1)
+               for A, d1 in zip(hidden, self._arrays("d1s"))]
+        d1s.append(_OUTPUTS[self.output][1](Z))
+        cache = _Cache(acts=[U, *hidden, Y], d1s=d1s)
+        self._latest = {"forward": weakref.ref(cache)}
+        return Y, cache
 
     def _layer_grads(self, cache, dY):
         """(layer, dZ) from the output layer down: the gradient of
@@ -368,21 +328,20 @@ class Mlp:
     def jvp(self, cache, V):
         """Directional derivative of the output along input tangent V."""
         self._check(cache)
-        d1s = cache["d1s"]
         S = np.asarray(V, dtype=float)
         ts, ss = [], [S]
-        # zip stops at the last hidden layer, whose arrays end first
-        for w, d1, T, S_next in zip(self.weights, d1s, self._arrays("ts"),
-                                    self._arrays("ss")):
-            np.matmul(S, w.T, out=T)
-            S = np.multiply(d1, T, out=S_next)
+        # per layer, a hidden one's arrays, and None for the output
+        # layer's, which are new
+        for w, d1, T, S_out in zip(self.weights, cache["d1s"],
+                                   self._arrays("ts") + [None],
+                                   self._arrays("ss") + [None]):
+            T = np.matmul(S, w.T, out=T)
+            S = np.multiply(d1, T, out=S_out)
             ts.append(T)
             ss.append(S)
-        T = S @ self.weights[-1].T
-        S = d1s[-1] * T
-        ts.append(T)
-        ss.append(S)
-        return S, {"pass": self._number("jvp"), "ts": ts, "ss": ss}
+        jcache = _Cache(ts=ts, ss=ss)
+        self._latest["jvp"] = weakref.ref(jcache)
+        return S, jcache
 
     def backward_jvp(self, cache, jcache, dY, dYdot):
         """Parameter gradients of a loss depending on (Y, Ydot).
@@ -406,10 +365,8 @@ class Mlp:
         dA, dS = dY, dYdot
         for layer in range(self.n_layers - 1, -1, -1):
             d1 = d1s[layer]
-            if d2s[layer] is None:
-                d2 = self._activation(layer)[2](acts[layer + 1], d1)
-            else:
-                d2 = _tanh_second(acts[layer + 1], d1, out=d2s[layer])
+            d2 = (_OUTPUTS[self.output][2](d1) if d2s[layer] is None
+                  else _tanh_second(acts[layer + 1], d1, d2s[layer]))
             d2 *= dS
             d2 *= ts[layer]
             dZ = np.multiply(dA, d1, out=dZs[layer])
@@ -482,10 +439,9 @@ def _predict_threads():
 @functools.cache
 def _predict_pool():
     """The executor running _predict's block groups after the first, made
-    on the first call, or None with one thread."""
-    workers = _predict_threads() - 1
-    return (concurrent.futures.ThreadPoolExecutor(
-        workers, thread_name_prefix="gsplab-predict") if workers else None)
+    on the first call, which comes only with more than one thread."""
+    return concurrent.futures.ThreadPoolExecutor(
+        _predict_threads() - 1, thread_name_prefix="gsplab-predict")
 
 
 # a forked child inherits the executor but not its threads, so work
@@ -527,7 +483,8 @@ class _NormalizedNet:
 
     def _predict(self, *raw):
         """The output for each row of the raw input columns, block by block
-        and group by group, as the module docstring describes.
+        and group by group, as the module docstring describes: the calling
+        thread runs the first group and the pool the others, if any.
 
         The remainder joins the last block, so no block is short unless
         the whole batch is: BLAS may round a few-row product unlike a long
@@ -550,15 +507,12 @@ class _NormalizedNet:
                                            out=U[:stop - start])
                 out[start:stop] = self.net.predict(rows, bufs)[:, 0]
 
-        pool = _predict_pool() if len(blocks) > 1 else None
-        if pool is None:
-            run(blocks)
-            return out
         n_groups = min(len(blocks), _predict_threads())
         groups = [blocks[i * len(blocks) // n_groups:
                          (i + 1) * len(blocks) // n_groups]
                   for i in range(n_groups)]
-        futures = [pool.submit(run, group, True) for group in groups[1:]]
+        futures = [_predict_pool().submit(run, group, True)
+                   for group in groups[1:]]
         try:
             run(groups[0])
         finally:

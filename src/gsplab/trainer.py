@@ -160,7 +160,7 @@ def pretrain_critic(experience, critic, max_epochs, rng, lr=CRITIC_LR,
     n_val = max(1, int(VAL_FRAC * m))
     val, tr = perm[:n_val], perm[n_val:]
     # each split is standardized once; the validation rows then take one
-    # value-only pass per epoch, whose bits equal q_batch's blocks
+    # value-only pass (Mlp.predict) per epoch
     U_tr, U_val = (critic.inputs(experience.states[rows],
                                  experience.actions[rows])
                    for rows in (tr, val))

@@ -502,11 +502,42 @@ def test_bad_mechanism_flag_is_validation_error(spec_file, trained_dir,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mechanism", ["ugsp-without-bid-weight",
+                                       "degenerate-model"])
+def test_evaluate_of_an_unpriceable_mechanism_is_validation_error(
+        spec_file, tmp_path, capsys, mechanism):
+    # winners whose multipliers are all <= EPS_DIV cannot be priced; the
+    # error names the flag that chose the mechanism
+    if mechanism == "degenerate-model":
+        model = _degenerate_actor(tmp_path / "degenerate.ckpt")
+        flags, named = ["--model", str(model)], f"bad --model: {model}: "
+    else:
+        flags = ["--mechanism", "ugsp", "--lambdas", "0,1,0"]
+        named = "bad --lambdas: "
+    out = tmp_path / "eval"
+    code = cli.main(["evaluate", "--config", str(spec_file), "--out", str(out),
+                     *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"validation error: {named}degenerate multiplier" in err
+    assert not (out / "metrics.csv").exists()
+
+
 def _fitted_actor(feature_dim, hidden=(4,)):
     rng = np.random.default_rng(0)
     actor = BidMultiplierNet(feature_dim, hidden=hidden, rng=rng)
     return actor.fit_normalizer(rng.uniform(0.5, 5.0, 16),
                                 rng.uniform(0.0, 1.0, (16, feature_dim)))
+
+
+def _degenerate_actor(path):
+    """Save an actor whose every multiplier is softplus(-60), about 1e-26,
+    at or below EPS_DIV, at path."""
+    actor = _fitted_actor(FEATURE_DIM)
+    actor.net.weights[-1][:] = 0.0
+    actor.net.biases[-1][:] = -60.0
+    actor.save(path)
+    return path
 
 
 def _bad_model(kind, trained_dir, tmp_path):
@@ -711,13 +742,8 @@ def test_audit_exits_4_on_a_failed_gate(spec_file, tmp_path, capsys):
 
 def test_audit_of_a_degenerate_actor_fails_per_and_isic(spec_file, tmp_path,
                                                         capsys):
-    # every multiplier is softplus(-60), about 1e-26, at or below EPS_DIV:
     # PER has no auditable winner and i-SIC meets a degenerate one
-    actor = _fitted_actor(FEATURE_DIM)
-    actor.net.weights[-1][:] = 0.0
-    actor.net.biases[-1][:] = -60.0
-    model = tmp_path / "degenerate.ckpt"
-    actor.save(model)
+    model = _degenerate_actor(tmp_path / "degenerate.ckpt")
     out = tmp_path / "audit"
     code = cli.main(["audit", "--config", str(spec_file), "--out", str(out),
                      "--model", str(model)])

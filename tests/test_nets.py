@@ -288,7 +288,7 @@ def predict_pool(request, monkeypatch):
         request.getfixturevalue("predict_threads")
         yield
     elif request.param == "one thread":
-        monkeypatch.setattr(nets, "_predict_pool", lambda: None)
+        monkeypatch.setattr(nets, "_predict_threads", lambda: 1)
         yield
     else:
         threads, interval = os.cpu_count() + 2, sys.getswitchinterval()
@@ -689,8 +689,11 @@ def test_predict_keeps_no_cache():
 
 
 def test_unknown_activation_rejected():
-    with pytest.raises(ValueError, match="unknown activation 'sigmoid'"):
-        Mlp([2, 1], output="sigmoid")
+    # the outputs gsplab builds are softplus (actor) and identity (critic)
+    for output in ["sigmoid", "tanh"]:
+        with pytest.raises(ValueError,
+                           match=f"unknown activation '{output}'"):
+            Mlp([2, 1], output=output)
 
 
 # ---------------------------------------------------------------------------

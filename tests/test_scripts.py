@@ -203,3 +203,28 @@ def test_bench_pairs_summarizes_both_factors_of_the_ratio():
         del run["minor_faults"], run["sys_s"]
     factors = module.summarize(runs, specs["end_to_end"])["train"]["factors"]
     assert list(factors) == ["op_s_min", "ref_s_min"]
+
+
+def test_src_lines_counts_code_and_docstrings_per_module(tmp_path, capsys):
+    module = _load("src_lines")
+    before, after = tmp_path / "before", tmp_path / "after"
+    for checkout in (before, after):
+        (checkout / "src" / "gsplab").mkdir(parents=True)
+    # blank lines and comment lines, indented or not, do not count;
+    # docstring lines and code with a trailing comment do
+    (before / "src" / "gsplab" / "a.py").write_text(
+        '"""Doc.\n\nMore doc.\n"""\n\n# note\nx = 1  # one\n'
+        'def f():\n    # inside\n    return x\n')
+    (before / "src" / "gsplab" / "gone.py").write_text("y = 2\n")
+    (after / "src" / "gsplab" / "a.py").write_text("x = 1\n")
+    (after / "src" / "gsplab" / "new.py").write_text("z = 3\nw = 4\n")
+    assert module.module_counts(before) == {"a.py": 6, "gone.py": 1}
+    module.main([str(before)])
+    assert [row.split() for row in capsys.readouterr().out.splitlines()] == [
+        ["a.py", "6"], ["gone.py", "1"], ["total", "7"]]
+    module.main([str(before), str(after)])
+    assert [row.split() for row in capsys.readouterr().out.splitlines()] == [
+        ["a.py", "6", "->", "1", "-5"], ["gone.py", "1", "->", "0", "-1"],
+        ["new.py", "0", "->", "2", "+2"], ["total", "7", "->", "3", "-4"]]
+    with pytest.raises(SystemExit):
+        module.main([str(tmp_path / "missing")])
