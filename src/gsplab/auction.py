@@ -17,6 +17,11 @@ division-based price equal to the exact critical bid.
 
 An exact critical-bid oracle (bisection on any monotone score function,
 all winners at once) is provided for payment-error audits.
+
+A mechanism reads its features as an (R, N, FEATURE_DIM) array: an
+ndarray, or sampled rounds' ``Features``, which store only what varies
+and give each ``feats[..., F_X]`` column without building the dense
+array.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # Feature vector layout shared across the package.  Index constants are
-# used everywhere a mechanism needs a specific feature.
+# used everywhere a mechanism needs a specific feature.  The predicted
+# rates come first, then the advertiser's constants, then the user's
+# feature, as ``Features`` stores them.
 F_PCTR = 0
 F_PACR = 1
 F_PCVR = 2
@@ -43,6 +50,51 @@ EPS_DIV = 1e-9
 
 class DegenerateMultiplierError(ValueError):
     """Multiplier too close to zero to divide a price by."""
+
+
+class Features:
+    """An (R, N, FEATURE_DIM) feature array stored by what varies.
+
+    ``rates`` (R, N, 3) holds the predicted rates of each entry, ``user``
+    (R, 1) the user feature of each round and ``static`` (N, 3) each
+    advertiser's price, budget and category, which many arrays share.
+    ``feats[..., F_X]`` (or ``feats[:, :, F_X]``) is the (R, N) column: a
+    view of ``rates``, or a read-only broadcast view of ``static`` or
+    ``user``.  Any other index, ``reshape`` or ``np.asarray`` reads the
+    dense array, built on first need and kept, read-only.
+    """
+
+    def __init__(self, rates, user, static):
+        self.rates, self.user, self.static = rates, user, static
+        self.shape = (*rates.shape[:2], FEATURE_DIM)
+        self._dense = None
+
+    def __getitem__(self, key):
+        rest = key[:-1] if isinstance(key, tuple) else None
+        if (rest is not None
+                and all(k is Ellipsis or isinstance(k, slice) for k in rest)
+                and rest in ((Ellipsis,), (slice(None),) * 2)
+                and isinstance(key[-1], (int, np.integer))):
+            idx = range(FEATURE_DIM)[key[-1]]
+            if idx < F_PRICE:
+                return self.rates[..., idx]
+            column = (self.static[:, idx - F_PRICE] if idx < F_USER
+                      else self.user)
+            return np.broadcast_to(column, self.shape[:2])
+        return np.asarray(self)[key]
+
+    def __array__(self, dtype=None, copy=None):
+        if self._dense is None:
+            dense = np.empty(self.shape)
+            dense[..., :F_PRICE] = self.rates
+            dense[..., F_PRICE:F_USER] = self.static
+            dense[..., F_USER] = self.user
+            dense.flags.writeable = False
+            self._dense = dense
+        return self._dense.astype(dtype or float, copy=bool(copy))
+
+    def reshape(self, *shape):
+        return np.asarray(self).reshape(*shape)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +159,8 @@ class DeepGspMechanism:
     actor: object  # gsplab.nets.BidMultiplierNet
 
     def score_batch(self, bids, feats):
-        pi = self.actor.multiplier_batch(bids.reshape(-1), feats.reshape(-1, feats.shape[-1]))
+        # the features go as they are, compact ``Features`` included
+        pi = self.actor.multiplier_batch(bids.reshape(-1), feats)
         pi = pi.reshape(bids.shape)
         return bids * pi, pi, np.broadcast_to(0.0, pi.shape)
 

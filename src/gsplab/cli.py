@@ -293,7 +293,6 @@ def _mechanism_from_args(args):
 def cmd_evaluate(args):
     world_cfg, train_cfg, _ = _load_spec(args.config, args.seed)
     mech = _mechanism_from_args(args)
-    out = _out_dir(args)
     shown = _model_echo(args.model) if args.model else {"mechanism": mech}
     _echo_config("evaluate", world_cfg, train_cfg,
                  {**shown, "seed": train_cfg.seed})
@@ -306,6 +305,8 @@ def cmd_evaluate(args):
         flag = (f"--model: {args.model}" if args.model
                 else "--sigma" if args.mechanism == "gsp" else "--lambdas")
         raise ValidationError(f"bad {flag}: {exc}") from exc
+    # made only now, so an episode that cannot be priced leaves no --out
+    out = _out_dir(args)
     f = scalarize(metrics, train_cfg.weights)
     print("metrics (normalized): " + " ".join(
         f"{name}={m:.4f}" for name, m in zip(METRICS, metrics)))

@@ -22,13 +22,17 @@ the environment pins BLAS to one thread (``OPENBLAS_NUM_THREADS``, else
 do not compete with BLAS's own.  The calling thread runs the first group
 and a module-level thread pool, made on first need, runs the rest; a
 forked child drops the inherited pool, whose threads did not survive the
-fork.  A group standardizes each block's columns into one input buffer
-and runs ``Mlp.predict`` through one buffer per layer, all sized for its
-largest block, into the block's slice of one preallocated output, so no
-full-size array is built.  The calling thread's buffers come from the
-heap, where the next call reuses them; a worker's are memory mappings of
-its own (``_mapped_array``, see below), unmapped at the call's end, since
-the heap arena of a worker thread keeps its freed space resident.  Every
+fork.  A group copies each block's raw columns into one input buffer,
+standardizes it in one subtract and one divide against the statistics
+tiled over its rows, and runs ``Mlp.predict`` through one buffer per
+layer, all sized for its largest block, into the block's slice of one
+preallocated output, so no full-size array is built: the actor reads
+sampled rounds' compact ``Features`` in place, the static columns from
+their pattern tiled once per call and the user's gathered per round.
+The calling thread's buffers come from the heap, where the next call
+reuses them; a worker's are memory mappings of its own
+(``_mapped_array``, see below), unmapped at the call's end, since the
+heap arena of a worker thread keeps its freed space resident.  Every
 block is computed as it would be alone, so the output bits do not depend
 on the number of threads; a row's bits may depend on its place in its
 block, as BLAS may round it by that place.
@@ -66,8 +70,11 @@ import mmap
 import os
 import struct
 import weakref
+from typing import NamedTuple
 
 import numpy as np
+
+from gsplab.auction import Features
 
 CHECKPOINT_MAGIC = b"GSPLAB-NET"
 CHECKPOINT_VERSION = 1
@@ -153,20 +160,26 @@ class Normalizer:
         self.scale = np.maximum(X.std(axis=0), 1e-8)
         return self
 
-    def transform(self, *blocks, out=None):
-        """(X - mean) / scale into out, or a new (B, dim) array, for X given
-        as its column blocks ((B,) or (B, k) arrays), which are never
-        stacked."""
+    def tiled(self, rows):
+        """(mean, scale), each repeated as ``rows`` rows of a (rows, dim)
+        array, with which transform standardizes up to that many rows."""
         if not self.fitted:
             raise UnfittedNormalizerError("normalizer statistics not fitted")
+        return np.tile(self.mean, (rows, 1)), np.tile(self.scale, (rows, 1))
+
+    def transform(self, *blocks, out=None, tiled=None):
+        """(X - mean) / scale into out, or a new (B, dim) array, for X given
+        as its column blocks ((B,) or (B, k) arrays), which are never
+        stacked: each is copied into place, then all B rows are
+        standardized by one subtract and one divide, each a single pass
+        over contiguous rows, against ``tiled`` (see ``tiled``; made for
+        B rows unless given)."""
+        mean, scale = self.tiled(len(blocks[0])) if tiled is None else tiled
         Z = np.empty((len(blocks[0]), self.dim)) if out is None else out
-        pos = 0
-        for block in blocks:
-            width = np.shape(block)[1] if np.ndim(block) == 2 else 1
-            np.subtract(np.reshape(block, (len(Z), width)),
-                        self.mean[pos:pos + width], out=Z[:, pos:pos + width])
-            pos += width
-        Z /= self.scale
+        np.concatenate([b[:, None] if b.ndim == 1 else b for b in blocks],
+                       axis=1, out=Z)
+        Z -= mean[:len(Z)]
+        Z /= scale[:len(Z)]
         return Z
 
 
@@ -450,6 +463,42 @@ os.register_at_fork(after_in_child=_predict_pool.cache_clear)
 
 
 # ---------------------------------------------------------------------------
+# Raw input column blocks that repeat
+
+
+class _Cycle(NamedTuple):
+    """A raw input column block whose row i is pattern[i % len(pattern)]."""
+
+    pattern: np.ndarray
+
+
+class _Held(NamedTuple):
+    """A raw input column block whose row i is values[i // every]."""
+
+    values: np.ndarray
+    every: int
+
+
+def _row_reader(block, most):
+    """A function of (start, stop) giving rows start:stop, at most
+    ``most`` of them, of a raw input column block: a slice of an array of
+    the batch's rows, a slice of a _Cycle's pattern, tiled here once, or a
+    _Held's values gathered by row // every, from a pattern of quotients
+    made here once."""
+    if isinstance(block, _Cycle):
+        period = len(block.pattern)
+        tiled = np.tile(block.pattern, (most // period + 2, 1))
+        return lambda start, stop: tiled[start % period:][:stop - start]
+    if isinstance(block, _Held):
+        every = block.every
+        # (start + i) // every is start // every + (start % every + i) // every
+        held = np.arange(most + every) // every
+        return lambda start, stop: block.values[start // every:].take(
+            held[start % every:][:stop - start], axis=0)
+    return lambda start, stop: block[start:stop]
+
+
+# ---------------------------------------------------------------------------
 # Actor and critic
 
 
@@ -470,16 +519,21 @@ class _NormalizedNet:
         self.net = Mlp([self.input_dim, *hidden, 1], output=self.OUTPUT,
                        rng=rng)
 
+    def _all_rows(self, *raw):
+        """Every row of each raw input column block (see _row_reader)."""
+        cols = self._columns(*raw)
+        return [_row_reader(c, len(cols[0]))(0, len(cols[0])) for c in cols]
+
     def fit_normalizer(self, *raw):
         """Fit the standardization to the rows of the raw input columns."""
-        self.norm.fit(np.column_stack(self._columns(*raw)))
+        self.norm.fit(np.column_stack(self._all_rows(*raw)))
         return self
 
     def inputs(self, *raw):
         """The standardized (B, input_dim) rows of the raw input columns,
         which the gradient passes take: a trainer standardizes a batch
         once for all the steps it takes on it."""
-        return self.norm.transform(*self._columns(*raw))
+        return self.norm.transform(*self._all_rows(*raw))
 
     def _predict(self, *raw):
         """The output for each row of the raw input columns, block by block
@@ -497,14 +551,19 @@ class _NormalizedNet:
         bounds = [0, *range(PREDICT_ROWS, n_rows - PREDICT_ROWS + 1,
                             PREDICT_ROWS), n_rows]
         blocks = list(zip(bounds[:-1], bounds[1:]))
+        # made once for the largest block and only read by every group
+        largest = max(stop - start for start, stop in blocks)
+        tiled = self.norm.tiled(largest)
+        readers = [_row_reader(c, largest) for c in cols]
 
         def run(group, mapped=False):
             most = max(stop - start for start, stop in group)
             U, *bufs = [_mapped_array(most, n) if mapped
                         else np.empty((most, n)) for n in self.net.sizes]
             for start, stop in group:
-                rows = self.norm.transform(*(c[start:stop] for c in cols),
-                                           out=U[:stop - start])
+                rows = self.norm.transform(
+                    *[read(start, stop) for read in readers],
+                    out=U[:stop - start], tiled=tiled)
                 out[start:stop] = self.net.predict(rows, bufs)[:, 0]
 
         n_groups = min(len(blocks), _predict_threads())
@@ -570,6 +629,12 @@ class BidMultiplierNet(_NormalizedNet):
 
     def _columns(self, bids, feats):
         bids = np.asarray(bids, dtype=float).reshape(-1)
+        if isinstance(feats, Features):
+            # rates per row; the static columns cycle through the
+            # advertisers and the user's is held for each round's
+            return (bids, feats.rates.reshape(-1, feats.rates.shape[-1]),
+                    _Cycle(feats.static),
+                    _Held(feats.user, len(feats.static)))
         feats = np.asarray(feats, dtype=float).reshape(bids.size, self.feature_dim)
         return bids, feats
 

@@ -4,7 +4,9 @@ Replaces proprietary auction logs with a seeded generative ``World``:
 advertisers carry ground-truth response rates (click, add-to-cart,
 order), valuations are drawn per round from log-normal distributions,
 every advertiser bids its valuation, and predicted rates are noisy
-versions of the truth (``World.sample_rounds`` gives ``Rounds``).  User
+versions of the truth (``World.sample_rounds`` gives ``Rounds``, whose
+features store only what varies: the predicted rates per entry, the user
+draw per round and the world's static columns, shared).  User
 behavior is realized with a click-gated funnel, and the five platform
 metrics ``METRICS`` (RPM, CTR, ACR, CVR, GPM) are aggregated from the
 realized feedback and scaled to [0,1] by normalizers calibrated on a
@@ -26,14 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from gsplab.auction import (
-    FEATURE_DIM,
-    F_BUDGET,
-    F_CATEGORY,
     F_PACR,
     F_PCTR,
     F_PCVR,
-    F_PRICE,
-    F_USER,
+    Features,
     GspMechanism,
     allocate_batch,
     price_batch,
@@ -109,7 +107,7 @@ class Rounds:
     """A batch of sampled auction rounds; the bids are the valuations."""
 
     bids: np.ndarray    # (R, N)
-    feats: np.ndarray   # (R, N, FEATURE_DIM)
+    feats: object       # (R, N, FEATURE_DIM): Features or an ndarray
 
     @property
     def n_rounds(self):
@@ -177,6 +175,11 @@ class World:
         self.true_cvr = self.true_ctr * self.order_given_click
         self.price = rng.lognormal(PRICE_MU, PRICE_SIGMA, size=n)
         self.value_mu = VALUE_MU + VALUE_MU_SPREAD * rng.standard_normal(n)
+        # the features' static columns (price, budget, category), which
+        # every sampled Features shares
+        self.static = np.column_stack(
+            [self.price, np.ones(n), np.arange(n) / max(n - 1, 1)])
+        self.static.flags.writeable = False
         self.normalizers = np.ones(5)
         self._calibrate()
 
@@ -184,27 +187,26 @@ class World:
 
     def sample_rounds(self, n_rounds, rng):
         """Draw valuations and noisy predictions for n_rounds; every
-        advertiser bids its valuation."""
+        advertiser bids its valuation.  The features store only what
+        varies (``Features``): the (R, N, 3) predicted rates, the (R, 1)
+        user draw and the world's shared static columns."""
         cfg = self.config
         n = self.n_advertisers
         values = rng.lognormal(self.value_mu, VALUE_SIGMA, size=(n_rounds, n))
-        feats = np.empty((n_rounds, n, FEATURE_DIM))
+        rates = np.empty((n_rounds, n, 3))
         for idx, true in ((F_PCTR, self.true_ctr), (F_PACR, self.true_acr),
                           (F_PCVR, self.true_cvr)):
             # true * exp(noise * z - noise^2 / 2), clipped to [0, 1], built
-            # in the draw's own array and written once into feats
+            # in the draw's own array and written once into rates
             if cfg.prediction_noise > 0:
                 z = rng.standard_normal((n_rounds, n))
                 z *= cfg.prediction_noise
                 z -= 0.5 * cfg.prediction_noise**2
                 np.exp(z, out=z)
                 true = np.multiply(true, z, out=z)
-            np.clip(true, 0.0, 1.0, out=feats[:, :, idx])
-        feats[:, :, F_PRICE] = self.price
-        feats[:, :, F_BUDGET] = 1.0
-        feats[:, :, F_CATEGORY] = np.arange(n) / max(n - 1, 1)
-        feats[:, :, F_USER] = rng.standard_normal((n_rounds, 1))
-        return Rounds(bids=values, feats=feats)
+            np.clip(true, 0.0, 1.0, out=rates[:, :, idx])
+        user = rng.standard_normal((n_rounds, 1))
+        return Rounds(bids=values, feats=Features(rates, user, self.static))
 
     # -- feedback ------------------------------------------------------------
 

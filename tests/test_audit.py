@@ -22,6 +22,7 @@ from gsplab.auction import (
     FEATURE_DIM,
     DegenerateMultiplierError,
     DeepGspMechanism,
+    Features,
     FixedScoreMechanism,
     GspMechanism,
     UgspMechanism,
@@ -278,6 +279,22 @@ def test_isic_fixed_score_is_not_truthful(one_slot):
     assert i_sic(FixedScoreMechanism(), one_slot, config).value < 0.95
 
 
+def test_isic_scorings_never_build_the_dense_features(one_slot,
+                                                      monkeypatch):
+    # the sampled matrix and both replays score the compact features
+    rng = np.random.default_rng(12)
+    actor = BidMultiplierNet(FEATURE_DIM, hidden=(16,), rng=rng)
+    fit = one_slot.sample_rounds(100, rng)
+    actor.fit_normalizer(fit.bids.ravel(), fit.feats.reshape(-1, FEATURE_DIM))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the dense features were built")
+
+    monkeypatch.setattr(Features, "__array__", refuse)
+    for mechanism in (GspMechanism(1.0), DeepGspMechanism(actor)):
+        i_sic(mechanism, one_slot, AuditConfig(isic_rounds=300))
+
+
 def test_isic_degenerate_multiplier_raises(one_slot):
     # priced by price_batch, as the market is: no clamped division
     with pytest.raises(DegenerateMultiplierError):
@@ -345,7 +362,7 @@ def _duplicated_columns(rng):
     """Sampled rounds with columns 4 and 6 copies of column 1."""
     world = World(WorldConfig(slots=1, slot_ctr_factors=(1.0,), seed=1))
     rounds = world.sample_rounds(400, rng)
-    world = _GivenRoundsWorld(rounds.bids, rounds.feats, slots=1)
+    world = _GivenRoundsWorld(rounds.bids, np.array(rounds.feats), slots=1)
     for col in (4, 6):
         world.bids[:, col] = world.bids[:, 1]
         world.feats[:, col] = world.feats[:, 1]

@@ -520,7 +520,7 @@ def test_evaluate_of_an_unpriceable_mechanism_is_validation_error(
     assert code == 1
     err = capsys.readouterr().err
     assert f"validation error: {named}degenerate multiplier" in err
-    assert not (out / "metrics.csv").exists()
+    assert not out.exists()
 
 
 def _fitted_actor(feature_dim, hidden=(4,)):

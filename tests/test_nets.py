@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gsplab import nets
-from gsplab.auction import FEATURE_DIM
+from gsplab.auction import FEATURE_DIM, DeepGspMechanism
 from gsplab.nets import (
     CHECKPOINT_MAGIC,
     PREDICT_ROWS,
@@ -26,6 +26,7 @@ from gsplab.nets import (
     _sigmoid,
     _softplus,
 )
+from gsplab.simulator import World, WorldConfig
 from gsplab.trainer import actor_penalties
 
 from conftest import fd_param_grad, grad_err, rel_err
@@ -324,6 +325,32 @@ def test_inference_blocks_equal_one_unblocked_pass(predict_pool, kind, rows):
     Y = infer(*raw)
     assert Y.shape == (rows,)
     assert np.array_equal(Y, _ReferenceMlp(model.net).predict(U)[:, 0])
+
+
+@pytest.mark.parametrize("predict_pool", ["threads", "one thread"],
+                         indirect=True)
+@pytest.mark.parametrize("n_advertisers", [8, 7])
+@pytest.mark.parametrize("n_rounds", [1, 127, 128, 1_237, 12_500, 20_000])
+def test_compact_features_score_as_their_dense_array(predict_pool,
+                                                     n_advertisers, n_rounds):
+    # sampled rounds store only what varies; Deep GSP's network reads
+    # their rows block by block from the compact arrays, and every score
+    # must equal the dense array's.  The row totals hit block edges: 128
+    # rounds of 8 make one block, 1,237 of 7 leave a remainder, and 1024
+    # rows do not hold a whole number of rounds of 7
+    world = World(WorldConfig(n_advertisers=n_advertisers,
+                              calibration_rounds=10, seed=n_advertisers))
+    rng = np.random.default_rng(n_rounds)
+    actor = BidMultiplierNet(FEATURE_DIM, hidden=(64, 32), rng=rng)
+    fit = world.sample_rounds(100, rng)
+    actor.fit_normalizer(fit.bids.ravel(), fit.feats.reshape(-1, FEATURE_DIM))
+    mechanism = DeepGspMechanism(actor)
+    rounds = world.sample_rounds(n_rounds, rng)
+    compact = mechanism.score_batch(rounds.bids, rounds.feats)
+    dense = mechanism.score_batch(rounds.bids, np.asarray(rounds.feats))
+    for got, want in zip(compact, dense):
+        assert got.shape == (n_rounds, n_advertisers)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("blas, cpus, threads", [

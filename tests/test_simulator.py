@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,20 @@ from hypothesis import strategies as st
 
 from gsplab.auction import (
     FEATURE_DIM,
+    F_BUDGET,
+    F_CATEGORY,
     F_PACR,
     F_PCTR,
     F_PCVR,
+    F_PRICE,
     F_USER,
+    DeepGspMechanism,
+    Features,
+    FixedScoreMechanism,
     GspMechanism,
+    UgspMechanism,
 )
+from gsplab.nets import BidMultiplierNet
 from gsplab.simulator import (
     METRICS,
     VALUE_SIGMA,
@@ -71,7 +81,8 @@ def test_zero_noise_predictions_equal_truth():
 
 @pytest.mark.parametrize("noise", [0.15, 0.0])
 def test_sample_rounds_equals_the_out_of_place_formula(noise):
-    # the sampler builds each noisy column in its draw's array; the bits
+    # the sampler builds each noisy column in its draw's array and stores
+    # only what varies; every column, and the dense array built from them,
     # must equal the formula written out of place, one step per array
     world = World(WorldConfig(prediction_noise=noise, calibration_rounds=10,
                               seed=7))
@@ -80,6 +91,7 @@ def test_sample_rounds_equals_the_out_of_place_formula(noise):
     rng = np.random.default_rng(4)
     bids = rng.lognormal(world.value_mu, VALUE_SIGMA, size=(n_rounds, n))
     assert np.array_equal(rounds.bids, bids)
+    want = np.empty((n_rounds, n, FEATURE_DIM))
     for idx, true in ((F_PCTR, world.true_ctr), (F_PACR, world.true_acr),
                       (F_PCVR, world.true_cvr)):
         if noise > 0:
@@ -87,12 +99,20 @@ def test_sample_rounds_equals_the_out_of_place_formula(noise):
                             - 0.5 * noise**2)
         else:
             factor = 1.0
-        assert np.array_equal(rounds.feats[:, :, idx],
-                              np.broadcast_to(np.clip(true * factor, 0.0, 1.0),
-                                              (n_rounds, n)))
-    user = rng.standard_normal((n_rounds, 1))
-    assert np.array_equal(rounds.feats[:, :, F_USER],
-                          np.broadcast_to(user, (n_rounds, n)))
+        want[:, :, idx] = np.clip(true * factor, 0.0, 1.0)
+    want[:, :, F_PRICE] = world.price
+    want[:, :, F_BUDGET] = 1.0
+    want[:, :, F_CATEGORY] = np.arange(n) / (n - 1)
+    want[:, :, F_USER] = rng.standard_normal((n_rounds, 1))
+    for idx in range(FEATURE_DIM):
+        assert rounds.feats[:, :, idx].shape == (n_rounds, n)
+        assert np.array_equal(rounds.feats[:, :, idx], want[:, :, idx])
+        assert np.array_equal(rounds.feats[..., idx], want[..., idx])
+    assert rounds.feats.shape == want.shape
+    dense = np.asarray(rounds.feats)
+    assert dense.dtype == want.dtype and np.array_equal(dense, want)
+    assert np.array_equal(rounds.feats.reshape(-1, FEATURE_DIM),
+                          want.reshape(-1, FEATURE_DIM))
 
 
 def test_sampling_deterministic():
@@ -101,6 +121,64 @@ def test_sampling_deterministic():
     b = world.sample_rounds(7, np.random.default_rng(42))
     assert np.array_equal(a.bids, b.bids)
     assert np.array_equal(a.feats, b.feats)
+
+
+def test_feature_reads_build_the_dense_array_once():
+    # the T_m states read one entry of each round: the first read builds
+    # the dense array, which every later read views
+    world = World(WorldConfig(calibration_rounds=10, seed=3))
+    rounds = world.sample_rounds(200, np.random.default_rng(5))
+    n, picks = world.n_advertisers, np.arange(200)
+    states = [rounds.feats[j, j % n] for j in picks]
+    assert all(state.base is states[0].base for state in states)
+    assert np.array_equal(states, np.asarray(rounds.feats)[picks, picks % n])
+
+
+def _fitted_actor(world, rng):
+    actor = BidMultiplierNet(FEATURE_DIM, hidden=(64, 32), rng=rng)
+    fit = world.sample_rounds(100, rng)
+    return actor.fit_normalizer(fit.bids.ravel(),
+                                fit.feats.reshape(-1, FEATURE_DIM))
+
+
+@pytest.mark.parametrize("deep", [False, True], ids=["gsp", "deepgsp"])
+def test_a_market_episode_keeps_less_than_its_dense_features(deep):
+    # a 20,000-round episode's dense (R, N, FEATURE_DIM) features alone
+    # take 8.96 MB; its rounds and played arrays together keep less
+    world = World(WorldConfig(calibration_rounds=10, seed=3))
+    rng = np.random.default_rng(8)
+    mechanism = (DeepGspMechanism(_fitted_actor(world, rng)) if deep
+                 else GspMechanism(1.0))
+    n_rounds = 20_000
+    tracemalloc.start()
+    try:
+        rounds = world.sample_rounds(n_rounds, rng)
+        played = world.play(rounds, mechanism, rng)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert played["order"].shape == rounds.bids.shape
+    assert live < 8 * n_rounds * world.n_advertisers * FEATURE_DIM
+
+
+@pytest.mark.parametrize("mechanism", [
+    GspMechanism(1.0), UgspMechanism((1.0, 0.5, 0.2)), FixedScoreMechanism(),
+    "deepgsp"], ids=["gsp", "ugsp", "fixed", "deepgsp"])
+def test_episodes_never_build_the_dense_features(small_world, monkeypatch,
+                                                 mechanism):
+    rng = np.random.default_rng(9)
+    if mechanism == "deepgsp":
+        mechanism = DeepGspMechanism(_fitted_actor(small_world, rng))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the dense features were built")
+
+    monkeypatch.setattr(Features, "__array__", refuse)
+    rounds = small_world.sample_rounds(300, rng)
+    small_world.play(rounds, mechanism, rng)
+    small_world.evaluate(mechanism, 300, seed=2)
+    with pytest.raises(AssertionError):
+        rounds.feats.reshape(-1, FEATURE_DIM)
 
 
 def test_equal_configs_build_identical_worlds():
