@@ -11,14 +11,15 @@ phase of a shared host falls on both sides alike.  The output file holds
 every run's end-to-end metrics, with the two factors of ``op_ref_ratio``
 in seconds (the fastest operation ``op_s_min`` and the fastest host
 reference pass ``ref_s_min``), the CPU seconds of that fastest operation
-(``op_cpu_s_at_min``) and the run's usable CPUs (``cpus_usable``), and the
-run's minor page faults and system CPU seconds (``minor_faults``,
-``sys_s``), and, per workload and metric,
-each side's median and quartiles, the number of pairs the change wins,
-and whether the medians differ by more than the interquartile range of
-the parent's runs, each side's total failed and attempted operations,
-and each side's median and quartiles of ``FACTORS``, so a change of
-``op_ref_ratio`` shows whether the operation or the host reference moved.
+(``op_cpu_s_at_min``) and their ratio to its wall time (``cpu_per_wall``),
+the run's usable CPUs (``cpus_usable``), and the run's minor page faults
+and system CPU seconds (``minor_faults``, ``sys_s``), and, per workload
+and metric, each side's median and quartiles, the number of pairs the
+change wins, and whether the medians differ by more than the
+interquartile range of the parent's runs, each side's total failed and
+attempted operations, and each side's median and quartiles of
+``FACTORS``, so a change of ``op_ref_ratio`` shows whether the operation
+or the host reference moved.
 """
 
 import argparse
@@ -31,8 +32,10 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 # per-run values whose quartiles each workload's summary holds per side:
-# the two factors of op_ref_ratio, and the run's faults and system time
-FACTORS = ("op_s_min", "ref_s_min", "minor_faults", "sys_s")
+# the two factors of op_ref_ratio, the fastest operation's CPU seconds per
+# wall second (above 1 where the inference worker overlapped the calling
+# thread on another CPU), and the run's faults and system time
+FACTORS = ("op_s_min", "ref_s_min", "cpu_per_wall", "minor_faults", "sys_s")
 # pairs per workload and seed: the fewest that can back a claimed gain
 PAIRS = 10
 
@@ -72,8 +75,9 @@ def run_once(checkout, workload, seed, seconds):
 def run_entry(result, record):
     """The stored form of one run: its metric values, the two factors of
     ``op_ref_ratio`` in seconds, the CPU seconds of the fastest untraced
-    operation and the CPUs the run could use (CPU time above wall time
-    shows work on more than one CPU), and identifying keys."""
+    operation and their ratio to its wall seconds, the CPUs the run could
+    use (CPU time above wall time shows work on more than one CPU), and
+    identifying keys."""
     untraced = [i for i, traced in enumerate(record["op_traced"])
                 if not traced]
     fastest = min(untraced, key=record["op_s"].__getitem__)
@@ -86,6 +90,7 @@ def run_entry(result, record):
         "op_s_min": record["op_s_min"],
         "ref_s_min": min(record["ref_s"]),
         "op_cpu_s_at_min": record["op_cpu_s"][fastest],
+        "cpu_per_wall": record["op_cpu_s"][fastest] / record["op_s_min"],
         "cpus_usable": environment.get("cpus_usable"),
         "actor_sha256": record.get("actor_sha256"),
         "heldout_F": record.get("heldout_F"),

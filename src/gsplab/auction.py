@@ -4,8 +4,10 @@ Candidate ranking, top-K allocation, and payment computation for GSP,
 uGSP, fixed nonlinear scores, and the learned bid-multiplier mechanism.
 There is one engine, on (R, N) arrays of rounds x candidates: a
 mechanism's ``score_batch``, then ``allocate_batch`` and ``price_batch``;
-a single auction is one row.  Every rank score is expressed in
-affine-in-bid form
+a single auction is one row.  ``allocate_batch`` ranks every row by score
+with one argsort and ranks again, by (score, bid, column), only the rows
+whose scores tie, are signed zeros or are NaN.  Every rank score is
+expressed in affine-in-bid form
 
     r = bid * multiplier + offset
 
@@ -175,8 +177,17 @@ def allocate_batch(scores, bids):
     Returns an (R, N) array of candidate indices, best first.  Ties break
     by higher bid, then by lower column index: lexsort is stable, so equal
     (score, bid) pairs keep their column order.
+
+    Each row is ranked by score alone first.  A row whose sorted scores
+    strictly decrease has only that order; the others, with tied scores,
+    ±0 or NaN, are ranked again by the (score, bid, column) lexsort.
     """
-    return np.lexsort((-bids, -scores))
+    order = np.argsort(-scores, axis=-1)
+    ranked = np.take_along_axis(scores, order, axis=-1)
+    tied = ~np.all(ranked[:, :-1] > ranked[:, 1:], axis=-1)
+    if tied.any():
+        order[tied] = np.lexsort((-bids[tied], -scores[tied]))
+    return order
 
 
 def ranks_before(score_a, bid_a, col_a, score_b, bid_b, col_b):

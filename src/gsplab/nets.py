@@ -26,9 +26,13 @@ fork.  A group copies each block's raw columns into one input buffer,
 standardizes it in one subtract and one divide against the statistics
 tiled over its rows, and runs ``Mlp.predict`` through one buffer per
 layer, all sized for its largest block, into the block's slice of one
-preallocated output, so no full-size array is built: the actor reads
-sampled rounds' compact ``Features`` in place, the static columns from
-their pattern tiled once per call and the user's gathered per round.
+preallocated output, so no full-size array is built.  ``predict`` adds
+each layer's bias from a flat copy repeated over ``BIAS_ROWS`` rows, made
+once per call and shared by every group, to whole groups of that many
+rows at a time: a bias broadcast over each row would take one short loop
+per row.  A call of shorter blocks adds the bias row by row.  The actor
+reads sampled rounds' compact ``Features`` in place, the static columns
+from their pattern tiled once per call and the user's gathered per round.
 The calling thread's buffers come from the heap, where the next call
 reuses them; a worker's are memory mappings of its own
 (``_mapped_array``, see below), unmapped at the call's end, since the
@@ -86,6 +90,11 @@ _ACT_BY_ID = {v: k for k, v in _ACT_NAMES.items()}
 # threads that run one call's blocks (see the module docstring)
 PREDICT_ROWS = 1024
 PREDICT_THREADS = 2
+# the rows over which a _NormalizedNet._predict call of blocks at least
+# this long repeats each layer's bias, so that Mlp.predict adds it to that
+# many rows per step; a shorter call adds it row by row, as copying it
+# would cost more than it saves
+BIAS_ROWS = 128
 
 
 class NanGradientError(FloatingPointError):
@@ -277,17 +286,33 @@ class Mlp:
             raise ValueError("flat parameter vector has wrong length")
         self.flat[...] = flat
 
-    def predict(self, U, bufs=None):
+    def tiled_biases(self, rows):
+        """Each layer's bias repeated ``rows`` times in one flat array,
+        which predict adds to that many rows of the layer's product at a
+        time; the net's own ``biases`` are the one-row case."""
+        return [b[None].repeat(rows, axis=0).ravel() for b in self.biases]
+
+    def predict(self, U, bufs=None, biases=None):
         """U: (B, n_in) -> output (B, n_out); the values only, in one pass
         over all rows.  With bufs, one array per layer of at least B rows
         and the layer's width, each layer's product is written into its
         buffer's first B rows in place of a new array (an identity
-        output is then a view of the last buffer)."""
+        output is then a view of the last buffer).  biases, if given, are
+        the layers' biases as tiled_biases repeats them; by default the
+        net's own, one row each."""
         A = np.asarray(U, dtype=float)
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+        biases = self.biases if biases is None else biases
+        for layer, (w, b) in enumerate(zip(self.weights, biases)):
             Z = np.matmul(A, w.T, out=None if bufs is None
                           else bufs[layer][:len(A)])
-            Z += b
+            # b to each whole group of its rows as one flat add (Z is
+            # contiguous, so the reshapes are views), then to the rest
+            rest = len(Z) % (b.size // len(w))
+            groups = (Z[:len(Z) - rest] if rest else Z).reshape(-1, b.size)
+            groups += b
+            if rest:
+                tail = Z[len(Z) - rest:].reshape(-1)
+                tail += b[:tail.size]
             A = (np.tanh(Z, out=Z) if layer < self.n_layers - 1
                  else _OUTPUTS[self.output][0](Z))
         return A
@@ -542,8 +567,9 @@ class _NormalizedNet:
 
         The remainder joins the last block, so no block is short unless
         the whole batch is: BLAS may round a few-row product unlike a long
-        one.  The workers run no traced code, so a tracer's span stack
-        sees only the calling thread.
+        one.  A call of one block runs it on the calling thread without
+        asking for a thread count.  The workers run no traced code, so a
+        tracer's span stack sees only the calling thread.
         """
         cols = self._columns(*raw)
         n_rows = len(cols[0])
@@ -554,6 +580,8 @@ class _NormalizedNet:
         # made once for the largest block and only read by every group
         largest = max(stop - start for start, stop in blocks)
         tiled = self.norm.tiled(largest)
+        biases = (self.net.tiled_biases(BIAS_ROWS) if largest >= BIAS_ROWS
+                  else self.net.biases)
         readers = [_row_reader(c, largest) for c in cols]
 
         def run(group, mapped=False):
@@ -564,9 +592,10 @@ class _NormalizedNet:
                 rows = self.norm.transform(
                     *[read(start, stop) for read in readers],
                     out=U[:stop - start], tiled=tiled)
-                out[start:stop] = self.net.predict(rows, bufs)[:, 0]
+                out[start:stop] = self.net.predict(rows, bufs, biases)[:, 0]
 
-        n_groups = min(len(blocks), _predict_threads())
+        n_groups = (1 if len(blocks) == 1
+                    else min(len(blocks), _predict_threads()))
         groups = [blocks[i * len(blocks) // n_groups:
                          (i + 1) * len(blocks) // n_groups]
                   for i in range(n_groups)]
@@ -576,7 +605,8 @@ class _NormalizedNet:
             run(groups[0])
         finally:
             # no worker may still write into out once this call has ended
-            concurrent.futures.wait(futures)
+            if futures:
+                concurrent.futures.wait(futures)
         for future in futures:
             future.result()
         return out

@@ -102,6 +102,28 @@ def test_allocate_equals_the_order_with_an_explicit_column_key(seed):
                           np.lexsort((cols, -bids, -scores)))
 
 
+@pytest.mark.parametrize("shape", [(2_000, 8), (0, 8), (5, 1), (1, 8)],
+                         ids=["planted-ties", "no-rows", "one-column",
+                              "one-row"])
+def test_allocate_equals_the_three_key_sort_on_continuous_scores(shape):
+    # continuous scores leave almost every row strictly ordered, which one
+    # argsort ranks; the planted rows tie, hold signed zeros or NaN and
+    # are ranked again
+    rng = np.random.default_rng(shape[0])
+    scores = rng.uniform(0.0, 1.0, shape)
+    bids = rng.uniform(0.0, 1.0, shape)
+    if shape == (2_000, 8):
+        scores[0, [2, 5, 7]] = scores[0, 1]         # tied scores
+        bids[0, [5, 7]] = bids[0, 2]                # and tied bids
+        scores[1, [3, 6]] = [0.0, -0.0]             # equal signed zeros
+        scores[2, 4] = scores[3, [0, 5]] = np.nan
+        scores[4] = 0.5                             # one score, any bids
+    cols = np.broadcast_to(np.arange(shape[1]), shape)
+    order = allocate_batch(scores, bids)
+    assert order.shape == shape
+    assert np.array_equal(order, np.lexsort((cols, -bids, -scores)))
+
+
 class _FixedActor:
     def multiplier_batch(self, bids, feats):
         return np.full(np.shape(bids), 0.5)

@@ -14,6 +14,7 @@ import pytest
 from gsplab import nets
 from gsplab.auction import FEATURE_DIM, DeepGspMechanism
 from gsplab.nets import (
+    BIAS_ROWS,
     CHECKPOINT_MAGIC,
     PREDICT_ROWS,
     Adam,
@@ -327,6 +328,42 @@ def test_inference_blocks_equal_one_unblocked_pass(predict_pool, kind, rows):
     assert np.array_equal(Y, _ReferenceMlp(model.net).predict(U)[:, 0])
 
 
+@pytest.mark.parametrize("kind", ["actor", "critic"])
+@pytest.mark.parametrize("rows", [
+    0, 1, BIAS_ROWS - 1, BIAS_ROWS, BIAS_ROWS + 1, PREDICT_ROWS,
+    2 * PREDICT_ROWS - 1])
+def test_repeated_biases_add_as_one_broadcast_bias(kind, rows):
+    # predict adds each bias to whole groups of as many rows as its copy
+    # has, then to the rest; inference repeats it over BIAS_ROWS rows where
+    # its blocks have as many, and otherwise, on no rows too, adds the
+    # one-row bias
+    rng = np.random.default_rng(rows + 31)
+    model = _fitted_model(kind, rng)
+    raw, U = _raw_inputs(model, rng, rows)
+    want = _ReferenceMlp(model.net).predict(U)
+    biases = model.net.tiled_biases(BIAS_ROWS)
+    assert np.array_equal(model.net.predict(U, None, biases), want)
+    infer = model.multiplier_batch if kind == "actor" else model.q_batch
+    Y = infer(*raw)
+    assert Y.shape == (rows,)
+    assert np.array_equal(Y, want[:, 0])
+
+
+def test_one_block_call_asks_for_no_threads(monkeypatch):
+    # a call of one block runs on the calling thread: it neither counts
+    # the threads it could use nor waits on futures it never submitted
+    def unused(*args):
+        raise AssertionError("a one-block call took the threaded path")
+
+    rng = np.random.default_rng(32)
+    model = _fitted_model("actor", rng)
+    raw, U = _raw_inputs(model, rng, 2 * PREDICT_ROWS - 1)
+    monkeypatch.setattr(nets, "_predict_threads", unused)
+    monkeypatch.setattr(concurrent.futures, "wait", unused)
+    assert np.array_equal(model.multiplier_batch(*raw),
+                          _ReferenceMlp(model.net).predict(U)[:, 0])
+
+
 @pytest.mark.parametrize("predict_pool", ["threads", "one thread"],
                          indirect=True)
 @pytest.mark.parametrize("n_advertisers", [8, 7])
@@ -380,10 +417,10 @@ def test_worker_exception_reaches_the_caller(predict_threads):
     raw, _ = _raw_inputs(model, rng, 3 * PREDICT_ROWS)
     predict = model.net.predict
 
-    def failing_workers(U, bufs=None):
+    def failing_workers(U, *args):
         if threading.current_thread() is not threading.main_thread():
             raise FloatingPointError("worker block failed")
-        return predict(U, bufs)
+        return predict(U, *args)
 
     model.net.predict = failing_workers
     with pytest.raises(FloatingPointError, match="worker block failed"):
@@ -398,11 +435,11 @@ def test_failing_caller_block_waits_for_the_workers(predict_threads):
     raw, _ = _raw_inputs(model, rng, 3 * PREDICT_ROWS)
     predict, finished = model.net.predict, []
 
-    def slow_workers(U, bufs=None):
+    def slow_workers(U, *args):
         if threading.current_thread() is threading.main_thread():
             raise FloatingPointError("caller block failed")
         time.sleep(0.2)
-        Y = predict(U, bufs)
+        Y = predict(U, *args)
         finished.append(len(U))
         return Y
 

@@ -92,6 +92,7 @@ def test_bench_pairs_keeps_both_factors_of_the_ratio():
                                                 / entry["ref_s_min"])
     # the fastest operation's CPU time, above its wall time on two CPUs
     assert entry["op_cpu_s_at_min"] == 0.31
+    assert entry["cpu_per_wall"] == 0.31 / 0.173
     assert entry["cpus_usable"] == 2
 
 
@@ -198,11 +199,37 @@ def test_bench_pairs_summarizes_both_factors_of_the_ratio():
         {"median": 500_000, "q1": 480_000, "q3": 520_000})
     assert factors["sys_s"]["change"]["median"] == 1.1
     # runs without the rusage counts (as run_entry alone makes them) still
-    # give the ratio's two factors
+    # give the ratio's two factors and the CPU per wall second
     for run in runs:
         del run["minor_faults"], run["sys_s"]
     factors = module.summarize(runs, specs["end_to_end"])["train"]["factors"]
-    assert list(factors) == ["op_s_min", "ref_s_min"]
+    assert list(factors) == ["op_s_min", "ref_s_min", "cpu_per_wall"]
+
+
+def test_bench_pairs_summarizes_cpu_per_wall_second():
+    # the fastest operation's CPU seconds over its wall seconds: 1 where
+    # inference ran on one CPU, above 1 where its worker overlapped the
+    # calling thread on a second one
+    module = _load("bench_pairs")
+    specs = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    # (pair, side, operation wall seconds, CPU seconds of each)
+    canned = [(0, "parent", (0.116, 0.112), (0.116, 0.112)),
+              (0, "change", (0.093, 0.090), (0.1247, 0.1206)),
+              (1, "parent", (0.113, 0.114), (0.113, 0.114)),
+              (1, "change", (0.091, 0.088), (0.1219, 0.1179))]
+    runs = []
+    for pair, side, op_s, op_cpu_s in canned:
+        entry = module.run_entry(*module.parse_run(_canned_stdout(
+            0.8, 99.0, op_s=op_s, op_cpu_s=op_cpu_s,
+            op_traced=(False, False))))
+        entry.update(workload="market", seed=7, pair=pair, side=side)
+        runs.append(entry)
+    assert runs[1]["cpu_per_wall"] == 0.1206 / 0.090
+    cpu_per_wall = module.summarize(
+        runs, specs["end_to_end"])["market"]["factors"]["cpu_per_wall"]
+    assert cpu_per_wall["parent"] == pytest.approx(
+        {"median": 1.0, "q1": 1.0, "q3": 1.0})
+    assert cpu_per_wall["change"]["median"] == pytest.approx(1.34, abs=0.001)
 
 
 def test_src_lines_counts_code_and_docstrings_per_module(tmp_path, capsys):
