@@ -19,7 +19,8 @@ change wins, and whether the medians differ by more than the
 interquartile range of the parent's runs, each side's total failed and
 attempted operations, and each side's median and quartiles of
 ``FACTORS``, so a change of ``op_ref_ratio`` shows whether the operation
-or the host reference moved.
+or the host reference moved, and a change of ``peak_rss_mb`` whether the
+two sides ran as many operations.
 """
 
 import argparse
@@ -34,8 +35,11 @@ SIDES = ("parent", "change")
 # per-run values whose quartiles each workload's summary holds per side:
 # the two factors of op_ref_ratio, the fastest operation's CPU seconds per
 # wall second (above 1 where the inference worker overlapped the calling
-# thread on another CPU), and the run's faults and system time
-FACTORS = ("op_s_min", "ref_s_min", "cpu_per_wall", "minor_faults", "sys_s")
+# thread on another CPU), the operations the run attempted (a run's peak
+# RSS climbs with its operation count, so a faster side reads a higher
+# peak), and the run's faults and system time
+FACTORS = ("op_s_min", "ref_s_min", "cpu_per_wall", "attempted",
+           "minor_faults", "sys_s")
 # pairs per workload and seed: the fewest that can back a claimed gain
 PAIRS = 10
 

@@ -5,9 +5,9 @@ uGSP, fixed nonlinear scores, and the learned bid-multiplier mechanism.
 There is one engine, on (R, N) arrays of rounds x candidates: a
 mechanism's ``score_batch``, then ``allocate_batch`` and ``price_batch``;
 a single auction is one row.  ``allocate_batch`` ranks every row by score
-with one argsort and ranks again, by (score, bid, column), only the rows
-whose scores tie, are signed zeros or are NaN.  Every rank score is
-expressed in affine-in-bid form
+with one argsort, builds no (R, N) float temporary, and ranks again, by
+(score, bid, column), only the rows whose scores tie, are signed zeros or
+are NaN.  Every rank score is expressed in affine-in-bid form
 
     r = bid * multiplier + offset
 
@@ -178,13 +178,20 @@ def allocate_batch(scores, bids):
     by higher bid, then by lower column index: lexsort is stable, so equal
     (score, bid) pairs keep their column order.
 
-    Each row is ranked by score alone first.  A row whose sorted scores
+    Each row is ranked by score alone first, with one ascending argsort
+    read backwards, and checked one pair of adjacent ranks at a time, so
+    no (R, N) float temporary is built.  A row whose ranked scores
     strictly decrease has only that order; the others, with tied scores,
     ±0 or NaN, are ranked again by the (score, bid, column) lexsort.
     """
-    order = np.argsort(-scores, axis=-1)
-    ranked = np.take_along_axis(scores, order, axis=-1)
-    tied = ~np.all(ranked[:, :-1] > ranked[:, 1:], axis=-1)
+    order = np.argsort(scores, axis=-1)[:, ::-1]
+    rows = np.arange(scores.shape[0])
+    tied = np.zeros(scores.shape[0], dtype=bool)
+    ranked = (scores[rows, col] for col in order.T)
+    above = next(ranked, None)
+    for below in ranked:
+        tied |= ~(above > below)
+        above = below
     if tied.any():
         order[tied] = np.lexsort((-bids[tied], -scores[tied]))
     return order

@@ -226,20 +226,30 @@ class World:
         """Run the mechanism on sampled rounds and realize feedback.
 
         Returns settle's dict: per-advertiser utilities and win counts,
-        the allocation arrays and the (R, K) feedback arrays.
+        the (R, K) winners and the (R, K) feedback arrays.  The scores,
+        multipliers, offsets and full ranking are dropped once the
+        winners are priced: a round's outcome depends only on its top
+        K + 1 ranks.
         """
         scores, pi, off = mechanism.score_batch(rounds.bids, rounds.feats)
         order = allocate_batch(scores, rounds.bids)
         prices = price_batch(order, scores, pi, off, self.slots)
-        return self.settle(rounds, order, prices, rng)
+        winners = order[:, :self.slots].copy()
+        del scores, pi, off, order
+        return self.settle(rounds, winners, prices, rng)
 
     def settle(self, rounds, order, prices, rng):
         """Realize feedback for a precomputed allocation and aggregate.
 
-        Returns ``utility`` and ``wins`` per advertiser, ``order``, and the
-        (R, K) ``clicks``, ``carts``, ``orders``, ``prices`` and ``gmv``.
+        ``order`` holds each round's winners, best first, in its first K
+        columns: the (R, K) winners or a wider allocation order.  Returns
+        ``utility`` and ``wins`` per advertiser, ``order``, the (R, K)
+        winners (``order`` itself when it is K wide, else a copy that
+        keeps no full ranking alive), and the (R, K) ``clicks``,
+        ``carts``, ``orders``, ``prices`` and ``gmv``.
         """
-        winners = order[:, :self.slots]
+        winners = (order if order.shape[1] == self.slots
+                   else order[:, :self.slots].copy())
         clicks, carts, orders_ = self.realize_batch(winners, rng)
         rows = np.arange(rounds.n_rounds)[:, None]
         win_values = rounds.bids[rows, winners]
@@ -251,7 +261,7 @@ class World:
         np.add.at(wins, winners.ravel(), 1)
         return {
             "utility": utility, "wins": wins,
-            "order": order, "prices": prices,
+            "order": winners, "prices": prices,
             "clicks": clicks, "carts": carts, "orders": orders_, "gmv": gmv,
         }
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,26 @@ def test_allocate_equals_the_three_key_sort_on_continuous_scores(shape):
     order = allocate_batch(scores, bids)
     assert order.shape == shape
     assert np.array_equal(order, np.lexsort((cols, -bids, -scores)))
+
+
+def test_allocate_builds_no_full_size_float_temporary():
+    # the order itself is one (R, N) int64 array; the ranking builds no
+    # (R, N) float array beside it (no negated scores, no gathered ranks),
+    # planted ties included
+    rng = np.random.default_rng(11)
+    scores = rng.uniform(0.0, 1.0, (20_000, 8))
+    bids = rng.uniform(0.0, 1.0, scores.shape)
+    scores[0, [2, 5]] = scores[0, 1]
+    scores[1, 3] = np.nan
+    tracemalloc.start()
+    try:
+        order = allocate_batch(scores, bids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cols = np.broadcast_to(np.arange(8), scores.shape)
+    assert np.array_equal(order, np.lexsort((cols, -bids, -scores)))
+    assert peak < order.nbytes + scores.nbytes
 
 
 class _FixedActor:

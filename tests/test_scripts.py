@@ -118,6 +118,13 @@ def test_bench_pairs_totals_failed_operations_per_side():
         "parent": {"failed": 0, "attempted": 3},
         "change": {"failed": 0, "attempted": 4}}
     assert summary["train"]["op_ref_ratio"]["pairs"] == 1
+    # each side's operation counts per run, beside its peak RSS
+    attempted = summary["audit"]["factors"]["attempted"]
+    assert attempted["parent"] == {"median": 40.5, "q1": 40.25, "q3": 40.75}
+    assert attempted["change"] == {"median": 51.0, "q1": 50.5, "q3": 51.5}
+    assert summary["train"]["factors"]["attempted"] == {
+        "parent": {"median": 3, "q1": 3, "q3": 3},
+        "change": {"median": 4, "q1": 4, "q3": 4}}
 
 
 def test_bench_pairs_skips_unpaired_runs():
@@ -199,11 +206,13 @@ def test_bench_pairs_summarizes_both_factors_of_the_ratio():
         {"median": 500_000, "q1": 480_000, "q3": 520_000})
     assert factors["sys_s"]["change"]["median"] == 1.1
     # runs without the rusage counts (as run_entry alone makes them) still
-    # give the ratio's two factors and the CPU per wall second
+    # give the ratio's two factors, the CPU per wall second and the
+    # operation count
     for run in runs:
         del run["minor_faults"], run["sys_s"]
     factors = module.summarize(runs, specs["end_to_end"])["train"]["factors"]
-    assert list(factors) == ["op_s_min", "ref_s_min", "cpu_per_wall"]
+    assert list(factors) == ["op_s_min", "ref_s_min", "cpu_per_wall",
+                             "attempted"]
 
 
 def test_bench_pairs_summarizes_cpu_per_wall_second():

@@ -19,6 +19,7 @@ from gsplab.auction import (
     FixedScoreMechanism,
     GspMechanism,
     UgspMechanism,
+    price_batch,
 )
 from gsplab.nets import BidMultiplierNet
 from gsplab.simulator import (
@@ -144,7 +145,9 @@ def _fitted_actor(world, rng):
 @pytest.mark.parametrize("deep", [False, True], ids=["gsp", "deepgsp"])
 def test_a_market_episode_keeps_less_than_its_dense_features(deep):
     # a 20,000-round episode's dense (R, N, FEATURE_DIM) features alone
-    # take 8.96 MB; its rounds and played arrays together keep less
+    # take 8.96 MB; it keeps its rounds and the (R, K) played arrays
+    # (winners, prices and gmv of 8 bytes an entry, clicks, carts and
+    # orders of 1), and no (R, N) ranking
     world = World(WorldConfig(calibration_rounds=10, seed=3))
     rng = np.random.default_rng(8)
     mechanism = (DeepGspMechanism(_fitted_actor(world, rng)) if deep
@@ -157,8 +160,58 @@ def test_a_market_episode_keeps_less_than_its_dense_features(deep):
         live = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert played["order"].shape == rounds.bids.shape
+    assert played["order"].shape == (n_rounds, world.slots)
+    assert played["order"].flags.owndata
     assert live < 8 * n_rounds * world.n_advertisers * FEATURE_DIM
+    rounds_bytes = (rounds.bids.nbytes + rounds.feats.rates.nbytes
+                    + rounds.feats.user.nbytes)
+    assert live < rounds_bytes + n_rounds * world.slots * (3 * 8 + 3) + 2**18
+
+
+@pytest.mark.parametrize("deep", [False, True], ids=["gsp", "deepgsp"])
+def test_an_episode_drops_its_scores_and_ranking_before_it_settles(deep):
+    # play peaks while pricing: the (R, N) scores, multipliers and ranking,
+    # the (R, K) prices and pricing's (R,) gathers, about four (R, N) float
+    # arrays; settling with them still alive would peak above five
+    world = World(WorldConfig(calibration_rounds=10, seed=3))
+    rng = np.random.default_rng(8)
+    mechanism = (DeepGspMechanism(_fitted_actor(world, rng)) if deep
+                 else GspMechanism(1.0))
+    rounds = world.sample_rounds(20_000, rng)
+    tracemalloc.start()
+    try:
+        world.play(rounds, mechanism, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * rounds.bids.nbytes
+
+
+@pytest.mark.parametrize("n_rounds", [1, 127, 20_000])
+@pytest.mark.parametrize("mechanism", [
+    GspMechanism(1.0), UgspMechanism((1.0, 0.5, 0.2)), FixedScoreMechanism(),
+    "deepgsp"], ids=["gsp", "ugsp", "fixed", "deepgsp"])
+def test_an_episode_equals_settling_the_full_three_key_order(
+        small_world, mechanism, n_rounds):
+    # the reference ranks whole rows by (score, bid, column), prices them
+    # and settles that full order from the same generator state
+    rng = np.random.default_rng(n_rounds)
+    if mechanism == "deepgsp":
+        mechanism = DeepGspMechanism(_fitted_actor(small_world, rng))
+    rounds = small_world.sample_rounds(n_rounds, rng)
+    state = rng.bit_generator.state
+    played = small_world.play(rounds, mechanism, rng)
+    rng.bit_generator.state = state
+    scores, pi, off = mechanism.score_batch(rounds.bids, rounds.feats)
+    cols = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
+    order = np.lexsort((cols, -rounds.bids, -scores))
+    prices = price_batch(order, scores, pi, off, small_world.slots)
+    reference = small_world.settle(rounds, order, prices, rng)
+    winners = order[:, :small_world.slots]
+    assert np.array_equal(played["order"][:, :small_world.slots], winners)
+    for key in ("prices", "utility", "wins", "clicks", "carts", "orders",
+                "gmv"):
+        assert np.array_equal(played[key], reference[key]), key
 
 
 @pytest.mark.parametrize("mechanism", [
@@ -336,6 +389,7 @@ def _settle_one(ctr, value, ppc):
     played = world.settle(rounds, np.array([[0, 1]]), np.array([[ppc]]),
                           np.random.default_rng(0))
     assert played["wins"].tolist() == [1, 0]
+    assert played["order"].tolist() == [[0]]
     return played["utility"]
 
 
