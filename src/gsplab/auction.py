@@ -12,10 +12,13 @@ are NaN.  Every rank score is expressed in affine-in-bid form
     r = bid * multiplier + offset
 
 so that the second-price payment r_next -> critical bid is a single
-division.  Pure multiplier mechanisms (GSP, learned) have offset 0, which
+division.  Pure multiplier mechanisms (GSP) have offset 0, which
 recovers the approximate inverse payment p = r_next / pi.  uGSP carries
 its bid-independent utility terms in the offset, which makes the
-division-based price equal to the exact critical bid.
+division-based price equal to the exact critical bid.  GSP and uGSP give
+their bid-independent (multiplier, offset) terms alone through
+``terms``; the learned mechanism scales its base mechanism's multiplier
+and keeps the base's offset.
 
 An exact critical-bid oracle (bisection on any monotone score function,
 all winners at once) is provided for payment-error audits.
@@ -114,9 +117,14 @@ class GspMechanism:
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError("sigma must be finite and >= 0")
 
-    def score_batch(self, bids, feats):
+    def terms(self, feats):
+        """(multipliers, offsets): the bid-independent terms of the score."""
         pi = feats[..., F_PCTR] ** self.sigma
-        return bids * pi, pi, np.broadcast_to(0.0, pi.shape)
+        return pi, np.broadcast_to(0.0, pi.shape)
+
+    def score_batch(self, bids, feats):
+        pi, offset = self.terms(feats)
+        return bids * pi, pi, offset
 
 
 @dataclass(frozen=True)
@@ -130,10 +138,15 @@ class UgspMechanism:
                 or not all(0.0 <= x < math.inf for x in self.lambdas)):
             raise ValueError("lambdas must be three finite reals >= 0")
 
-    def score_batch(self, bids, feats):
+    def terms(self, feats):
+        """(multipliers, offsets): the bid-independent terms of the score."""
         l1, l2, l3 = self.lambdas
-        pi = l1 * feats[..., F_PCTR]
-        offset = l2 * feats[..., F_PCTR] + l3 * feats[..., F_PCVR]
+        offset = l2 * feats[..., F_PCTR]
+        offset += l3 * feats[..., F_PCVR]
+        return l1 * feats[..., F_PCTR], offset
+
+    def score_batch(self, bids, feats):
+        pi, offset = self.terms(feats)
         return bids * pi + offset, pi, offset
 
 
@@ -156,15 +169,19 @@ class FixedScoreMechanism:
 
 @dataclass(frozen=True)
 class DeepGspMechanism:
-    """Learned bid multiplier: r = b * pi_net(b, x)."""
+    """Learned rank score r = b * pi(b, x) + o(x): the actor's multiplier
+    on its base mechanism's, and the base's offsets (see
+    ``gsplab.nets.BidMultiplierNet``)."""
 
     actor: object  # gsplab.nets.BidMultiplierNet
 
     def score_batch(self, bids, feats):
         # the features go as they are, compact ``Features`` included
-        pi = self.actor.multiplier_batch(bids.reshape(-1), feats)
-        pi = pi.reshape(bids.shape)
-        return bids * pi, pi, np.broadcast_to(0.0, pi.shape)
+        pi, offset = (a.reshape(bids.shape) for a in
+                      self.actor.multiplier_batch(bids.reshape(-1), feats))
+        scores = bids * pi
+        scores += offset
+        return scores, pi, offset
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,8 @@ def monotonicity_metric(actor, states, config=AuditConfig()):
 
     ``states`` is an iterable of (bid, features); the grid spans
     [BID_LO*bid, BID_HI*bid] with BID_GRID uniform points.  Every state's
-    grid is scored in one multiplier_batch call and ranked in one pass.
+    grid is scored, r = b * pi + o, in one multiplier_batch call and
+    ranked in one pass.
     """
     states = list(states)
     if not states:
@@ -125,8 +126,9 @@ def monotonicity_metric(actor, states, config=AuditConfig()):
     grid = np.linspace(BID_LO * b, BID_HI * b, BID_GRID, axis=1)
     feats = np.repeat([np.asarray(x, dtype=float) for _, x in states],
                       BID_GRID, axis=0)
-    pi = actor.multiplier_batch(grid.ravel(), feats).reshape(grid.shape)
-    rhos, constant = _spearman_rows(grid, grid * pi)
+    pi, offsets = (a.reshape(grid.shape)
+                   for a in actor.multiplier_batch(grid.ravel(), feats))
+    rhos, constant = _spearman_rows(grid, grid * pi + offsets)
     rhos = rhos[~constant]
     t_m = float(np.mean(rhos)) if rhos.size else float("nan")
     return MonotonicityResult(t_m=t_m, n_states=rhos.size,

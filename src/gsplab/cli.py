@@ -156,9 +156,11 @@ def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _model_echo(path):
-    """The echoed identity of a --model actor: its path and file sha256."""
-    return {"model": path, "model_sha256": _sha256(path)}
+def _model_echo(path, actor):
+    """The echoed identity of a --model actor: its path, file sha256 and
+    base mechanism."""
+    return {"model": path, "model_sha256": _sha256(path),
+            "model_base": actor.base}
 
 
 def _write_manifest(out_dir):
@@ -258,6 +260,8 @@ def cmd_train(args):
     result.critic.save(out / "critic.ckpt")
     write_report_csv(out / "report.csv", result.report)
     save_world_config(world_cfg, out / "world.ini")
+    print(f"selected baseline = {result.actor.base}")
+    print(f"selected iteration = {result.selected_iter}")
     print(f"final objective F = {result.final_objective:.6f}")
     _write_manifest(out)
     return EXIT_OK
@@ -293,7 +297,8 @@ def _mechanism_from_args(args):
 def cmd_evaluate(args):
     world_cfg, train_cfg, _ = _load_spec(args.config, args.seed)
     mech = _mechanism_from_args(args)
-    shown = _model_echo(args.model) if args.model else {"mechanism": mech}
+    shown = (_model_echo(args.model, mech.actor) if args.model
+             else {"mechanism": mech})
     _echo_config("evaluate", world_cfg, train_cfg,
                  {**shown, "seed": train_cfg.seed})
     world = _build_world(world_cfg)
@@ -448,7 +453,7 @@ def cmd_audit(args):
     actor = _load_actor(args.model)
     out = _out_dir(args)
     _echo_config("audit", world_cfg, train_cfg,
-                 {**_model_echo(args.model), "seed": train_cfg.seed})
+                 {**_model_echo(args.model, actor), "seed": train_cfg.seed})
     world = _build_world(world_cfg)
     cfg = AuditConfig(seed=train_cfg.seed)
     mech = DeepGspMechanism(actor)

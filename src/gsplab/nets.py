@@ -1,12 +1,15 @@
 """Small feed-forward networks with explicit gradients.
 
-The learned pieces of the auction: a bid-multiplier actor (softplus
-output, strictly positive) and a critic (identity output).  Everything is
-plain numpy with hand-rolled backprop.  Beyond ordinary parameter
-gradients, the actor exposes the derivative of its output with respect to
-the *unnormalized* bid input (needed by the monotonicity penalty and its
-parameter gradient), implemented as a forward-mode tangent pass plus a
-reverse pass over the combined graph.
+The learned pieces of the auction: a bid-multiplier actor and a critic,
+each an Mlp with an identity output.  The actor is residual on a base
+mechanism, a GSP or uGSP: its multiplier is the base's times exp of the
+net's output, and its rank score keeps the base's offset (see
+``BidMultiplierNet``).  Everything is plain numpy with hand-rolled
+backprop.  Beyond ordinary parameter gradients, the actor exposes the
+derivative of its multiplier with respect to the *unnormalized* bid input
+(needed by the monotonicity penalty and its parameter gradient),
+implemented as a forward-mode tangent pass plus a reverse pass over the
+combined graph.
 
 Each ``Mlp`` has tanh hidden layers and keeps its parameters in one flat
 vector, ``flat``, that ``weights`` and ``biases`` view; its gradient
@@ -61,9 +64,11 @@ their gradient passes' rows standardized (``inputs``, ``grad_inputs``),
 so a trainer builds them once per batch.
 
 Checkpoints are a self-describing little-endian binary format (magic
-string, version, architecture dims, hidden and output activation ids,
-normalization stats, row-major float64 parameter blocks).  A file whose
-hidden id is not tanh's, or with a layer size below 1, is refused.
+string, version, architecture dims, hidden and output activation ids, an
+actor's base mechanism, normalization stats, row-major float64 parameter
+blocks).  A file of another version, whose hidden id is not tanh's, with
+a layer size below 1, or whose base is of an unknown kind or has a
+parameter that is not finite and >= 0, is refused.
 """
 
 from __future__ import annotations
@@ -78,13 +83,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gsplab.auction import Features
+from gsplab.auction import Features, GspMechanism, UgspMechanism
 
 CHECKPOINT_MAGIC = b"GSPLAB-NET"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
-_ACT_NAMES = {"tanh": 0, "softplus": 1, "identity": 2}
+_ACT_NAMES = {"tanh": 0, "identity": 2}
 _ACT_BY_ID = {v: k for k, v in _ACT_NAMES.items()}
+
+# an actor checkpoint's base mechanism: kind id -> (the count of float64
+# parameters that follow the id, the mechanism made from their tuple):
+# GSP's sigma, uGSP's lambdas
+_BASE_KINDS = {0: (1, lambda params: GspMechanism(*params)),
+               1: (3, UgspMechanism)}
 
 # rows per inference block of _NormalizedNet._predict, and the most
 # threads that run one call's blocks (see the module docstring)
@@ -105,19 +116,6 @@ class UnfittedNormalizerError(RuntimeError):
     """Normalization statistics were never fitted."""
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _softplus(z):
-    return np.where(z > 30, z, np.log1p(np.exp(np.minimum(z, 30))))
-
-
 def _tanh_first(a, out):
     """1 - a^2, the derivative of tanh where it took the value a."""
     d1 = np.multiply(a, a, out=out)
@@ -135,7 +133,6 @@ def _tanh_second(a, d1, out):
 # the first derivative at z and second(d1) the second one, from the first
 # d1, so forward need not keep it; first and second return new arrays.
 _OUTPUTS = {
-    "softplus": (_softplus, _sigmoid, lambda d1: d1 * (1.0 - d1)),
     "identity": (lambda z: z, np.ones_like, np.zeros_like),
 }
 
@@ -531,18 +528,18 @@ class _NormalizedNet:
     """One-output Mlp over standardized inputs, with its checkpoint I/O.
 
     The actor and the critic differ only in the inputs they take besides
-    the features (their ``_columns``), the output activation and the
-    checkpoint kind tag.
+    the features (their ``_columns``), the checkpoint kind tag and the
+    actor's base mechanism, which its checkpoint stores.
     """
 
-    KIND = EXTRA_INPUTS = OUTPUT = None  # set by each subclass
+    KIND = EXTRA_INPUTS = None  # set by each subclass
+    base = None                 # the actor's base mechanism; a critic has none
 
     def __init__(self, feature_dim, hidden, rng=None):
         self.feature_dim = feature_dim
         self.input_dim = self.EXTRA_INPUTS + feature_dim
         self.norm = Normalizer(self.input_dim)
-        self.net = Mlp([self.input_dim, *hidden, 1], output=self.OUTPUT,
-                       rng=rng)
+        self.net = Mlp([self.input_dim, *hidden, 1], rng=rng)
 
     def _all_rows(self, *raw):
         """Every row of each raw input column block (see _row_reader)."""
@@ -622,6 +619,8 @@ class _NormalizedNet:
             fh.write(struct.pack(f"<{len(net.sizes)}I", *net.sizes))
             fh.write(struct.pack("<II", _ACT_NAMES["tanh"],
                                  _ACT_NAMES[net.output]))
+            if self.base is not None:
+                fh.write(_pack_base(self.base))
             self.norm.mean.astype("<f8").tofile(fh)
             self.norm.scale.astype("<f8").tofile(fh)
             fh.write(struct.pack("<Q", flat.size))
@@ -629,12 +628,13 @@ class _NormalizedNet:
 
     @classmethod
     def load(cls, path):
-        kind, sizes, hidden, output, mean, scale, flat = _load_checkpoint(path)
+        (kind, sizes, hidden, output, base, mean, scale,
+         flat) = _load_checkpoint(path)
         if kind != cls.KIND:
             raise ValueError(f"{path}: checkpoint kind {kind} is not a "
                              f"{cls.__name__}")
-        if sizes[-1] != 1 or output != cls.OUTPUT:
-            raise ValueError(f"{path}: a {cls.__name__} has one {cls.OUTPUT} "
+        if sizes[-1] != 1 or output != "identity":
+            raise ValueError(f"{path}: a {cls.__name__} has one identity "
                              f"output, not {sizes[-1]} {output}")
         if hidden != "tanh":
             raise ValueError(f"{path}: hidden activation {hidden}, not tanh")
@@ -644,53 +644,114 @@ class _NormalizedNet:
                              f"sizes {sizes} take {obj.net.flat.size}")
         obj.net.set_flat(flat)
         obj.norm.mean, obj.norm.scale = mean, scale
+        if base is not None:
+            obj.base = base
         return obj
 
 
+class GradRows(NamedTuple):
+    """A batch's rows for BidMultiplierNet.forward_with_grad, from
+    grad_inputs: each (B, input_dim) or (B,)."""
+
+    inputs: np.ndarray    # the standardized rows
+    tangent: np.ndarray   # the input tangent along the raw bid
+    base_pi: np.ndarray   # the base's multipliers
+    offsets: np.ndarray   # the base's offsets
+
+
 class BidMultiplierNet(_NormalizedNet):
-    """Actor pi(b, x) > 0: positive bid multiplier, rank score r = b * pi.
+    """Actor: the rank score r = b * pi(b, x) + o(x), residual on a base.
+
+    pi(b, x) = pi_base(x) * exp(g(b, x)) and o(x) = o_base(x), where g is
+    the Mlp and (pi_base, o_base) are the ``terms`` of ``base``, a
+    GspMechanism or UgspMechanism.  The default base, GSP(sigma=0), has
+    pi_base = 1 and no offset, so pi = exp(g).  With g's last layer zero,
+    pi = pi_base exactly (exp(0) = 1), and the actor scores as its base
+    bit for bit.
 
     Inputs are standardized with fitted statistics; the bid derivative is
     chain-ruled back through the normalization so callers always see
     d pi / d (raw bid).
     """
 
-    KIND, EXTRA_INPUTS, OUTPUT = 1, 1, "softplus"  # input: bid, features
+    KIND, EXTRA_INPUTS = 1, 1  # input: bid, features
+
+    def __init__(self, feature_dim, hidden, rng=None,
+                 base=GspMechanism(sigma=0.0)):
+        super().__init__(feature_dim, hidden, rng)
+        self.base = base
+
+    def _raw(self, bids, feats):
+        """(bids, feats) as a (B,) array and a (B, feature_dim) array, or
+        as given when feats are ``Features``."""
+        bids = np.asarray(bids, dtype=float).reshape(-1)
+        if not isinstance(feats, Features):
+            feats = np.asarray(feats, dtype=float).reshape(bids.size,
+                                                           self.feature_dim)
+        return bids, feats
 
     def _columns(self, bids, feats):
-        bids = np.asarray(bids, dtype=float).reshape(-1)
+        bids, feats = self._raw(bids, feats)
         if isinstance(feats, Features):
             # rates per row; the static columns cycle through the
             # advertisers and the user's is held for each round's
             return (bids, feats.rates.reshape(-1, feats.rates.shape[-1]),
                     _Cycle(feats.static),
                     _Held(feats.user, len(feats.static)))
-        feats = np.asarray(feats, dtype=float).reshape(bids.size, self.feature_dim)
         return bids, feats
 
     def multiplier_batch(self, bids, feats):
-        return self._predict(bids, feats)
+        """(pi, o) of each raw row, two (B,) arrays: the rank score is
+        b * pi + o.  The base's terms come from one call, and exp and the
+        product with pi_base are taken in place on the net's output."""
+        bids, feats = self._raw(bids, feats)
+        pi = self._predict(bids, feats)
+        base_pi, offsets = self.base.terms(feats)
+        np.exp(pi, out=pi)
+        pi *= base_pi.reshape(-1)
+        return pi, offsets.reshape(-1)
 
     def grad_inputs(self, bids, feats):
-        """(U, V) of a batch for forward_with_grad: its standardized rows
-        and the input tangent along the raw bid."""
+        """The GradRows of a raw batch for forward_with_grad: a trainer
+        builds them once for all the steps it takes on the batch."""
+        bids, feats = self._raw(bids, feats)
         U = self.inputs(bids, feats)
         V = np.zeros_like(U)
         V[:, 0] = 1.0 / self.norm.scale[0]
-        return U, V
+        base_pi, offsets = self.base.terms(feats)
+        return GradRows(U, V, base_pi.reshape(-1), offsets.reshape(-1))
 
-    def forward_with_grad(self, U, V):
-        """(pi, d pi/d bid, caches) for the rows (U, V) of grad_inputs;
-        the caches feed backward_jvp until the net's next forward."""
-        Y, cache = self.net.forward(U)
-        Ydot, jcache = self.net.jvp(cache, V)
-        return Y[:, 0], Ydot[:, 0], (cache, jcache)
+    def forward_with_grad(self, rows):
+        """(pi, d pi/d bid, caches) for the GradRows of grad_inputs; the
+        caches feed param_grad until the net's next forward, and hold pi
+        and d pi/d bid, which the caller must not change."""
+        Y, cache = self.net.forward(rows.inputs)
+        Ydot, jcache = self.net.jvp(cache, rows.tangent)
+        pi = np.exp(Y[:, 0])
+        pi *= rows.base_pi
+        dpi_db = pi * Ydot[:, 0]
+        return pi, dpi_db, (cache, jcache, pi, dpi_db)
+
+    def param_grad(self, caches, d_pi, d_dpi):
+        """Parameter gradient, in the layout of net.flat, of a loss whose
+        derivatives in pi and in d pi/d bid are d_pi and d_dpi per row,
+        from forward_with_grad's caches.
+
+        As pi = pi_base * exp(g) and d pi/d bid = pi * dg/db, the loss's
+        derivatives in g and dg/db, which backward_jvp takes, are
+        d_pi * pi + d_dpi * d pi/d bid and d_dpi * pi.
+        """
+        cache, jcache, pi, dpi_db = caches
+        dY = d_pi * pi + d_dpi * dpi_db
+        dYdot = d_dpi * pi
+        return self.net.backward_jvp(cache, jcache, dY[:, None],
+                                     dYdot[:, None])
 
 
 class CriticNet(_NormalizedNet):
     """Critic Q(s, a) over standardized (bid, features, action) input."""
 
-    KIND, EXTRA_INPUTS, OUTPUT = 2, 2, "identity"
+    KIND, EXTRA_INPUTS = 2, 2
 
     def _columns(self, states, actions):
         return (np.asarray(states, dtype=float),
@@ -720,8 +781,19 @@ class CriticNet(_NormalizedNet):
 # Checkpoint reading
 
 
+def _pack_base(base):
+    """An actor checkpoint's base section: the kind id of _BASE_KINDS, then
+    the base's parameters."""
+    if isinstance(base, GspMechanism):
+        kind, params = 0, (base.sigma,)
+    else:
+        kind, params = 1, base.lambdas
+    return struct.pack(f"<I{len(params)}d", kind, *params)
+
+
 def _load_checkpoint(path):
-    """(kind, sizes, hidden, output, mean, scale, flat) of a checkpoint.
+    """(kind, sizes, hidden, output, base, mean, scale, flat) of a
+    checkpoint; base is None unless it is an actor's.
 
     Raises ValueError naming the file when it is not a well-formed one.
     """
@@ -752,6 +824,18 @@ def _load_checkpoint(path):
     act_ids = struct.unpack("<II", read(8))
     if not set(act_ids) <= set(_ACT_BY_ID):
         raise ValueError(f"{path}: unknown activation id in {act_ids}")
+    base = None
+    if kind == BidMultiplierNet.KIND:
+        (base_kind,) = struct.unpack("<I", read(4))
+        if base_kind not in _BASE_KINDS:
+            raise ValueError(f"{path}: unknown base kind {base_kind}")
+        n_params, make = _BASE_KINDS[base_kind]
+        params = tuple(float(x) for x in floats(n_params))
+        try:
+            base = make(params)
+        except ValueError as exc:
+            raise ValueError(f"{path}: base kind {base_kind} parameters "
+                             f"{params}: {exc}") from exc
     mean = floats(sizes[0])
     scale = floats(sizes[0])
     (n_params,) = struct.unpack("<Q", read(8))
@@ -763,5 +847,5 @@ def _load_checkpoint(path):
             and (scale > 0).all()):
         raise ValueError(f"{path}: non-finite values or a normalizer scale "
                          f"<= 0")
-    return (kind, sizes, *(_ACT_BY_ID[i] for i in act_ids), mean, scale,
-            flat)
+    return (kind, sizes, *(_ACT_BY_ID[i] for i in act_ids), base, mean,
+            scale, flat)

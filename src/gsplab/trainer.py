@@ -1,11 +1,16 @@
 """Single-step actor-critic training of the rank-score policy.
 
-The problem is a one-shot decision per auction: the critic regresses the
-observed shaped reward directly (no bootstrapping, no target network),
-and the actor ascends the critic through the action.  Two penalties, the
-same in every training, regularize it: a hinge keeping the rank score
-monotone in the bid, and a bid-sensitivity term (weight KAPPA_PRICE)
-keeping the division-based payment near the exact critical bid.
+A training first selects the static GSP/uGSP baseline with the best
+penalized objective and makes it the actor's base with a zero residual,
+so iteration 0 scores as that baseline bit for bit (see
+``warm_start_actor``).  The problem is then a one-shot decision per
+auction: the critic regresses the observed shaped reward of the action,
+the rank score b * pi + o, directly (no bootstrapping, no target
+network), and the actor ascends the critic through the action.  Two
+penalties, the same in every training, regularize it: a hinge keeping
+the rank score monotone in the bid, and a bid-sensitivity term (weight
+KAPPA_PRICE) keeping the division-based payment near the exact critical
+bid.
 
 The loop's tuning values are module constants, not configuration: the
 exploration schedule (NOISE_STD decayed by NOISE_DECAY per iteration down
@@ -39,8 +44,7 @@ from gsplab.audit import monotonicity_metric
 from gsplab.nets import Adam, BidMultiplierNet, CriticNet
 from gsplab.simulator import check_bounds, raw_metrics, scalarize
 
-# weight of the bid-sensitivity penalty in actor_penalties, for the actor
-# update and the warm start alike
+# weight of the bid-sensitivity penalty in actor_penalties
 KAPPA_PRICE = 0.5
 
 # the actor-critic loop's tuning values (see the module docstring)
@@ -92,16 +96,17 @@ class Experience:
     """Flat arrays: one row per (round, candidate), winners and losers."""
 
     states: np.ndarray    # (M, 1 + feature_dim): raw bid then features
-    actions: np.ndarray   # (M,) realized rank scores
+    actions: np.ndarray   # (M,) realized rank scores b * pi + o
     rewards: np.ndarray   # (M,)
 
 
 @dataclass
 class TrainResult:
-    actor: BidMultiplierNet
+    actor: BidMultiplierNet    # its base is the selected baseline
     critic: CriticNet
     report: list               # per-evaluation dict rows
     final_objective: float
+    selected_iter: int         # the iteration of the returned actor
 
 
 def transition_penalty(config, ubar, u):
@@ -117,19 +122,20 @@ def collect_batch(world, actor, n_rounds, noise_std, rng, config, ubar):
     """Exploratory on-policy rollout of n_rounds auctions.
 
     Multipliers are perturbed multiplicatively in log space (keeps them
-    positive); every candidate of every round yields one experience with
-    the round's shared objective minus its advertiser's ST penalty.
+    positive), and the action is the rank score b * pi + o; every
+    candidate of every round yields one experience with the round's
+    shared objective minus its advertiser's ST penalty.
     """
     rounds = world.sample_rounds(n_rounds, rng)
     n = world.n_advertisers
     flat_bids = rounds.bids.reshape(-1)
     flat_feats = rounds.feats.reshape(-1, rounds.feats.shape[-1])
-    pi = actor.multiplier_batch(flat_bids, flat_feats)
-    pi = pi * np.exp(noise_std * rng.standard_normal(pi.shape))
-    pi = pi.reshape(rounds.bids.shape)
-    scores = rounds.bids * pi
+    pi, offsets = actor.multiplier_batch(flat_bids, flat_feats)
+    pi *= np.exp(noise_std * rng.standard_normal(pi.shape))
+    pi, offsets = (a.reshape(rounds.bids.shape) for a in (pi, offsets))
+    scores = rounds.bids * pi + offsets
     order = allocate_batch(scores, rounds.bids)
-    prices = price_batch(order, scores, pi, np.zeros_like(pi), world.slots)
+    prices = price_batch(order, scores, pi, offsets, world.slots)
     played = world.settle(rounds, order, prices, rng)
     F = scalarize(world.normalized(raw_metrics(played, per_round=True)),
                   config.weights)
@@ -194,11 +200,12 @@ def actor_penalties(bids, pi, dpi_db, gamma_mono, kappa_price):
     """The actor's regularizers and their derivatives in pi and dpi/db.
 
     gamma * mean(max(0, -(pi + b * dpi/db))) is a hinge on the bid slope
-    of the rank score r = b * pi, which keeps r monotone in the bid;
+    of the rank score r = b * pi + o, which keeps r monotone in the bid;
     kappa * mean((b * dpi/db / pi)^2) discourages bid-sensitive
     multipliers, for which the division-based payment diverges from the
-    exact critical bid.  Returns (loss, dY, dYdot): the derivatives per
-    row, to which a caller adds its own term's before backward_jvp.
+    exact critical bid.  The offset o(x) enters neither.  Returns (loss,
+    d_pi, d_dpi): the derivatives per row, to which a caller adds its own
+    term's before the actor's param_grad.
     """
     m = bids.size
     if m == 0:
@@ -207,26 +214,25 @@ def actor_penalties(bids, pi, dpi_db, gamma_mono, kappa_price):
     sens = bids * dpi_db / pi
     loss = gamma_mono * np.mean(hinge) + kappa_price * np.mean(sens**2)
     active = np.where(hinge > 0, gamma_mono / m, 0.0)
-    dY = -active - (2.0 * kappa_price / m) * sens**2 / pi
-    dYdot = -active * bids + (2.0 * kappa_price / m) * sens * bids / pi
-    return float(loss), dY, dYdot
+    d_pi = -active - (2.0 * kappa_price / m) * sens**2 / pi
+    d_dpi = -active * bids + (2.0 * kappa_price / m) * sens * bids / pi
+    return float(loss), d_pi, d_dpi
 
 
 def actor_update(experience, actor, critic, gamma_mono, optimizer):
-    """One step on mean(-Q(s, b * pi(s))) plus the actor_penalties.
+    """One step on mean(-Q(s, b * pi(s) + o(s))) plus the actor_penalties.
 
     The gradient flows through the action into the (frozen) critic.
     """
     bids = experience.states[:, 0]
-    feats = experience.states[:, 1:]
-    pi, dpi_db, (cache, jcache) = actor.forward_with_grad(
-        *actor.grad_inputs(bids, feats))
-    q, dq_da = critic.q_and_grad_action(experience.states, bids * pi)
-    loss, dY, dYdot = actor_penalties(bids, pi, dpi_db, gamma_mono,
-                                      KAPPA_PRICE)
-    dY -= dq_da * bids / bids.size
-    grad = actor.net.backward_jvp(cache, jcache, dY[:, None], dYdot[:, None])
-    optimizer.step(actor.net.flat, grad)
+    rows = actor.grad_inputs(bids, experience.states[:, 1:])
+    pi, dpi_db, caches = actor.forward_with_grad(rows)
+    q, dq_da = critic.q_and_grad_action(experience.states,
+                                        bids * pi + rows.offsets)
+    loss, d_pi, d_dpi = actor_penalties(bids, pi, dpi_db, gamma_mono,
+                                        KAPPA_PRICE)
+    d_pi -= dq_da * bids / bids.size
+    optimizer.step(actor.net.flat, actor.param_grad(caches, d_pi, d_dpi))
     return loss - float(np.mean(q))
 
 
@@ -238,7 +244,7 @@ def spot_monotonicity(actor, states):
 
 def _baseline_candidates(world):
     """GSP sigma grid plus uGSP grids scaled to the world's bid level."""
-    cands = [GspMechanism(sigma=s) for s in np.arange(0.5, 2.01, 0.25)]
+    cands = [GspMechanism(sigma=float(s)) for s in np.arange(0.5, 2.01, 0.25)]
     for c in (0.2, 0.5, 1.0, 2.0, 5.0):
         cands.append(UgspMechanism((1.0, c * world.bid_scale, 0.0)))
         cands.append(UgspMechanism((1.0, 0.0, c * world.bid_scale)))
@@ -253,42 +259,31 @@ def penalized_objective(world, mechanism, config, eval_seed, ubar):
     return metrics, f, f - float(np.mean(penalty))
 
 
-def warm_start_actor(actor, world, config, rng, eval_seed, ubar):
-    """Imitate the best static baseline before policy optimization.
+def warm_start_actor(actor, world, config, eval_seed, ubar):
+    """Start the actor at the best static baseline, exactly.
 
-    Picks the GSP/uGSP variant with the highest scalarized objective on a
-    held-out evaluation episode, then regresses log pi onto the
-    baseline's effective multiplier over sampled states.
+    Picks the GSP/uGSP variant with the highest penalized objective on the
+    evaluation episode (the first such on a tie), makes it the actor's
+    base and zeroes the last layer of its residual net, weights and bias,
+    so the actor scores as the baseline bit for bit.  Returns (baseline,
+    its penalized objective).
     """
     best_mech, best_f = None, -np.inf
     for mech in _baseline_candidates(world):
         _, _, f = penalized_objective(world, mech, config, eval_seed, ubar)
         if f > best_f:
             best_mech, best_f = mech, f
-    rounds = world.sample_rounds(40, rng)
-    bids = rounds.bids.reshape(-1)
-    feats = rounds.feats.reshape(-1, rounds.feats.shape[-1])
-    scores = best_mech.score_batch(bids, feats)[0]
-    target = np.maximum(scores / np.maximum(bids, 1e-9), 1e-6)
-    log_target = np.log(target)
-    U, V = actor.grad_inputs(bids, feats)
-    opt = Adam(1e-2)
-    for _step in range(1500):
-        pi, dpi_db, (cache, jcache) = actor.forward_with_grad(U, V)
-        pi = np.maximum(pi, 1e-12)
-        _, dY, dYdot = actor_penalties(bids, pi, dpi_db, 0.0, KAPPA_PRICE)
-        dY += (2.0 / bids.size) * (np.log(pi) - log_target) / pi
-        grad = actor.net.backward_jvp(cache, jcache, dY[:, None],
-                                      dYdot[:, None])
-        opt.step(actor.net.flat, grad)
+    actor.base = best_mech
+    actor.net.weights[-1][...] = 0.0
+    actor.net.biases[-1][...] = 0.0
     return best_mech, best_f
 
 
 def train(world, config):
     """Full training loop; deterministic given (world seed, config)."""
     ss = np.random.SeedSequence((world.config.seed, config.seed, 0x7EA1))
-    rng_init, rng_bench, rng_pre, rng_expl, rng_fit = [
-        np.random.default_rng(s) for s in ss.spawn(5)]
+    rng_init, rng_bench, rng_pre, rng_expl = [
+        np.random.default_rng(s) for s in ss.spawn(4)]
     eval_seed = int(ss.generate_state(1)[0] % (2**31))
 
     benchmark = GspMechanism(sigma=1.0)
@@ -299,7 +294,7 @@ def train(world, config):
     norm_rounds = world.sample_rounds(200, rng_init)
     actor.fit_normalizer(norm_rounds.bids.reshape(-1),
                          norm_rounds.feats.reshape(-1, FEATURE_DIM))
-    warm_start_actor(actor, world, config, rng_fit, eval_seed, ubar)
+    warm_start_actor(actor, world, config, eval_seed, ubar)
 
     critic = CriticNet(FEATURE_DIM, hidden=config.hidden, rng=rng_init)
     pre_batch = collect_batch(world, actor, config.pretrain_rounds, NOISE_STD,
@@ -317,9 +312,10 @@ def train(world, config):
     mono_states = pre_batch.states[:256]
     mono_bids = mono_states[:, 0]
     mono_rows = actor.grad_inputs(mono_bids, mono_states[:, 1:])
-    # a copy of the actor runs these rows: a forward over another row
-    # count remakes the arrays a net keeps (see nets), and the actor's own
-    # passes run on the loop's batches
+    # a copy of the actor's net runs these rows, which carry the actor's
+    # base terms: a forward over another row count remakes the arrays a
+    # net keeps (see nets), and the actor's own passes run on the loop's
+    # batches
     probe = BidMultiplierNet(FEATURE_DIM, hidden=config.hidden)
     report = []
     # the selected iterate: its parameters and its row of the report
@@ -330,7 +326,7 @@ def train(world, config):
             world, DeepGspMechanism(actor), config, eval_seed, ubar)
         tm = spot_monotonicity(actor, spot)
         probe.net.set_flat(actor.net.flat)
-        pi, dpi_db, _ = probe.forward_with_grad(*mono_rows)
+        pi, dpi_db, _ = probe.forward_with_grad(mono_rows)
         mono_loss, _, _ = actor_penalties(mono_bids, pi, dpi_db, 1.0, 0.0)
         mean_pay = (metrics[0] * world.normalizers[0] / 1000.0)
         report.append({"iter": iteration, "objective": f,
@@ -359,8 +355,10 @@ def train(world, config):
     if config.train_iters > 0:
         actor.net.set_flat(best["flat"])
     # the selected iterate's F on the selection episode, as evaluated there
+    selected = report[best["row"]]
     return TrainResult(actor=actor, critic=critic, report=report,
-                       final_objective=report[best["row"]]["objective"])
+                       final_objective=selected["objective"],
+                       selected_iter=selected["iter"])
 
 
 REPORT_COLUMNS = ("iter", "objective", "penalized_objective", "mono_loss",

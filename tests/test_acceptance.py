@@ -226,12 +226,12 @@ def _check_actor_gradients(rng, n_instances=128, h=1e-5):
     feats = rng.uniform(0.0, 1.0, (n_instances, FEATURE_DIM))
     actor.fit_normalizer(bids, feats)
 
-    # parameter gradient of sum(pi) over the batch
-    _pi, _dpi, (cache, jcache) = actor.forward_with_grad(
-        *actor.grad_inputs(bids, feats))
-    analytic = actor.net.backward_jvp(cache, jcache,
-                                      np.ones((n_instances, 1)),
-                                      np.zeros((n_instances, 1)))
+    # parameter gradient of sum(pi) over the batch, by the chain rule the
+    # actor update takes
+    _pi, _dpi, caches = actor.forward_with_grad(
+        actor.grad_inputs(bids, feats))
+    analytic = actor.param_grad(caches, np.ones(n_instances),
+                                np.zeros(n_instances))
     flat0 = actor.net.flat.copy()
     fd = np.empty_like(flat0)
     for i in range(flat0.size):
@@ -239,18 +239,18 @@ def _check_actor_gradients(rng, n_instances=128, h=1e-5):
         up[i] += h
         dn[i] -= h
         actor.net.set_flat(up)
-        lu = float(actor.multiplier_batch(bids, feats).sum())
+        lu = float(actor.multiplier_batch(bids, feats)[0].sum())
         actor.net.set_flat(dn)
-        ld = float(actor.multiplier_batch(bids, feats).sum())
+        ld = float(actor.multiplier_batch(bids, feats)[0].sum())
         fd[i] = (lu - ld) / (2 * h)
     actor.net.set_flat(flat0)
     param_err = _rel_err(analytic, fd)
 
     # input-bid gradient, checked per instance
     _pi, dpi_db, _ = actor.forward_with_grad(
-        *actor.grad_inputs(bids, feats))
-    fd_bid = (actor.multiplier_batch(bids + h, feats)
-              - actor.multiplier_batch(bids - h, feats)) / (2 * h)
+        actor.grad_inputs(bids, feats))
+    fd_bid = (actor.multiplier_batch(bids + h, feats)[0]
+              - actor.multiplier_batch(bids - h, feats)[0]) / (2 * h)
     scale = np.maximum(np.abs(fd_bid), 1e-6)
     bid_err = float(np.max(np.abs(dpi_db - fd_bid) / scale))
     return param_err, bid_err

@@ -147,8 +147,12 @@ def test_allocate_builds_no_full_size_float_temporary():
 
 
 class _FixedActor:
+    """An actor of pi = 0.5 on a base without offsets, whose offsets are a
+    read-only zero."""
+
     def multiplier_batch(self, bids, feats):
-        return np.full(np.shape(bids), 0.5)
+        return np.full(np.shape(bids), 0.5), np.broadcast_to(0.0,
+                                                              np.shape(bids))
 
 
 def test_offsets_without_terms_are_a_read_only_zero():

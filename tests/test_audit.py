@@ -35,20 +35,23 @@ from gsplab.trainer import TrainConfig
 
 
 class ConstantActor:
-    """Bid-independent multiplier; the division price is exact."""
+    """Bid-independent multiplier, no offset; the division price is exact."""
 
     def __init__(self, c=0.7):
         self.c = c
 
     def multiplier_batch(self, bids, feats):
-        return np.full(np.asarray(bids, dtype=float).shape, self.c)
+        shape = np.asarray(bids, dtype=float).shape
+        return np.full(shape, self.c), np.zeros(shape)
 
 
 class DecayActor:
-    """pi = exp(-b), so the rank score b * exp(-b) peaks at b = 1."""
+    """pi = exp(-b), no offset, so the rank score b * exp(-b) peaks at
+    b = 1."""
 
     def multiplier_batch(self, bids, feats):
-        return np.exp(-np.asarray(bids, dtype=float))
+        bids = np.asarray(bids, dtype=float)
+        return np.exp(-bids), np.zeros(bids.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +173,7 @@ def test_monotonicity_scores_every_grid_in_one_call():
 def test_monotonicity_counts_degenerate_states():
     class ZeroActor:
         def multiplier_batch(self, bids, feats):
-            return np.zeros(np.asarray(bids).shape)
+            return np.zeros((2,) + np.asarray(bids).shape)
 
     result = monotonicity_metric(ZeroActor(), _states(3))
     assert result.n_degenerate == 3

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsplab import cli
-from gsplab.auction import FEATURE_DIM
+from gsplab.auction import FEATURE_DIM, UgspMechanism
 from gsplab.nets import CHECKPOINT_MAGIC, BidMultiplierNet, Mlp
 from gsplab.simulator import METRICS, WorldConfig
 from gsplab.trainer import TrainConfig
@@ -414,6 +414,21 @@ def test_train_outputs(trained_dir):
     assert len(report) >= 2
 
 
+def test_train_prints_the_selection(spec_file, trained_dir, tmp_path, capsys):
+    # the selected baseline is the saved actor's base, and the selected
+    # iteration is the report row whose objective is the final one
+    assert cli.main(["train", "--config", str(spec_file),
+                     "--out", str(tmp_path / "again")]) == 0
+    stdout = capsys.readouterr().out
+    base = BidMultiplierNet.load(trained_dir / "actor.ckpt").base
+    assert f"\nselected baseline = {base}\n" in stdout
+    it = int(re.search(r"^selected iteration = (\d+)$", stdout, re.M).group(1))
+    final = re.search(r"^final objective F = (\S+)$", stdout, re.M).group(1)
+    with open(trained_dir / "report.csv") as fh:
+        row = next(r for r in csv.DictReader(fh) if int(r["iter"]) == it)
+    assert f"{float(row['objective']):.6f}" == final
+
+
 def test_train_reproducible_checksums(spec_file, trained_dir, tmp_path):
     out2 = tmp_path / "again"
     assert cli.main(["train", "--config", str(spec_file),
@@ -471,6 +486,8 @@ def test_evaluate_model_echo_is_reproducible(spec_file, trained_dir, tmp_path,
     assert stdouts[0] == stdouts[1]
     assert f"model = {model}\n" in stdouts[0]
     assert f"model_sha256 = {_sha(model)}\n" in stdouts[0]
+    base = BidMultiplierNet.load(model).base
+    assert f"model_base = {base}\n" in stdouts[0]
     assert " at 0x" not in stdouts[0]
 
 
@@ -531,8 +548,8 @@ def _fitted_actor(feature_dim, hidden=(4,)):
 
 
 def _degenerate_actor(path):
-    """Save an actor whose every multiplier is softplus(-60), about 1e-26,
-    at or below EPS_DIV, at path."""
+    """Save an actor whose every multiplier is exp(-60), about 9e-27, at or
+    below EPS_DIV, at path."""
     actor = _fitted_actor(FEATURE_DIM)
     actor.net.weights[-1][:] = 0.0
     actor.net.biases[-1][:] = -60.0
@@ -553,21 +570,35 @@ def _bad_model(kind, trained_dir, tmp_path):
         path.mkdir()
     elif kind == "four-features":
         _fitted_actor(4).save(path)
-    elif kind == "identity-output":
+    elif kind in ("tanh-output", "identity-hidden", "version-1",
+                  "unknown-base", "nan-sigma", "negative-lambda"):
+        # a well-formed actor file with one field rewritten
         actor = _fitted_actor(FEATURE_DIM)
-        actor.net.output = "identity"
-        actor.save(path)
-    elif kind == "two-outputs":
-        actor = _fitted_actor(FEATURE_DIM)
-        actor.net = Mlp([actor.input_dim, 4, 2], output="softplus")
-        actor.save(path)
-    elif kind == "identity-hidden":
-        actor = _fitted_actor(FEATURE_DIM)
+        if kind == "negative-lambda":
+            actor.base = UgspMechanism((1.0, 0.5, 2.0))
         actor.save(path)
         data = bytearray(path.read_bytes())
-        at = len(CHECKPOINT_MAGIC) + 12 + 4 * len(actor.net.sizes)
-        data[at:at + 4] = (2).to_bytes(4, "little")   # identity's id
+        version = len(CHECKPOINT_MAGIC)
+        acts = version + 12 + 4 * len(actor.net.sizes)
+        base = acts + 8
+        if kind == "version-1":
+            # the version 1 layout: no base section
+            data[version:version + 4] = (1).to_bytes(4, "little")
+            del data[base:base + 12]
+        else:
+            at, value = {
+                "tanh-output": (acts + 4, (0).to_bytes(4, "little")),
+                "identity-hidden": (acts, (2).to_bytes(4, "little")),
+                "unknown-base": (base, (7).to_bytes(4, "little")),
+                "nan-sigma": (base + 4, np.float64(np.nan).tobytes()),
+                "negative-lambda": (base + 12, np.float64(-1.0).tobytes()),
+            }[kind]
+            data[at:at + len(value)] = value
         path.write_bytes(bytes(data))
+    elif kind == "two-outputs":
+        actor = _fitted_actor(FEATURE_DIM)
+        actor.net = Mlp([actor.input_dim, 4, 2])
+        actor.save(path)
     elif kind == "zero-width":
         _fitted_actor(FEATURE_DIM, hidden=(0,)).save(path)
     return path
@@ -576,8 +607,10 @@ def _bad_model(kind, trained_dir, tmp_path):
 @pytest.mark.parametrize("command", ["evaluate", "audit"])
 @pytest.mark.parametrize("kind", ["missing", "foreign", "truncated", "critic",
                                   "directory", "four-features",
-                                  "identity-output", "two-outputs",
-                                  "identity-hidden", "zero-width"])
+                                  "tanh-output", "two-outputs",
+                                  "identity-hidden", "zero-width",
+                                  "version-1", "unknown-base", "nan-sigma",
+                                  "negative-lambda"])
 def test_bad_model_is_validation_error(spec_file, trained_dir, tmp_path,
                                        capsys, command, kind):
     model = _bad_model(kind, trained_dir, tmp_path)
@@ -715,6 +748,7 @@ def test_audit_trained_model(spec_file, trained_dir, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "T_m" in stdout
     assert f"model_sha256 = {_sha(model)}\n" in stdout
+    assert f"model_base = {BidMultiplierNet.load(model).base}\n" in stdout
     assert "\ngates  pass\n" in stdout
     lines = (out / "audit.csv").read_text().splitlines()
     assert lines[0] == "weights,t_m,per_mean,per_p05,per_p95,isic,gates"

@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from gsplab import nets
-from gsplab.auction import FEATURE_DIM, DeepGspMechanism
+from gsplab.auction import (
+    FEATURE_DIM,
+    DeepGspMechanism,
+    GspMechanism,
+    UgspMechanism,
+)
 from gsplab.nets import (
     BIAS_ROWS,
     CHECKPOINT_MAGIC,
@@ -24,8 +29,6 @@ from gsplab.nets import (
     NanGradientError,
     Normalizer,
     UnfittedNormalizerError,
-    _sigmoid,
-    _softplus,
 )
 from gsplab.simulator import World, WorldConfig
 from gsplab.trainer import actor_penalties
@@ -35,9 +38,10 @@ from conftest import fd_param_grad, grad_err, rel_err
 FEAT = 3  # small feature dimension for speed
 
 
-def _random_actor(rng, hidden=(6, 4)):
+def _random_actor(rng, hidden=(6, 4), base=GspMechanism(sigma=0.0)):
     actor = BidMultiplierNet(FEAT, hidden=hidden,
-                             rng=np.random.default_rng(rng.integers(2**31)))
+                             rng=np.random.default_rng(rng.integers(2**31)),
+                             base=base)
     bids = rng.uniform(0.5, 5.0, size=64)
     feats = rng.uniform(0.0, 1.0, size=(64, FEAT))
     actor.fit_normalizer(bids, feats)
@@ -51,12 +55,12 @@ def _identity_norm(model):
 
 
 def _pi(actor, b, x):
-    return float(actor.multiplier_batch([b], [x])[0])
+    return float(actor.multiplier_batch([b], [x])[0][0])
 
 
 def _with_grad(actor, bids, feats):
     """actor.forward_with_grad on the rows of a raw batch."""
-    return actor.forward_with_grad(*actor.grad_inputs(bids, feats))
+    return actor.forward_with_grad(actor.grad_inputs(bids, feats))
 
 
 def _dpi_db(actor, b, x):
@@ -95,20 +99,23 @@ def test_normalizer_unfitted_raises():
 # Forward behavior
 
 
-def test_constant_actor_is_softplus_of_bias():
+def test_constant_actor_is_exp_of_bias():
+    # the default base, GSP(sigma=0), has multiplier 1 and no offset
     actor = _identity_norm(BidMultiplierNet(FEAT, hidden=(4,)))
     actor.net.weights[-1][:] = 0.0
     actor.net.biases[-1][:] = 1.7
-    pi = actor.multiplier_batch(np.array([0.1, 2.0, 9.0]), np.zeros((3, FEAT)))
-    assert np.allclose(pi, _softplus(np.array([1.7])))
+    pi, offsets = actor.multiplier_batch(np.array([0.1, 2.0, 9.0]),
+                                         np.zeros((3, FEAT)))
+    assert np.allclose(pi, np.exp(1.7))
+    assert offsets.shape == (3,) and not offsets.any()
     assert _dpi_db(actor, 1.0, np.zeros(FEAT)) == 0.0
 
 
 def test_fresh_actor_output_positive():
     rng = np.random.default_rng(0)
     actor = _random_actor(rng)
-    pi = actor.multiplier_batch(rng.uniform(0.1, 10, 50),
-                                rng.uniform(0, 1, (50, FEAT)))
+    pi, _ = actor.multiplier_batch(rng.uniform(0.1, 10, 50),
+                                   rng.uniform(0, 1, (50, FEAT)))
     assert np.all(pi > 0)
 
 
@@ -121,16 +128,17 @@ def test_constant_critic_is_bias():
 
 
 def test_single_layer_bid_derivative_closed_form():
-    # no hidden layer: pi = softplus(w . u + c), d pi/d bid = sigmoid * w_b / s_b
-    actor = BidMultiplierNet(FEAT, hidden=())
+    # no hidden layer: pi = pctr^sigma * exp(w . u + c), so
+    # d pi/d bid = pi * w_b / s_b
+    actor = BidMultiplierNet(FEAT, hidden=(), base=GspMechanism(sigma=1.5))
     actor.norm.mean = np.zeros(FEAT + 1)
     actor.norm.scale = np.array([2.0, 1.0, 1.0, 1.0])
     w = actor.net.weights[0][0]
     bid, feats = 1.4, np.array([0.2, 0.5, 0.1])
     u = np.concatenate([[bid / 2.0], feats])
-    pre = float(w @ u + actor.net.biases[0][0])
-    sig = 1.0 / (1.0 + np.exp(-pre))
-    assert _dpi_db(actor, bid, feats) == pytest.approx(sig * w[0] / 2.0)
+    pi = 0.2**1.5 * np.exp(float(w @ u + actor.net.biases[0][0]))
+    assert _pi(actor, bid, feats) == pytest.approx(pi)
+    assert _dpi_db(actor, bid, feats) == pytest.approx(pi * w[0] / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +146,9 @@ def test_single_layer_bid_derivative_closed_form():
 
 
 def _fitted_model(kind, rng):
-    """An actor (tanh hidden, softplus output) or critic (identity output)
-    of the trained models' hidden sizes, with fitted normalization."""
+    """An actor or critic (tanh hidden, identity output) of the trained
+    models' hidden sizes, with fitted normalization; the actor has the
+    default base, so its pi is exp of the net's output."""
     cls = BidMultiplierNet if kind == "actor" else CriticNet
     model = cls(FEAT, hidden=(64, 32),
                 rng=np.random.default_rng(rng.integers(2**31)))
@@ -175,10 +184,6 @@ class _ReferenceMlp:
                 A = np.tanh(Z)
                 d1 = 1.0 - A * A
                 d2 = -2.0 * A * d1
-            elif name == "softplus":
-                A = _softplus(Z)
-                d1 = _sigmoid(Z)
-                d2 = d1 * (1.0 - d1)
             else:
                 A, d1, d2 = Z, np.ones_like(Z), np.zeros_like(Z)
             acts.append(A)
@@ -192,8 +197,7 @@ class _ReferenceMlp:
         A = U
         for w, b, name in zip(self.weights, self.biases, self.names):
             Z = A @ w.T + b
-            A = np.tanh(Z) if name == "tanh" else (
-                _softplus(Z) if name == "softplus" else Z)
+            A = np.tanh(Z) if name == "tanh" else Z
         return A
 
     def backward(self, cache, dY):
@@ -250,6 +254,17 @@ def test_predict_equals_forward_bit_for_bit(kind, rows):
     assert Y.shape == (rows, 1)
     assert np.array_equal(Y, model.net.forward(U)[0])
     assert np.array_equal(Y, _ReferenceMlp(model.net).forward(U)[0])
+
+
+def _infer(model, raw):
+    """(the model's inference on raw rows, the function of the net's
+    output it must equal): the critic's Q is the output, the default-base
+    actor's pi is exp of it, and its offsets are zero."""
+    if model.EXTRA_INPUTS == 1:
+        pi, offsets = model.multiplier_batch(*raw)
+        assert offsets.shape == pi.shape and not offsets.any()
+        return pi, np.exp
+    return model.q_batch(*raw), lambda y: y
 
 
 def _raw_inputs(model, rng, rows):
@@ -322,10 +337,9 @@ def test_inference_blocks_equal_one_unblocked_pass(predict_pool, kind, rows):
     rng = np.random.default_rng(rows)
     model = _fitted_model(kind, rng)
     raw, U = _raw_inputs(model, rng, rows)
-    infer = model.multiplier_batch if kind == "actor" else model.q_batch
-    Y = infer(*raw)
+    Y, of = _infer(model, raw)
     assert Y.shape == (rows,)
-    assert np.array_equal(Y, _ReferenceMlp(model.net).predict(U)[:, 0])
+    assert np.array_equal(Y, of(_ReferenceMlp(model.net).predict(U)[:, 0]))
 
 
 @pytest.mark.parametrize("kind", ["actor", "critic"])
@@ -343,10 +357,9 @@ def test_repeated_biases_add_as_one_broadcast_bias(kind, rows):
     want = _ReferenceMlp(model.net).predict(U)
     biases = model.net.tiled_biases(BIAS_ROWS)
     assert np.array_equal(model.net.predict(U, None, biases), want)
-    infer = model.multiplier_batch if kind == "actor" else model.q_batch
-    Y = infer(*raw)
+    Y, of = _infer(model, raw)
     assert Y.shape == (rows,)
-    assert np.array_equal(Y, want[:, 0])
+    assert np.array_equal(Y, of(want[:, 0]))
 
 
 def test_one_block_call_asks_for_no_threads(monkeypatch):
@@ -360,8 +373,8 @@ def test_one_block_call_asks_for_no_threads(monkeypatch):
     raw, U = _raw_inputs(model, rng, 2 * PREDICT_ROWS - 1)
     monkeypatch.setattr(nets, "_predict_threads", unused)
     monkeypatch.setattr(concurrent.futures, "wait", unused)
-    assert np.array_equal(model.multiplier_batch(*raw),
-                          _ReferenceMlp(model.net).predict(U)[:, 0])
+    Y, of = _infer(model, raw)
+    assert np.array_equal(Y, of(_ReferenceMlp(model.net).predict(U)[:, 0]))
 
 
 @pytest.mark.parametrize("predict_pool", ["threads", "one thread"],
@@ -374,11 +387,13 @@ def test_compact_features_score_as_their_dense_array(predict_pool,
     # their rows block by block from the compact arrays, and every score
     # must equal the dense array's.  The row totals hit block edges: 128
     # rounds of 8 make one block, 1,237 of 7 leave a remainder, and 1024
-    # rows do not hold a whole number of rounds of 7
+    # rows do not hold a whole number of rounds of 7; the base's offsets
+    # are read from the compact arrays too
     world = World(WorldConfig(n_advertisers=n_advertisers,
                               calibration_rounds=10, seed=n_advertisers))
     rng = np.random.default_rng(n_rounds)
-    actor = BidMultiplierNet(FEATURE_DIM, hidden=(64, 32), rng=rng)
+    actor = BidMultiplierNet(FEATURE_DIM, hidden=(64, 32), rng=rng,
+                             base=UgspMechanism((1.0, 0.3, 2.0)))
     fit = world.sample_rounds(100, rng)
     actor.fit_normalizer(fit.bids.ravel(), fit.feats.reshape(-1, FEATURE_DIM))
     mechanism = DeepGspMechanism(actor)
@@ -665,13 +680,12 @@ def test_actor_step_reuses_its_arrays(monkeypatch):
     feats = rng.uniform(0.0, 1.0, (800, FEATURE_DIM))
     actor.fit_normalizer(bids, feats)
     rows = actor.grad_inputs(bids, feats)
-    dY, dYdot = rng.normal(size=(2, 800, 1))
+    d_pi, d_dpi = rng.normal(size=(2, 800))
     opt = Adam(1e-3)
 
     def step():
-        _, _, (cache, jcache) = actor.forward_with_grad(*rows)
-        opt.step(actor.net.flat,
-                 actor.net.backward_jvp(cache, jcache, dY, dYdot))
+        _, _, caches = actor.forward_with_grad(rows)
+        opt.step(actor.net.flat, actor.param_grad(caches, d_pi, d_dpi))
 
     step()
     peak, mapped = _step_memory(monkeypatch, step)
@@ -725,7 +739,7 @@ def test_inference_runs_the_value_pass(monkeypatch):
     rng = np.random.default_rng(22)
     actor, critic = _fitted_model("actor", rng), _fitted_model("critic", rng)
     bids, feats = rng.uniform(0.1, 5.0, 40), rng.uniform(0.0, 1.0, (40, FEAT))
-    want_pi = actor.net.forward(actor.inputs(bids, feats))[0][:, 0]
+    want_pi = np.exp(actor.net.forward(actor.inputs(bids, feats))[0][:, 0])
     states = np.column_stack([bids, feats])
     want_q = critic.net.forward(critic.inputs(states, want_pi))[0][:, 0]
 
@@ -733,7 +747,7 @@ def test_inference_runs_the_value_pass(monkeypatch):
         raise AssertionError("inference ran the training forward")
 
     monkeypatch.setattr(Mlp, "forward", no_forward)
-    pi = actor.multiplier_batch(bids, feats)
+    pi, _ = actor.multiplier_batch(bids, feats)
     q = critic.q_batch(states, pi)
     assert type(pi) is np.ndarray and type(q) is np.ndarray
     assert np.array_equal(pi, want_pi) and np.array_equal(q, want_q)
@@ -753,8 +767,8 @@ def test_predict_keeps_no_cache():
 
 
 def test_unknown_activation_rejected():
-    # the outputs gsplab builds are softplus (actor) and identity (critic)
-    for output in ["sigmoid", "tanh"]:
+    # the output gsplab builds is identity (actor and critic)
+    for output in ["sigmoid", "tanh", "softplus"]:
         with pytest.raises(ValueError,
                            match=f"unknown activation '{output}'"):
             Mlp([2, 1], output=output)
@@ -799,10 +813,12 @@ def test_actor_param_gradient_matches_finite_differences():
 
 
 def test_backward_jvp_matches_finite_differences():
-    # generic smooth loss of (output, output-tangent): sum(a*Y + c*Ydot^2)
+    # generic smooth loss of (pi, d pi/d bid): sum(a*pi + c*dpi^2), carried
+    # through pi = pi_base * exp(g) to backward_jvp by param_grad
     rng = np.random.default_rng(3)
-    for _ in range(8):
-        actor = _random_actor(rng, hidden=(5, 4))
+    for i in range(8):
+        actor = _random_actor(rng, hidden=(5, 4), base=(
+            GspMechanism(sigma=1.5), UgspMechanism((0.7, 0.2, 1.5)))[i % 2])
         bids = rng.uniform(0.2, 5.0, 6)
         feats = rng.uniform(0, 1, (6, FEAT))
         a = rng.standard_normal(6)
@@ -814,9 +830,8 @@ def test_backward_jvp_matches_finite_differences():
             return float(a @ pi + c @ dpi**2)
 
         flat0 = actor.net.flat.copy()
-        pi, dpi, (cache, jcache) = _with_grad(actor, bids, feats)
-        analytic = actor.net.backward_jvp(cache, jcache, a[:, None],
-                                          (2 * c * dpi)[:, None])
+        pi, dpi, caches = _with_grad(actor, bids, feats)
+        analytic = actor.param_grad(caches, a, 2 * c * dpi)
         fd = fd_param_grad(loss, flat0)
         actor.net.set_flat(flat0)
         assert np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-10) <= 1e-4
@@ -923,10 +938,9 @@ def test_mono_penalty_gradient_matches_finite_differences():
     flat0 = actor.net.flat.copy()
 
     for gamma, kappa in ((1.0, 0.0), (0.0, 0.5), (2.0, 0.3)):
-        pi, dpi_db, (cache, jcache) = _with_grad(actor, bids, feats)
-        _, dY, dYdot = actor_penalties(bids, pi, dpi_db, gamma, kappa)
-        analytic = actor.net.backward_jvp(cache, jcache, dY[:, None],
-                                          dYdot[:, None])
+        pi, dpi_db, caches = _with_grad(actor, bids, feats)
+        _, d_pi, d_dpi = actor_penalties(bids, pi, dpi_db, gamma, kappa)
+        analytic = actor.param_grad(caches, d_pi, d_dpi)
 
         def loss(flat):
             actor.net.set_flat(flat)
@@ -988,18 +1002,22 @@ def test_critic_fits_linear_target():
 
 def test_actor_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(8)
-    actor = _random_actor(rng)
-    path = tmp_path / "actor.ckpt"
-    actor.save(path)
-    clone = BidMultiplierNet.load(path)
     bids = rng.uniform(0.1, 5, 20)
     feats = rng.uniform(0, 1, (20, FEAT))
-    assert np.array_equal(actor.multiplier_batch(bids, feats),
-                          clone.multiplier_batch(bids, feats))
-    assert np.array_equal(actor.net.flat, clone.net.flat)
-    # save -> load -> save writes the same bytes, tanh's hidden id included
-    clone.save(tmp_path / "again.ckpt")
-    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+    for base in (GspMechanism(sigma=1.25), UgspMechanism((1.0, 0.0, 3.5))):
+        actor = _random_actor(rng, base=base)
+        path = tmp_path / "actor.ckpt"
+        actor.save(path)
+        clone = BidMultiplierNet.load(path)
+        assert clone.base == base
+        for got, want in zip(clone.multiplier_batch(bids, feats),
+                             actor.multiplier_batch(bids, feats)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(actor.net.flat, clone.net.flat)
+        # save -> load -> save writes the same bytes, tanh's hidden id and
+        # the base included
+        clone.save(tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
 def test_critic_checkpoint_round_trip(tmp_path):
@@ -1033,7 +1051,7 @@ def test_checkpoint_kind_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("version", 2, "version 2"),
+    ("version", 1, "version 1"),
     ("n_sizes", 0, "0 layer sizes"),
     ("hidden_act", 7, "unknown activation id"),
     ("hidden_act", 2, "hidden activation"),
@@ -1045,31 +1063,43 @@ def test_checkpoint_kind_mismatch(tmp_path):
     ("scale", struct.pack("<d", np.nan), "non-finite values"),
     ("mean", struct.pack("<d", np.inf), "non-finite values"),
     ("last_param", struct.pack("<d", np.nan), "non-finite values"),
-    ("output_act", 2, "one softplus output, not 1 identity"),
-    ("output_size", 2, "one softplus output, not 2 softplus"),
+    ("output_act", 0, "one identity output, not 1 tanh"),
+    ("output_size", 2, "one identity output, not 2 identity"),
     ("hidden_size", 5, "parameters, but layer sizes"),
     ("width", 0, r"layer sizes \[4, 0, 1\] include a size below 1"),
+    ("base_kind", 7, "unknown base kind 7"),
+    ("sigma", struct.pack("<d", np.nan), "sigma must be finite and >= 0"),
+    ("sigma", struct.pack("<d", -0.5), "sigma must be finite and >= 0"),
+    ("lambda", struct.pack("<d", np.inf), "lambdas must be three finite"),
+    ("lambda", struct.pack("<d", -1.0), "lambdas must be three finite"),
 ], ids=["version", "no-layers", "hidden-act", "identity-hidden", "output-act",
         "huge-count", "trailing-double", "trailing-byte", "zero-scale",
-        "nan-scale", "inf-mean", "nan-param", "identity-output",
-        "two-outputs", "param-count", "zero-width"])
+        "nan-scale", "inf-mean", "nan-param", "tanh-output",
+        "two-outputs", "param-count", "zero-width", "base-kind", "nan-sigma",
+        "negative-sigma", "inf-lambda", "negative-lambda"])
 def test_malformed_checkpoint_names_file(tmp_path, field, value, message):
     # a "width" case saves an actor whose hidden layer has that width: a
-    # file consistent in every other field
+    # file consistent in every other field; a "lambda" case, a uGSP base's
+    # last lambda
     hidden = (value,) if field == "width" else (4,)
-    actor = _random_actor(np.random.default_rng(12), hidden=hidden)
+    base = (UgspMechanism((1.0, 0.5, 2.0)) if field == "lambda"
+            else GspMechanism(sigma=1.0))
+    actor = _random_actor(np.random.default_rng(12), hidden=hidden, base=base)
     path = tmp_path / "actor.ckpt"
     actor.save(path)
     data = bytearray(path.read_bytes())
     magic, n_sizes = len(CHECKPOINT_MAGIC), len(actor.net.sizes)
     params_start = len(data) - 8 * actor.net.flat.size
-    mean_start = magic + 20 + 4 * n_sizes
+    base_start = magic + 20 + 4 * n_sizes
+    mean_start = params_start - 8 - 16 * actor.input_dim
     # (offset, width) of each field; a float field takes packed bytes
     where = {"version": (magic, 4), "n_sizes": (magic + 8, 4),
              "hidden_size": (magic + 16, 4),
              "output_size": (magic + 12 + 4 * (n_sizes - 1), 4),
              "hidden_act": (magic + 12 + 4 * n_sizes, 4),
              "output_act": (magic + 16 + 4 * n_sizes, 4),
+             "base_kind": (base_start, 4), "sigma": (base_start + 4, 8),
+             "lambda": (mean_start - 8, 8),
              "mean": (mean_start, 8),
              "scale": (mean_start + 8 * actor.input_dim, 8),
              "n_params": (params_start - 8, 8),
@@ -1108,14 +1138,16 @@ def test_truncated_checkpoint_names_file(tmp_path):
     actor.save(path)
     data = path.read_bytes()
     # cut inside the magic, version/kind/count, sizes, activation ids,
-    # normalizer mean and scale, parameter count and parameter block
+    # base kind and parameter, normalizer mean and scale, parameter count
+    # and parameter block
     magic = len(CHECKPOINT_MAGIC)
     sizes_end = magic + 12 + 4 * len(actor.net.sizes)
-    mean_end = sizes_end + 8 + 8 * actor.input_dim
+    base_end = sizes_end + 8 + 4 + 8
+    mean_end = base_end + 8 * actor.input_dim
     scale_end = mean_end + 8 * actor.input_dim
     offsets = (0, magic - 3, magic + 5, sizes_end - 2, sizes_end + 3,
-               mean_end - 8, scale_end - 4, scale_end + 4, scale_end + 8 + 16,
-               len(data) - 1)
+               sizes_end + 10, base_end - 3, mean_end - 8, scale_end - 4,
+               scale_end + 4, scale_end + 8 + 16, len(data) - 1)
     for cut in offsets:
         short = tmp_path / f"short{cut}.ckpt"
         short.write_bytes(data[:cut])

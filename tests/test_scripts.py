@@ -26,6 +26,30 @@ def test_train_six_configs_imports():
     assert all(abs(sum(w) - 1.0) < 1e-12 for w in module.WEIGHT_CONFIGS)
 
 
+def test_train_six_configs_row_shows_the_selection():
+    # each row ends with the selected iteration and baseline, under the
+    # header's last two columns
+    from gsplab.audit import AuditConfig, audit_states, single_slot_world
+    from gsplab.simulator import World, WorldConfig
+    from gsplab.trainer import TrainConfig, train
+
+    module = _load("train_six_configs")
+    assert module.HEADER.split()[-2:] == ["iter", "base"]
+    world = World(WorldConfig(n_advertisers=4, slots=2,
+                              slot_ctr_factors=(1.0, 0.6),
+                              calibration_rounds=100, seed=5))
+    result = train(world, TrainConfig(
+        pretrain_rounds=20, pretrain_epochs=20, train_iters=2,
+        benchmark_rounds=50, eval_rounds=50, eval_every=1, hidden=(8, 4)))
+    audit_cfg = AuditConfig(n_states=10, per_rounds=20, isic_rounds=100)
+    weights = module.WEIGHT_CONFIGS[0]
+    line = module.summary_line(weights, result, world,
+                               single_slot_world(world),
+                               audit_states(world, audit_cfg), audit_cfg)
+    assert line.endswith(f"  {result.selected_iter:4d}  {result.actor.base}")
+    assert f")  {result.final_objective:.4f}   " in line
+
+
 def _canned_stdout(op_ref, rss, heldout=1.01, sha="ab" * 32,
                    op_s=(0.7, 0.5, 0.6), op_cpu_s=(0.7, 0.5, 0.6),
                    op_traced=(False, False, False), ref_s=(0.3, 0.2, 0.25),

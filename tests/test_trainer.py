@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from gsplab import trainer
-from gsplab.auction import FEATURE_DIM, DeepGspMechanism
+from gsplab.auction import (
+    F_PCTR,
+    F_PCVR,
+    FEATURE_DIM,
+    DeepGspMechanism,
+    GspMechanism,
+    UgspMechanism,
+)
 from gsplab.nets import Adam, BidMultiplierNet, CriticNet
 from gsplab.simulator import World, WorldConfig, scalarize
 from gsplab.trainer import (
@@ -222,62 +229,41 @@ def _actor_critic_pair(rng):
 
 def test_actor_update_gradient_matches_finite_differences():
     # the gradient actor_update hands to its optimizer against finite
-    # differences of the loss it descends, written out here; the kappa
-    # term always carries KAPPA_PRICE
+    # differences of the loss it descends, written out here, for an actor
+    # of the default base (pi = exp(g)) and one of a uGSP base with a pCVR
+    # offset (pi = 0.8 * pctr * exp(g), action b * pi + 1.5 * pcvr); the
+    # kappa term always carries KAPPA_PRICE
     rng = np.random.default_rng(3)
     actor, critic, exp = _actor_critic_pair(rng)
     bids = exp.states[:, 0]
     feats = exp.states[:, 1:]
-
-    def loss(flat, gamma):
-        actor.net.set_flat(flat)
-        pi, dpi, _ = actor.forward_with_grad(*actor.grad_inputs(bids, feats))
-        q = critic.q_batch(exp.states, bids * pi)
-        slope = pi + bids * dpi
-        sens = bids * dpi / pi
-        return float(np.mean(-q) + gamma * np.mean(np.maximum(0.0, -slope))
-                     + KAPPA_PRICE * np.mean(sens**2))
-
     flat0 = actor.net.flat.copy()
-    for gamma in (0.0, 1.0, 2.0):
-        keep = KeepGrad()
-        returned = actor_update(exp, actor, critic, gamma, keep)
-        assert returned == pytest.approx(loss(flat0, gamma))
-        fd = fd_param_grad(lambda f: loss(f, gamma), flat0)
-        actor.net.set_flat(flat0)
-        err = grad_err(keep.grad, fd)
-        assert err <= 1e-3, (gamma, err)
+    for base, pi_base, offsets in (
+            (actor.base, 1.0, 0.0),
+            (UgspMechanism((0.8, 0.0, 1.5)), 0.8 * feats[:, F_PCTR],
+             1.5 * feats[:, F_PCVR])):
+        actor.base = base
 
+        def loss(flat, gamma):
+            actor.net.set_flat(flat)
+            g = actor.net.forward(actor.inputs(bids, feats))[0][:, 0]
+            pi = pi_base * np.exp(g)
+            _, dpi, _ = actor.forward_with_grad(actor.grad_inputs(bids, feats))
+            q = critic.q_batch(exp.states, bids * pi + offsets)
+            slope = pi + bids * dpi
+            sens = bids * dpi / pi
+            return float(np.mean(-q)
+                         + gamma * np.mean(np.maximum(0.0, -slope))
+                         + KAPPA_PRICE * np.mean(sens**2))
 
-def test_warm_start_gradient_matches_finite_differences(train_world,
-                                                        monkeypatch):
-    # one warm-start step: log-imitation of the best baseline's multiplier
-    # plus the KAPPA_PRICE term, against finite differences of that loss
-    keep = KeepGrad()
-    monkeypatch.setattr(trainer, "Adam", lambda lr: keep)
-    actor = _fresh_actor(train_world, hidden=(5,))
-    cfg = TrainConfig(eval_rounds=50)
-    ubar = np.zeros(train_world.n_advertisers)
-    best, _ = warm_start_actor(actor, train_world, cfg,
-                               np.random.default_rng(9), 11, ubar)
-    # the stand-in never moves the parameters, so every step's gradient
-    # is the first one
-    rounds = train_world.sample_rounds(40, np.random.default_rng(9))
-    bids = rounds.bids.reshape(-1)
-    feats = rounds.feats.reshape(-1, FEATURE_DIM)
-    scores, _, _ = best.score_batch(bids, feats)
-    log_target = np.log(np.maximum(scores / np.maximum(bids, 1e-9), 1e-6))
-
-    def loss(flat):
-        actor.net.set_flat(flat)
-        pi, dpi, _ = actor.forward_with_grad(*actor.grad_inputs(bids, feats))
-        return float(np.mean((np.log(pi) - log_target) ** 2)
-                     + KAPPA_PRICE * np.mean((bids * dpi / pi) ** 2))
-
-    flat0 = actor.net.flat.copy()
-    fd = fd_param_grad(loss, flat0)
-    actor.net.set_flat(flat0)
-    assert grad_err(keep.grad, fd) <= 1e-3
+        for gamma in (0.0, 1.0, 2.0):
+            keep = KeepGrad()
+            returned = actor_update(exp, actor, critic, gamma, keep)
+            assert returned == pytest.approx(loss(flat0, gamma))
+            fd = fd_param_grad(lambda f: loss(f, gamma), flat0)
+            actor.net.set_flat(flat0)
+            err = grad_err(keep.grad, fd)
+            assert err <= 1e-3, (base, gamma, err)
 
 
 def test_actor_update_descends_on_fixed_batch():
@@ -314,7 +300,7 @@ def test_spot_monotonicity_constant_actor(train_world):
 def test_spot_monotonicity_degenerate_states_fall_back_to_one(train_world):
     class ZeroActor:
         def multiplier_batch(self, bids, feats):
-            return np.zeros(np.asarray(bids).shape)
+            return np.zeros((2,) + np.asarray(bids).shape)
 
     rounds = train_world.sample_rounds(3, np.random.default_rng(0))
     states = [(rounds.bids[i, 0], rounds.feats[i, 0]) for i in range(3)]
@@ -342,12 +328,39 @@ def test_zero_iters_returns_initialized_actor(train_world, monkeypatch):
     result = train(train_world, cfg)
     # rebuild the random-init actor directly and compare parameters
     ss = np.random.SeedSequence((train_world.config.seed, cfg.seed, 0x7EA1))
-    rng_init = np.random.default_rng(ss.spawn(5)[0])
+    rng_init = np.random.default_rng(ss.spawn(4)[0])
     expected = BidMultiplierNet(FEATURE_DIM, hidden=cfg.hidden, rng=rng_init)
     assert np.array_equal(seen["init"], expected.net.flat)
     assert np.array_equal(result.actor.net.flat, seen["warm"])
     assert len(result.report) == 1
     assert result.final_objective == result.report[0]["objective"]
+
+
+@pytest.mark.parametrize("make_base", [
+    lambda world: GspMechanism(sigma=1.25),
+    lambda world: UgspMechanism((1.0, 0.0, 2.0 * world.bid_scale))],
+    ids=["gsp", "ugsp-pcvr"])
+def test_iteration_zero_is_the_selected_baseline_bit_for_bit(
+        train_world, monkeypatch, make_base):
+    # the warm start makes the selected baseline the actor's base with a
+    # zero residual, so the trained actor's auction is the baseline's:
+    # the same scores, multipliers and offsets, bit for bit
+    base = make_base(train_world)
+    monkeypatch.setattr(trainer, "_baseline_candidates", lambda world: [base])
+    cfg = TrainConfig(train_iters=0, **{
+        k: v for k, v in TINY.items() if k != "train_iters"})
+    result = train(train_world, cfg)
+    assert result.actor.base == base and result.selected_iter == 0
+    rounds = train_world.sample_rounds(500, np.random.default_rng(12))
+    got = DeepGspMechanism(result.actor).score_batch(rounds.bids, rounds.feats)
+    want = base.score_batch(rounds.bids, rounds.feats)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, np.broadcast_to(b, rounds.bids.shape))
+    # iteration 0 scores the selection episode as the baseline did
+    ss = np.random.SeedSequence((train_world.config.seed, cfg.seed, 0x7EA1))
+    eval_seed = int(ss.generate_state(1)[0] % (2**31))
+    metrics, _ = train_world.evaluate(base, cfg.eval_rounds, eval_seed)
+    assert result.final_objective == scalarize(metrics, cfg.weights)
 
 
 def test_final_objective_is_the_selected_iterate(train_world):
@@ -361,6 +374,7 @@ def test_final_objective_is_the_selected_iterate(train_world):
     selected = (max(passing, key=lambda r: r["penalized_objective"])
                 if passing else result.report[0])
     assert result.final_objective == selected["objective"]
+    assert result.selected_iter == selected["iter"]
     ss = np.random.SeedSequence((train_world.config.seed, cfg.seed, 0x7EA1))
     eval_seed = int(ss.generate_state(1)[0] % (2**31))
     metrics, _ = train_world.evaluate(DeepGspMechanism(result.actor),
