@@ -172,8 +172,20 @@ def _write_manifest(out_dir):
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _out_dir(args):
+def _out_path(args):
+    """The --out path, refused unless it is a directory or can be made
+    one: the nearest of it and its ancestors that exists must be a
+    directory."""
     out = Path(args.out)
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        raise ValidationError(f"bad --out: {found} is not a directory")
+    return out
+
+
+def _out_dir(args):
+    """The --out directory (see _out_path), made if it is missing."""
+    out = _out_path(args)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -296,6 +308,7 @@ def _mechanism_from_args(args):
 
 def cmd_evaluate(args):
     world_cfg, train_cfg, _ = _load_spec(args.config, args.seed)
+    _out_path(args)
     mech = _mechanism_from_args(args)
     shown = (_model_echo(args.model, mech.actor) if args.model
              else {"mechanism": mech})

@@ -16,26 +16,38 @@ vector, ``flat``, that ``weights`` and ``biases`` view; its gradient
 passes return one flat gradient in that layout, and ``Adam.step`` updates
 ``flat`` in place.
 
-Inference (``multiplier_batch``, ``q_batch``) takes its raw input
-columns in blocks of ``PREDICT_ROWS`` rows, the remainder joining the
-last block, and splits the blocks into one contiguous group per thread.
+Inference (``multiplier_batch``) runs the layers in float32 with
+float64 inputs and outputs: standardization stays float64, and the
+standardized rows are rounded to float32 once; each layer's product,
+bias add and tanh then run in float32, on float32 copies of the weights
+and biases made once per call (``Mlp.cast_params``), and the output is
+written into a float64 array, from which pi = pi_base * exp(g) is taken
+in float64.  pi lies within 1e-6 relative of the float64 pass's
+(``Mlp.forward``, as ``forward_with_grad`` runs it), which the tests
+check; every gradient pass, Adam, the flat parameters and the
+checkpoints stay float64.  Inference takes its raw input columns in
+blocks of ``PREDICT_ROWS`` rows, the remainder joining the last block (a
+call of fewer rows runs as one block of ``PREDICT_ROWS``, the rows past
+its own zero), and splits the blocks into one contiguous group per
+thread.
 There is one thread per usable CPU, at most ``PREDICT_THREADS``, where
 the environment pins BLAS to one thread (``OPENBLAS_NUM_THREADS``, else
 ``OMP_NUM_THREADS``, is 1), and otherwise one, so that inference threads
 do not compete with BLAS's own.  The calling thread runs the first group
 and a module-level thread pool, made on first need, runs the rest; a
 forked child drops the inherited pool, whose threads did not survive the
-fork.  A group copies each block's raw columns into one input buffer,
-standardizes it in one subtract and one divide against the statistics
-tiled over its rows, and runs ``Mlp.predict`` through one buffer per
-layer, all sized for its largest block, into the block's slice of one
-preallocated output, so no full-size array is built.  ``predict`` adds
-each layer's bias from a flat copy repeated over ``BIAS_ROWS`` rows, made
-once per call and shared by every group, to whole groups of that many
-rows at a time: a bias broadcast over each row would take one short loop
-per row.  A call of shorter blocks adds the bias row by row.  The actor
-reads sampled rounds' compact ``Features`` in place, the static columns
-from their pattern tiled once per call and the user's gathered per round.
+fork.  A group copies each block's raw columns into one float64 input
+buffer, standardizes it in one subtract and one divide against the
+statistics tiled over its rows, copies it into a float32 input buffer
+and runs ``Mlp.predict`` through one float32 buffer per layer, all sized
+for its largest block, into the block's slice of one preallocated
+output, so no full-size array is built.  ``predict`` adds each layer's
+bias from a flat copy repeated over ``BIAS_ROWS`` rows, made once per
+call and shared by every group, to whole groups of that many rows at a
+time: a bias broadcast over each row would take one short loop per row.
+The actor reads sampled rounds' compact ``Features`` in place, the
+static columns from their pattern tiled once per call and the user's
+gathered per round.
 The calling thread's buffers come from the heap, where the next call
 reuses them; a worker's are memory mappings of its own
 (``_mapped_array``, see below), unmapped at the call's end, since the
@@ -101,10 +113,8 @@ _BASE_KINDS = {0: (1, lambda params: GspMechanism(*params)),
 # threads that run one call's blocks (see the module docstring)
 PREDICT_ROWS = 1024
 PREDICT_THREADS = 2
-# the rows over which a _NormalizedNet._predict call of blocks at least
-# this long repeats each layer's bias, so that Mlp.predict adds it to that
-# many rows per step; a shorter call adds it row by row, as copying it
-# would cost more than it saves
+# the rows over which a _NormalizedNet._predict call repeats each layer's
+# bias, so that Mlp.predict adds it to that many rows per step
 BIAS_ROWS = 128
 
 
@@ -137,12 +147,13 @@ _OUTPUTS = {
 }
 
 
-def _mapped_array(rows, cols):
-    """A new (rows, cols) float64 array in a private anonymous memory
+def _mapped_array(rows, cols, dtype=float):
+    """A new (rows, cols) array of dtype in a private anonymous memory
     mapping of its own, unmapped when the array is dropped (see the
     module docstring); a forked child writes into its own copy."""
-    buf = mmap.mmap(-1, max(8 * rows * cols, 1), flags=mmap.MAP_PRIVATE)
-    return np.frombuffer(buf, dtype=float, count=rows * cols).reshape(
+    size = np.dtype(dtype).itemsize * rows * cols
+    buf = mmap.mmap(-1, max(size, 1), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=dtype, count=rows * cols).reshape(
         rows, cols)
 
 
@@ -283,23 +294,27 @@ class Mlp:
             raise ValueError("flat parameter vector has wrong length")
         self.flat[...] = flat
 
-    def tiled_biases(self, rows):
-        """Each layer's bias repeated ``rows`` times in one flat array,
-        which predict adds to that many rows of the layer's product at a
-        time; the net's own ``biases`` are the one-row case."""
-        return [b[None].repeat(rows, axis=0).ravel() for b in self.biases]
+    def cast_params(self, dtype, bias_rows):
+        """(weights, biases) for predict, from one copy of flat in dtype:
+        the weights view it, and each layer's bias is repeated
+        ``bias_rows`` times in one flat array, which predict adds to that
+        many rows of the layer's product at a time."""
+        weights, biases = self._views(self.flat.astype(dtype))
+        return weights, [b[None].repeat(bias_rows, axis=0).ravel()
+                         for b in biases]
 
-    def predict(self, U, bufs=None, biases=None):
+    def predict(self, U, bufs=None, params=None):
         """U: (B, n_in) -> output (B, n_out); the values only, in one pass
-        over all rows.  With bufs, one array per layer of at least B rows
-        and the layer's width, each layer's product is written into its
-        buffer's first B rows in place of a new array (an identity
-        output is then a view of the last buffer).  biases, if given, are
-        the layers' biases as tiled_biases repeats them; by default the
-        net's own, one row each."""
-        A = np.asarray(U, dtype=float)
-        biases = self.biases if biases is None else biases
-        for layer, (w, b) in enumerate(zip(self.weights, biases)):
+        over all rows, in the dtype of the weights.  With bufs, one array
+        per layer of at least B rows and the layer's width, each layer's
+        product is written into its buffer's first B rows in place of a
+        new array (an identity output is then a view of the last buffer).
+        params, if given, are (weights, biases) as cast_params makes them;
+        by default the net's own float64 ones, one bias row each."""
+        weights, biases = ((self.weights, self.biases) if params is None
+                           else params)
+        A = np.asarray(U, dtype=weights[0].dtype)
+        for layer, (w, b) in enumerate(zip(weights, biases)):
             Z = np.matmul(A, w.T, out=None if bufs is None
                           else bufs[layer][:len(A)])
             # b to each whole group of its rows as one flat add (Z is
@@ -562,34 +577,48 @@ class _NormalizedNet:
         and group by group, as the module docstring describes: the calling
         thread runs the first group and the pool the others, if any.
 
-        The remainder joins the last block, so no block is short unless
-        the whole batch is: BLAS may round a few-row product unlike a long
-        one.  A call of one block runs it on the calling thread without
-        asking for a thread count.  The workers run no traced code, so a
-        tracer's span stack sees only the calling thread.
+        The remainder joins the last block, and a call of fewer than
+        PREDICT_ROWS rows runs as one block of that many, the rows past
+        its own zero, so no block is short: BLAS may round a few-row
+        product unlike a long one, and in float32 the difference can move
+        a bisection on the scores (PER's batched critical bids against
+        one-row ones).  A call of one block runs it on the calling thread
+        without asking for a thread count.  The workers run no traced
+        code, so a tracer's span stack sees only the calling thread.
         """
         cols = self._columns(*raw)
         n_rows = len(cols[0])
-        out = np.empty(n_rows)
-        bounds = [0, *range(PREDICT_ROWS, n_rows - PREDICT_ROWS + 1,
-                            PREDICT_ROWS), n_rows]
+        n_run = max(n_rows, PREDICT_ROWS)
+        out = np.empty(n_run)
+        bounds = [0, *range(PREDICT_ROWS, n_run - PREDICT_ROWS + 1,
+                            PREDICT_ROWS), n_run]
         blocks = list(zip(bounds[:-1], bounds[1:]))
         # made once for the largest block and only read by every group
         largest = max(stop - start for start, stop in blocks)
         tiled = self.norm.tiled(largest)
-        biases = (self.net.tiled_biases(BIAS_ROWS) if largest >= BIAS_ROWS
-                  else self.net.biases)
+        params = self.net.cast_params(np.float32, BIAS_ROWS)
         readers = [_row_reader(c, largest) for c in cols]
 
         def run(group, mapped=False):
             most = max(stop - start for start, stop in group)
-            U, *bufs = [_mapped_array(most, n) if mapped
-                        else np.empty((most, n)) for n in self.net.sizes]
+
+            def buffer(width, dtype):
+                return (_mapped_array(most, width, dtype) if mapped
+                        else np.empty((most, width), dtype))
+
+            # the standardized input in float64, then the input and each
+            # layer's product in float32
+            X = buffer(self.input_dim, float)
+            U, *bufs = [buffer(n, np.float32) for n in self.net.sizes]
             for start, stop in group:
-                rows = self.norm.transform(
-                    *[read(start, stop) for read in readers],
-                    out=U[:stop - start], tiled=tiled)
-                out[start:stop] = self.net.predict(rows, bufs, biases)[:, 0]
+                rows, own = stop - start, min(stop, n_rows) - start
+                self.norm.transform(
+                    *[read(start, start + own) for read in readers],
+                    out=X[:own], tiled=tiled)
+                U[:own] = X[:own]
+                U[own:rows] = 0.0
+                out[start:stop] = self.net.predict(U[:rows], bufs,
+                                                   params)[:, 0]
 
         n_groups = (1 if len(blocks) == 1
                     else min(len(blocks), _predict_threads()))
@@ -606,7 +635,7 @@ class _NormalizedNet:
                 concurrent.futures.wait(futures)
         for future in futures:
             future.result()
-        return out
+        return out[:n_rows]
 
     def save(self, path):
         if not self.norm.fitted:
@@ -701,9 +730,12 @@ class BidMultiplierNet(_NormalizedNet):
         return bids, feats
 
     def multiplier_batch(self, bids, feats):
-        """(pi, o) of each raw row, two (B,) arrays: the rank score is
-        b * pi + o.  The base's terms come from one call, and exp and the
-        product with pi_base are taken in place on the net's output."""
+        """(pi, o) of each raw row, two float64 (B,) arrays: the rank score
+        is b * pi + o.  The net's layers run in float32 between float64
+        standardization and a float64 output (see the module docstring),
+        so pi lies within 1e-6 relative of forward_with_grad's.  The
+        base's terms come from one call, and exp and the product with
+        pi_base are taken in place on the net's output."""
         bids, feats = self._raw(bids, feats)
         pi = self._predict(bids, feats)
         base_pi, offsets = self.base.terms(feats)
@@ -756,9 +788,6 @@ class CriticNet(_NormalizedNet):
     def _columns(self, states, actions):
         return (np.asarray(states, dtype=float),
                 np.asarray(actions, dtype=float).reshape(-1))
-
-    def q_batch(self, states, actions):
-        return self._predict(states, actions)
 
     def mse_and_grads(self, U, targets):
         """Mean squared error of Q on the standardized rows U (see

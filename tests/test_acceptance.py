@@ -220,7 +220,23 @@ def _rel_err(analytic, numeric):
             / max(np.linalg.norm(numeric), 1e-12))
 
 
+def _pi64(actor, bids, feats):
+    """pi of the float64 pass, which the finite differences differentiate:
+    float32 values would give them only noise at h = 1e-5."""
+    return actor.forward_with_grad(actor.grad_inputs(bids, feats))[0]
+
+
+def _float32_inference_err(actor, bids, feats):
+    """Largest relative distance of inference's pi (multiplier_batch, whose
+    layers run in float32) from the float64 pass's."""
+    pi64 = _pi64(actor, bids, feats)
+    pi32 = actor.multiplier_batch(bids, feats)[0]
+    return float(np.max(np.abs(pi32 - pi64) / pi64))
+
+
 def _check_actor_gradients(rng, n_instances=128, h=1e-5):
+    """(parameter gradient error, bid gradient error, float32 inference
+    error) of a fresh actor."""
     actor = BidMultiplierNet(FEATURE_DIM, hidden=(16, 8), rng=rng)
     bids = rng.uniform(0.2, 3.0, n_instances)
     feats = rng.uniform(0.0, 1.0, (n_instances, FEATURE_DIM))
@@ -239,9 +255,9 @@ def _check_actor_gradients(rng, n_instances=128, h=1e-5):
         up[i] += h
         dn[i] -= h
         actor.net.set_flat(up)
-        lu = float(actor.multiplier_batch(bids, feats)[0].sum())
+        lu = float(_pi64(actor, bids, feats).sum())
         actor.net.set_flat(dn)
-        ld = float(actor.multiplier_batch(bids, feats)[0].sum())
+        ld = float(_pi64(actor, bids, feats).sum())
         fd[i] = (lu - ld) / (2 * h)
     actor.net.set_flat(flat0)
     param_err = _rel_err(analytic, fd)
@@ -249,11 +265,11 @@ def _check_actor_gradients(rng, n_instances=128, h=1e-5):
     # input-bid gradient, checked per instance
     _pi, dpi_db, _ = actor.forward_with_grad(
         actor.grad_inputs(bids, feats))
-    fd_bid = (actor.multiplier_batch(bids + h, feats)[0]
-              - actor.multiplier_batch(bids - h, feats)[0]) / (2 * h)
+    fd_bid = (_pi64(actor, bids + h, feats)
+              - _pi64(actor, bids - h, feats)) / (2 * h)
     scale = np.maximum(np.abs(fd_bid), 1e-6)
     bid_err = float(np.max(np.abs(dpi_db - fd_bid) / scale))
-    return param_err, bid_err
+    return param_err, bid_err, _float32_inference_err(actor, bids, feats)
 
 
 def _check_critic_gradients(rng, n_instances=128, h=1e-5):
@@ -269,7 +285,7 @@ def _check_critic_gradients(rng, n_instances=128, h=1e-5):
 
     def mse(flat):
         critic.net.set_flat(flat)
-        q = critic.q_batch(states, actions)
+        q = critic.net.predict(critic.inputs(states, actions))[:, 0]
         return float(np.mean((q - targets) ** 2))
 
     fd = np.empty_like(flat0)
@@ -302,13 +318,18 @@ def _payment_violations(world, mechanism, n_rounds=1_000_000,
 
 def test_criterion_7_numerical_soundness(world, tmp_path):
     rng = np.random.default_rng(0xF00D)
-    actor_param_err, actor_bid_err = _check_actor_gradients(rng)
+    actor_param_err, actor_bid_err, fresh_f32_err = _check_actor_gradients(
+        rng)
     critic_param_err = _check_critic_gradients(rng)
     grads_ok = max(actor_param_err, actor_bid_err, critic_param_err) <= 1e-4
 
     result = _trained(world, weights=(1.0, 0.0, 0.0, 0.0, 0.0))
     violations = _payment_violations(world, DeepGspMechanism(result.actor))
     dominance_ok = violations == 0
+    rounds = world.sample_rounds(2_000, np.random.default_rng(0xF32))
+    f32_err = max(fresh_f32_err, _float32_inference_err(
+        result.actor, rounds.bids.reshape(-1), rounds.feats))
+    f32_ok = f32_err <= 1e-6
 
     cfg = TrainConfig(weights=(1.0, 0.0, 0.0, 0.0, 0.0), seed=TRAIN_SEED,
                       train_iters=30, eval_rounds=500, benchmark_rounds=500,
@@ -322,11 +343,12 @@ def test_criterion_7_numerical_soundness(world, tmp_path):
         digests.append(h.hexdigest())
     determinism_ok = digests[0] == digests[1]
 
-    ok = grads_ok and dominance_ok and determinism_ok
+    ok = grads_ok and f32_ok and dominance_ok and determinism_ok
     _report(7, "gradients, payment dominance, determinism", ok,
-            "max grad rel err %.2e, %d payment violations in 1e6 auctions, "
-            "checksums %s" % (max(actor_param_err, actor_bid_err,
-                                  critic_param_err), violations,
-                              "identical" if determinism_ok else "DIFFER"))
-    assert ok, (actor_param_err, actor_bid_err, critic_param_err,
+            "max grad rel err %.2e, float32 inference rel err %.2e, %d "
+            "payment violations in 1e6 auctions, checksums %s"
+            % (max(actor_param_err, actor_bid_err, critic_param_err),
+               f32_err, violations,
+               "identical" if determinism_ok else "DIFFER"))
+    assert ok, (actor_param_err, actor_bid_err, critic_param_err, f32_err,
                 violations, digests)

@@ -386,6 +386,26 @@ def test_negative_seed_is_validation_error(spec_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "audit"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_out_naming_a_file_is_validation_error(spec_file, trained_dir,
+                                               tmp_path, capsys, command,
+                                               under):
+    # refused before any work: no training, episode or audit runs, and
+    # the file is left as it was
+    taken = tmp_path / "taken.txt"
+    taken.write_text("keep\n")
+    out = taken / "run" if under else taken
+    model = (["--model", str(trained_dir / "actor.ckpt")]
+             if command == "audit" else [])
+    code = cli.main([command, "--config", str(spec_file), "--out", str(out),
+                     *model])
+    assert code == 1
+    stdout, err = capsys.readouterr()
+    assert f"validation error: bad --out: {taken} is not a directory" in err
+    assert stdout == "" and taken.read_text() == "keep\n"
+
+
 def test_seed_defaults_to_the_file_seeds(tmp_path, capsys):
     path = _edited_spec(tmp_path, "train", "seed = 3")
     args = ["evaluate", "--config", str(path), "--out", str(tmp_path / "e")]

@@ -55,7 +55,9 @@ def _identity_norm(model):
 
 
 def _pi(actor, b, x):
-    return float(actor.multiplier_batch([b], [x])[0][0])
+    # the float64 pass, which the finite-difference checks differentiate:
+    # multiplier_batch's float32 layers would give them only noise
+    return float(_with_grad(actor, [b], [x])[0][0])
 
 
 def _with_grad(actor, bids, feats):
@@ -123,7 +125,8 @@ def test_constant_critic_is_bias():
     critic = _identity_norm(CriticNet(FEAT, hidden=(4,)))
     critic.net.weights[-1][:] = 0.0
     critic.net.biases[-1][:] = -0.3
-    q = critic.q_batch(np.zeros((5, FEAT + 1)), np.arange(5.0))
+    q = critic.net.predict(critic.inputs(np.zeros((5, FEAT + 1)),
+                                         np.arange(5.0)))
     assert np.allclose(q, -0.3)
 
 
@@ -164,11 +167,14 @@ class _ReferenceMlp:
     arrays, tanh hidden layers, one unblocked pass, cached first and
     second derivatives, ``@`` for every product and a fresh array for
     every step.  Its gradients are joined into one vector in Mlp.flat's
-    layout."""
+    layout.  With dtype float32 its parameters are float32 copies, the
+    inference mode whose predict the blocked float32 inference must
+    match."""
 
-    def __init__(self, net):
-        self.weights = [w.copy() for w in net.weights]
-        self.biases = [b.copy() for b in net.biases]
+    def __init__(self, net, dtype=float):
+        self.dtype = dtype
+        self.weights = [w.astype(dtype) for w in net.weights]
+        self.biases = [b.astype(dtype) for b in net.biases]
         self.names = ["tanh"] * (net.n_layers - 1) + [net.output]
 
     def arrays(self):
@@ -193,12 +199,14 @@ class _ReferenceMlp:
 
     def predict(self, U):
         """forward's output alone, keeping no cache: one unblocked pass
-        over row counts whose cache would be large."""
-        A = U
+        over row counts whose cache would be large, on U rounded to the
+        reference's dtype once; the output is float64, as inference
+        writes it."""
+        A = U.astype(self.dtype)
         for w, b, name in zip(self.weights, self.biases, self.names):
             Z = A @ w.T + b
             A = np.tanh(Z) if name == "tanh" else Z
-        return A
+        return A.astype(float)
 
     def backward(self, cache, dY):
         acts, d1s, _ = cache
@@ -257,14 +265,27 @@ def test_predict_equals_forward_bit_for_bit(kind, rows):
 
 
 def _infer(model, raw):
-    """(the model's inference on raw rows, the function of the net's
-    output it must equal): the critic's Q is the output, the default-base
-    actor's pi is exp of it, and its offsets are zero."""
+    """(the model's float32 inference on raw rows, the function of the
+    net's output it must equal): the default-base actor's pi is exp of the
+    output, and its offsets are zero; the critic, which infers nothing
+    but through its float64 passes, runs the actor's blocked pass
+    (_predict) on its own columns, whose result is the output."""
     if model.EXTRA_INPUTS == 1:
         pi, offsets = model.multiplier_batch(*raw)
         assert offsets.shape == pi.shape and not offsets.any()
         return pi, np.exp
-    return model.q_batch(*raw), lambda y: y
+    return model._predict(*raw), lambda y: y
+
+
+def _inference_reference(model, U, of):
+    """The float32 reference pass over the standardized rows U, through
+    of (see _infer), which blocked inference must equal bit for bit; as
+    inference does, it runs fewer than PREDICT_ROWS rows as that many, the
+    rows past U's zero."""
+    padded = np.zeros((max(len(U), PREDICT_ROWS), U.shape[1]))
+    padded[:len(U)] = U
+    ref = _ReferenceMlp(model.net, np.float32)
+    return of(ref.predict(padded)[:len(U), 0])
 
 
 def _raw_inputs(model, rng, rows):
@@ -330,16 +351,17 @@ def predict_pool(request, monkeypatch):
                  6 * PREDICT_ROWS + 5, 12_500, 160_000]],
     indirect=["predict_pool"])
 def test_inference_blocks_equal_one_unblocked_pass(predict_pool, kind, rows):
-    # multiplier_batch and q_batch stack and normalize their raw columns
-    # block by block, on one or more threads; the result must not differ
-    # from one reference pass over the fully normalized input.  2 * P - 1
-    # rows are the largest call of one block, 2 * P the smallest of two.
+    # inference stacks and normalizes its raw columns block by block, on
+    # one or more threads, and runs the layers in float32; the result must
+    # not differ from one float32 reference pass over the fully normalized
+    # input.  2 * P - 1 rows are the largest call of one block, 2 * P the
+    # smallest of two.
     rng = np.random.default_rng(rows)
     model = _fitted_model(kind, rng)
     raw, U = _raw_inputs(model, rng, rows)
     Y, of = _infer(model, raw)
-    assert Y.shape == (rows,)
-    assert np.array_equal(Y, of(_ReferenceMlp(model.net).predict(U)[:, 0]))
+    assert Y.shape == (rows,) and Y.dtype == np.float64
+    assert np.array_equal(Y, _inference_reference(model, U, of))
 
 
 @pytest.mark.parametrize("kind", ["actor", "critic"])
@@ -348,18 +370,38 @@ def test_inference_blocks_equal_one_unblocked_pass(predict_pool, kind, rows):
     2 * PREDICT_ROWS - 1])
 def test_repeated_biases_add_as_one_broadcast_bias(kind, rows):
     # predict adds each bias to whole groups of as many rows as its copy
-    # has, then to the rest; inference repeats it over BIAS_ROWS rows where
-    # its blocks have as many, and otherwise, on no rows too, adds the
-    # one-row bias
+    # has, then to the rest, in either precision; inference repeats it
+    # over BIAS_ROWS rows, and its blocks, a short call's padded to
+    # PREDICT_ROWS, always have as many
     rng = np.random.default_rng(rows + 31)
     model = _fitted_model(kind, rng)
     raw, U = _raw_inputs(model, rng, rows)
-    want = _ReferenceMlp(model.net).predict(U)
-    biases = model.net.tiled_biases(BIAS_ROWS)
-    assert np.array_equal(model.net.predict(U, None, biases), want)
+    for dtype in (np.float64, np.float32):
+        Y = model.net.predict(U, None,
+                              model.net.cast_params(dtype, BIAS_ROWS))
+        assert Y.dtype == dtype
+        assert np.array_equal(Y, _ReferenceMlp(model.net, dtype).predict(U))
     Y, of = _infer(model, raw)
     assert Y.shape == (rows,)
-    assert np.array_equal(Y, of(want[:, 0]))
+    assert np.array_equal(Y, _inference_reference(model, U, of))
+
+
+@pytest.mark.parametrize("kind", ["actor", "critic"])
+def test_a_short_call_scores_each_row_as_a_long_call(kind):
+    # a call of fewer than PREDICT_ROWS rows runs as one full block, so
+    # each row's float32 bits are those of the same row in a call of one
+    # row, of a few rows, or of more than a block
+    rng = np.random.default_rng(34)
+    model = _fitted_model(kind, rng)
+    raw, _ = _raw_inputs(model, rng, PREDICT_ROWS + 300)
+
+    def rows(start, stop):
+        return _infer(model, [c[start:stop] for c in raw])[0]
+
+    want = rows(0, PREDICT_ROWS + 300)[:40]
+    assert np.array_equal(rows(0, 40), want)
+    assert np.array_equal(np.concatenate([rows(i, i + 1) for i in range(40)]),
+                          want)
 
 
 def test_one_block_call_asks_for_no_threads(monkeypatch):
@@ -374,7 +416,7 @@ def test_one_block_call_asks_for_no_threads(monkeypatch):
     monkeypatch.setattr(nets, "_predict_threads", unused)
     monkeypatch.setattr(concurrent.futures, "wait", unused)
     Y, of = _infer(model, raw)
-    assert np.array_equal(Y, of(_ReferenceMlp(model.net).predict(U)[:, 0]))
+    assert np.array_equal(Y, _inference_reference(model, U, of))
 
 
 @pytest.mark.parametrize("predict_pool", ["threads", "one thread"],
@@ -515,14 +557,18 @@ def test_worker_buffers_are_mapped_once_per_group(predict_threads,
     raw, _ = _raw_inputs(model, rng, 3 * PREDICT_ROWS + 5)
     shapes, mapped = [], nets._mapped_array
 
-    def recorded(rows, cols):
-        shapes.append((rows, cols))
-        return mapped(rows, cols)
+    def recorded(rows, cols, dtype=float):
+        shapes.append((rows, cols, np.dtype(dtype)))
+        return mapped(rows, cols, dtype)
 
     monkeypatch.setattr(nets, "_mapped_array", recorded)
     model.multiplier_batch(*raw)
-    # the input's width, then each layer's
-    assert shapes == [(PREDICT_ROWS + 5, width) for width in model.net.sizes]
+    # the float64 standardized input, then the float32 input and each
+    # float32 layer
+    rows = PREDICT_ROWS + 5
+    assert shapes == [(rows, model.input_dim, np.dtype(np.float64)),
+                      *[(rows, width, np.dtype(np.float32))
+                        for width in model.net.sizes]]
 
 
 def _gradient_passes(net, U, V, dY, dYdot):
@@ -739,16 +785,16 @@ def test_inference_runs_the_value_pass(monkeypatch):
     rng = np.random.default_rng(22)
     actor, critic = _fitted_model("actor", rng), _fitted_model("critic", rng)
     bids, feats = rng.uniform(0.1, 5.0, 40), rng.uniform(0.0, 1.0, (40, FEAT))
-    want_pi = np.exp(actor.net.forward(actor.inputs(bids, feats))[0][:, 0])
+    want_pi = _inference_reference(actor, actor.inputs(bids, feats), np.exp)
     states = np.column_stack([bids, feats])
-    want_q = critic.net.forward(critic.inputs(states, want_pi))[0][:, 0]
+    want_q = critic.net.forward(critic.inputs(states, want_pi))[0]
 
     def no_forward(self, U):
         raise AssertionError("inference ran the training forward")
 
     monkeypatch.setattr(Mlp, "forward", no_forward)
     pi, _ = actor.multiplier_batch(bids, feats)
-    q = critic.q_batch(states, pi)
+    q = critic.net.predict(critic.inputs(states, pi))
     assert type(pi) is np.ndarray and type(q) is np.ndarray
     assert np.array_equal(pi, want_pi) and np.array_equal(q, want_q)
 
@@ -847,7 +893,7 @@ def test_critic_param_gradient_matches_finite_differences():
 
     def loss(flat):
         critic.net.set_flat(flat)
-        pred = critic.q_batch(states, actions)
+        pred = critic.net.predict(critic.inputs(states, actions))[:, 0]
         return float(np.mean((pred - targets) ** 2))
 
     flat0 = critic.net.flat.copy()
@@ -864,11 +910,14 @@ def test_critic_action_gradient_matches_finite_differences():
     actions = rng.uniform(0.5, 3, 6)
     critic.fit_normalizer(states, actions)
     h = 1e-5
-    fd = (critic.q_batch(states, actions + h)
-          - critic.q_batch(states, actions - h)) / (2 * h)
-    q, analytic = critic.q_and_grad_action(states, actions)
+
+    def q(actions):
+        return critic.net.predict(critic.inputs(states, actions))[:, 0]
+
+    fd = (q(actions + h) - q(actions - h)) / (2 * h)
+    got, analytic = critic.q_and_grad_action(states, actions)
     assert np.allclose(analytic, fd, rtol=1e-4, atol=1e-8)
-    assert np.array_equal(q, critic.q_batch(states, actions))
+    assert np.array_equal(got, q(actions))
 
 
 # ---------------------------------------------------------------------------
@@ -1029,8 +1078,8 @@ def test_critic_checkpoint_round_trip(tmp_path):
     path = tmp_path / "critic.ckpt"
     critic.save(path)
     clone = CriticNet.load(path)
-    assert np.array_equal(critic.q_batch(states, actions),
-                          clone.q_batch(states, actions))
+    assert np.array_equal(critic.net.predict(critic.inputs(states, actions)),
+                          clone.net.predict(clone.inputs(states, actions)))
     clone.save(tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
@@ -1160,3 +1209,34 @@ def test_mlp_set_flat_length_check():
     net = Mlp([2, 3, 1])
     with pytest.raises(ValueError):
         net.set_flat(np.zeros(net.flat.size + 1))
+
+
+# ---------------------------------------------------------------------------
+# Float32 inference against the float64 pass
+
+
+def test_float32_inference_lies_within_1e6_of_the_float64_pass():
+    # inference runs the layers in float32 between float64 standardization
+    # and a float64 pi; on a market's rows, for an actor that Adam steps of
+    # the float64 gradient pass trained off its uGSP base (g far from 0),
+    # its pi must lie within 1e-6 relative of the float64 pass's
+    world = World(WorldConfig(seed=3))
+    rng = np.random.default_rng(33)
+    actor = BidMultiplierNet(FEATURE_DIM, hidden=(64, 32), rng=rng,
+                             base=UgspMechanism((1.0, 0.3, 2.0)))
+    rounds = world.sample_rounds(2_000, rng)          # 16,000 rows
+    bids = rounds.bids.reshape(-1)
+    actor.fit_normalizer(bids, rounds.feats)
+    rows = actor.grad_inputs(bids, rounds.feats)
+    target = rows.base_pi * np.exp(np.tanh(bids - bids.mean()))
+    opt = Adam(1e-2)
+    for _ in range(100):
+        pi, _, caches = actor.forward_with_grad(rows)
+        opt.step(actor.net.flat, actor.param_grad(
+            caches, (pi - target) / bids.size, np.zeros_like(pi)))
+    pi64 = actor.forward_with_grad(rows)[0]
+    g = np.log(pi64 / rows.base_pi)
+    assert np.abs(g).max() > 0.5 and np.abs(g).mean() > 0.1
+    pi32, _ = actor.multiplier_batch(bids, rounds.feats)
+    assert not np.array_equal(pi32, pi64)           # the layers ran float32
+    assert np.max(np.abs(pi32 - pi64) / pi64) <= 1e-6

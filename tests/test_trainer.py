@@ -249,7 +249,8 @@ def test_actor_update_gradient_matches_finite_differences():
             g = actor.net.forward(actor.inputs(bids, feats))[0][:, 0]
             pi = pi_base * np.exp(g)
             _, dpi, _ = actor.forward_with_grad(actor.grad_inputs(bids, feats))
-            q = critic.q_batch(exp.states, bids * pi + offsets)
+            q = critic.net.predict(
+                critic.inputs(exp.states, bids * pi + offsets))[:, 0]
             slope = pi + bids * dpi
             sens = bids * dpi / pi
             return float(np.mean(-q)
